@@ -33,11 +33,9 @@ from .criteria import (
     trace5_test,
 )
 from .linset import (
-    LinearSet,
     family,
     is_max_scattered,
     is_pseudoregulus_type,
-    linear_set,
     pgammal_equivalent,
     verify_new_example,
 )
@@ -74,11 +72,9 @@ __all__ = [
     "power_sums_all_equal",
     "pseudoalg_test",
     "trace5_test",
-    "LinearSet",
     "family",
     "is_max_scattered",
     "is_pseudoregulus_type",
-    "linear_set",
     "pgammal_equivalent",
     "verify_new_example",
 ]

@@ -178,7 +178,6 @@ def cmd_verify(args) -> int:
             "threads": args.threads,
             "samples": args.samples,
             "all_mu": args.all_mu,
-            "exhaustive": args.exhaustive,
         },
         "results": result,
         "passed": result["passed"],
@@ -230,8 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     sp.add_argument("--samples", type=int, default=None,
                     help="sample/pair count override where a suite samples")
-    sp.add_argument("--exhaustive", action="store_true",
-                    help="prefer exhaustive enumeration where a suite samples")
     sp.add_argument("--all-mu", action="store_true", dest="all_mu",
                     help="new-linset: test every admissible mu")
     sp.add_argument("--delta", default=None,

@@ -231,7 +231,7 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
         al2 = ctx.div(a[2], a[1])
         m1 = (1, ctx.pow_int(al2, q**4), ctx.pow_int(al2, 1 + q + q**2 + q**3), 1)
         m2 = (1, 0, ctx.neg(al0), ctx.inv(a[1]))
-        phi = _matmul_2x2(ctx, m1, m2)
+        phi = SemilinearMap(ctx, *m1).compose(SemilinearMap(ctx, *m2))
         target = monomial(ctx, 1)
         if transform_poly(f, phi) != target:
             raise InconsistentStructure("condition-1 witness failed reconstruction")
@@ -248,25 +248,12 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
         al1 = ctx.div(a[1], a[3])
         m1 = (ctx.pow_int(al1, 1 + q + q**3 + q**4), 1, 1, ctx.pow_int(al1, q**2))
         m2 = (1, 0, ctx.neg(al0), ctx.inv(a[3]))
-        phi = _matmul_2x2(ctx, m1, m2)
+        phi = SemilinearMap(ctx, *m1).compose(SemilinearMap(ctx, *m2))
         target = monomial(ctx, 2)
         if transform_poly(f, phi) != target:
             raise InconsistentStructure("condition-2 witness failed reconstruction")
         return PseudoregResult("cond2", phi, 2)
     return PseudoregResult("none")
-
-
-def _matmul_2x2(ctx: FieldCtx, m1, m2) -> SemilinearMap:
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return SemilinearMap(
-        ctx,
-        ctx.add(ctx.mul(a1, a2), ctx.mul(b1, c2)),
-        ctx.add(ctx.mul(a1, b2), ctx.mul(b1, d2)),
-        ctx.add(ctx.mul(c1, a2), ctx.mul(d1, c2)),
-        ctx.add(ctx.mul(c1, b2), ctx.mul(d1, d2)),
-        0,
-    )
 
 
 # ------------------------------------------------------ monomial certification

@@ -84,7 +84,3 @@ class InconsistentStructure(QlinsetError):
 
 class InvalidParameters(QlinsetError):
     pass
-
-
-class NoSource(QlinsetError):
-    pass

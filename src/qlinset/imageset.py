@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooLargeForExhaustive
-from .gf import FieldCtx
-from .qpoly import QPoly
+from .gf import FieldCtx, _prime_factors
+from .qpoly import QPoly, ratio_exponents, ratio_values_at
 
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
@@ -51,7 +51,8 @@ class ImageSet:
         return self.size
 
     def __contains__(self, e: int) -> bool:
-        return bool(self.mask[e])
+        # INF and other non-elements are never members
+        return 0 <= e < self.ctx.size and bool(self.mask[e])
 
     def __eq__(self, other):
         return (
@@ -134,19 +135,6 @@ def _tuple_digits(ctx: FieldCtx, T: np.ndarray) -> list[np.ndarray]:
     return [(T // N ** (n - 1 - i)) % N for i in range(n)]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def strict_linear_mask(ctx: FieldCtx, digits: list[np.ndarray]) -> np.ndarray:
     """Boolean mask of tuples whose polynomial is strictly F_q-linear.
 
@@ -158,7 +146,7 @@ def strict_linear_mask(ctx: FieldCtx, digits: list[np.ndarray]) -> np.ndarray:
     for i in range(1, n):
         some_high |= digits[i] != 0
     strict = some_high.copy()
-    for ell in _prime_divisors(n):
+    for ell in _prime_factors(n):
         hit = np.zeros(digits[0].shape, dtype=bool)
         for i in range(1, n):
             if i % ell:
@@ -189,8 +177,7 @@ def _packed_term_tables(ctx: FieldCtx):
         ordr = ctx.order
         ks = np.arange(ordr, dtype=np.int64)
         tabs = []
-        for i in range(ctx.n):
-            e = (ctx.q**i - 1) % ordr if ordr > 1 else 0
+        for e in ratio_exponents(ctx):
             per_i = []
             for k in range(ordr):
                 arr = np.zeros(ctx.size, dtype=np.int64)
@@ -216,14 +203,7 @@ def _chunk_ratio_masks(ctx: FieldCtx, T: np.ndarray, bit_table: np.ndarray) -> n
             mask |= bit_table[idx_of[acc]]
     else:
         for k in range(ordr):
-            acc = np.zeros(T.size, dtype=np.int64)
-            for i in range(n):
-                e = (ctx.q**i - 1) % ordr if ordr > 1 else 0
-                c = (k * e) % ordr
-                d = digits[i]
-                term = np.where(d == 0, 0, (d - 1 + c) % ordr + 1)
-                acc = ctx.vadd(acc, term)
-            mask |= bit_table[acc]
+            mask |= bit_table[ratio_values_at(ctx, digits, k)]
     return mask
 
 
@@ -292,22 +272,14 @@ def _equal_image_tuples_filtered(ctx: FieldCtx, target: ImageSet) -> np.ndarray:
     """Subset-filter scan: keep tuples all of whose ratio values lie in the
     target, then verify exact set equality per survivor."""
     total = ctx.size**ctx.n
-    ordr, n = ctx.order, ctx.n
     tmask = target.mask
     hits = []
     for lo in range(0, total, _CHUNK):
         T = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         digits = _tuple_digits(ctx, T)
         alive = np.ones(T.size, dtype=bool)
-        for k in range(ordr):
-            acc = np.zeros(T.size, dtype=np.int64)
-            for i in range(n):
-                e = (ctx.q**i - 1) % ordr if ordr > 1 else 0
-                c = (k * e) % ordr
-                d = digits[i]
-                term = np.where(d == 0, 0, (d - 1 + c) % ordr + 1)
-                acc = ctx.vadd(acc, term)
-            alive &= tmask[acc]
+        for k in range(ctx.order):
+            alive &= tmask[ratio_values_at(ctx, digits, k)]
             if alive.mean() < 0.25 and alive.size > 1024:
                 keep = np.flatnonzero(alive)
                 T = T[keep]
@@ -400,17 +372,9 @@ def _sizes_for_tuples(ctx: FieldCtx, T: np.ndarray) -> np.ndarray:
         bit = _bit_table(ctx)
         return np.bitwise_count(_chunk_ratio_masks(ctx, T, bit)).astype(np.int64)
     # wide fields: materialize the value lists and count distinct per row
-    ordr, n = ctx.order, ctx.n
     digits = _tuple_digits(ctx, T)
-    vals = np.empty((T.size, ordr), dtype=np.int64)
-    for k in range(ordr):
-        acc = np.zeros(T.size, dtype=np.int64)
-        for i in range(n):
-            e = (ctx.q**i - 1) % ordr if ordr > 1 else 0
-            c = (k * e) % ordr
-            d = digits[i]
-            term = np.where(d == 0, 0, (d - 1 + c) % ordr + 1)
-            acc = ctx.vadd(acc, term)
-        vals[:, k] = acc
+    vals = np.empty((T.size, ctx.order), dtype=np.int64)
+    for k in range(ctx.order):
+        vals[:, k] = ratio_values_at(ctx, digits, k)
     vals.sort(axis=1)
     return 1 + np.count_nonzero(vals[:, 1:] != vals[:, :-1], axis=1)

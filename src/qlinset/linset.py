@@ -2,8 +2,8 @@
 
 A point of PG(1,q^n) is stored as a slope: the element m for (1 : m), or
 the INF marker for (0 : 1).  The set L_f = {<(x, f(x))> : x != 0} consists
-of the slopes f(x)/x, so it never contains INF and coincides with the ratio
-image set of f.  Includes the four known maximum-scattered families, the
+of the slopes f(x)/x, so it never contains INF and is the ratio image set
+`image_of_ratio(f)`.  Includes the four known maximum-scattered families, the
 pseudoregulus test, PGammaL-equivalence of linear sets, and the
 non-equivalence verification for the two-coefficient family delta x^{q^2} +
 x^{q^3} against delta' x^q + x^{q^4}.
@@ -17,67 +17,24 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
+    InconsistentStructure,
     InvalidParameters,
-    NoSource,
     NotStrictlyLinear,
     PreconditionViolated,
 )
 from .gf import FieldCtx
 from .imageset import image_of_ratio
-from .moebius import INF, SemilinearMap, find_set_equivalence, moebius_image
+from .moebius import SemilinearMap, find_set_equivalence, moebius_image
 from .qpoly import QPoly
-
-
-class LinearSet:
-    """A set of points of PG(1,q^n), with the defining polynomial if known."""
-
-    __slots__ = ("ctx", "points", "source")
-
-    def __init__(self, ctx: FieldCtx, points, source: QPoly | None = None):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "points", frozenset(int(p) for p in points))
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearSet is immutable")
-
-    def __len__(self):
-        return len(self.points)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearSet)
-            and self.ctx is other.ctx
-            and self.points == other.points
-        )
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __contains__(self, p):
-        return int(p) in self.points
-
-    def __repr__(self):
-        return f"LinearSet(|L|={len(self.points)}, source={self.source!r})"
-
-
-def linear_set(f: QPoly) -> LinearSet:
-    """L_f = {(1 : f(x)/x) : x != 0}; its size equals |Im(f(x)/x)|."""
-    im = image_of_ratio(f)
-    pts = frozenset(int(i) for i in im.indices())
-    assert INF not in pts
-    return LinearSet(f.ctx, pts, f)
 
 
 def max_scattered_size(ctx: FieldCtx) -> int:
     return (ctx.size - 1) // (ctx.q - 1)
 
 
-def is_max_scattered(L: LinearSet) -> bool:
-    """True iff |L| attains the rank-n bound (q^n - 1)/(q - 1)."""
-    if L.source is None:
-        raise NoSource("scatteredness is decided for polynomial-built sets")
-    return len(L) == max_scattered_size(L.ctx)
+def is_max_scattered(f: QPoly) -> bool:
+    """True iff L_f = Im(f(x)/x) attains the rank-n bound (q^n - 1)/(q - 1)."""
+    return len(image_of_ratio(f)) == max_scattered_size(f.ctx)
 
 
 # ------------------------------------------------------------- the families
@@ -316,9 +273,8 @@ def verify_new_example(
 
     t_start = time.perf_counter()
     g2d = family_g(ctx, 2, delta)
-    L = linear_set(g2d)
+    points = len(image_of_ratio(g2d))
     expected = max_scattered_size(ctx)
-    scattered = is_max_scattered(L)
 
     if all_mu:
         mus = mus_with_nontrivial_norm(ctx)
@@ -341,17 +297,17 @@ def verify_new_example(
     moved = base.scale_conjugate(control_lambda)
     control = pgammal_equivalent(base, moved)
     if control is not None:
-        assert moebius_image(image_of_ratio(base), control) == image_of_ratio(
-            moved
-        ).as_frozenset()
+        carried = moebius_image(image_of_ratio(base), control)
+        if carried != image_of_ratio(moved).as_frozenset():
+            raise InconsistentStructure("positive-control witness failed its self-check")
 
     return NewExampleReport(
         field_spec=ctx.spec_string,
         delta=delta,
         delta_norm=nd,
-        points=len(L),
+        points=points,
         expected_points=expected,
-        max_scattered=scattered,
+        max_scattered=points == expected,
         mu_mode=mode,
         verdicts=verdicts,
         control_mu=control_mu,

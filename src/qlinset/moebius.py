@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import ImageSet, image_of_ratio
-from .qpoly import QPoly, moore_interpolate
+from .qpoly import QPoly, moore_interpolate, solve
 
 INF = -1  # the projective point (0 : 1), used as a slope marker
 
@@ -43,11 +43,9 @@ class SemilinearMap:
     sigma_exp: int = 0
 
     def __post_init__(self):
-        ctx = self.ctx
-        det = ctx.sub(ctx.mul(self.a, self.d), ctx.mul(self.b, self.c))
-        if det == 0:
+        if self.det() == 0:
             raise SingularMatrix("matrix part of a semilinear map must be invertible")
-        object.__setattr__(self, "sigma_exp", self.sigma_exp % ctx.m)
+        object.__setattr__(self, "sigma_exp", self.sigma_exp % self.ctx.m)
 
     @classmethod
     def identity(cls, ctx: FieldCtx) -> "SemilinearMap":
@@ -138,47 +136,30 @@ def is_admissible(f: QPoly, phi: SemilinearMap, im: ImageSet | None = None) -> b
 
 # ------------------------------------------------------- graph transport
 
-def _fp_digits(ctx: FieldCtx, e: int) -> list[int]:
+def _fp_coords(ctx: FieldCtx, e: int) -> list[int]:
+    """F_p-coordinates of e in the basis 1, x, ..., x^(m-1) of the packed
+    encoding, each written as an element of the prime field."""
     v = int(ctx._pck[e])
     out = []
     for _ in range(ctx.m):
         v, r = divmod(v, ctx.p)
-        out.append(r)
+        out.append(int(ctx._idx[r]))
     return out
 
 
-def _fp_from_digits(ctx: FieldCtx, digits) -> int:
+def _from_fp_coords(ctx: FieldCtx, coords) -> int:
     v = 0
-    for d in reversed(digits):
-        v = v * ctx.p + d
+    for c in reversed(coords):
+        v = v * ctx.p + int(ctx._pck[c])
     return int(ctx._idx[v])
-
-
-def _fp_matrix_inverse(mat, p):
-    n = len(mat)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                fct = aug[i][c]
-                aug[i] = [(v - fct * w) % p for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
 
 
 def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     """The transported q-polynomial f_phi with graph M * (graph f)^sigma.
 
-    Writes k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s, inverts
-    k_f as an F_p-linear map, and interpolates h_f o k_f^{-1} back into
-    q-polynomial coefficients.  With verify=True the graph identity is
+    Writes k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s, solves
+    k_f(x) = g^t (t < n) as an F_p-linear system, and interpolates
+    h_f o k_f^{-1} back into q-polynomial coefficients.  With verify=True the graph identity is
     re-checked on every field element.
     """
     ctx = f.ctx
@@ -196,23 +177,17 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
         fs = ctx.frobenius(f.eval(x), e)
         return ctx.add(ctx.mul(phi.c, xs), ctx.mul(phi.d, fs))
 
-    cols = []
-    for j in range(ctx.m):
-        basis_el = int(ctx._idx[ctx.p**j])
-        cols.append(_fp_digits(ctx, k_map(basis_el)))
-    mat = [[cols[j][i] for j in range(ctx.m)] for i in range(ctx.m)]
-    minv = _fp_matrix_inverse(mat, ctx.p)
-    if minv is None:
+    # k_f is F_p-linear but not F_q-linear when sigma moves F_q, so the
+    # system is written in F_p-coordinates, embedded in the prime field
+    cols = [_fp_coords(ctx, k_map(int(ctx._idx[ctx.p**j]))) for j in range(ctx.m)]
+    points = [ctx.from_exp(t) for t in range(ctx.n)]
+    targets = [_fp_coords(ctx, beta) for beta in points]
+    sol = solve(ctx, list(zip(*cols)), list(zip(*targets)))
+    if sol is None:
         raise NotAdmissible("k_f is singular for this map")
-
-    points, values = [], []
-    for t in range(ctx.n):
-        beta = ctx.from_exp(t)
-        bd = _fp_digits(ctx, beta)
-        xd = [sum(minv[i][j] * bd[j] for j in range(ctx.m)) % ctx.p for i in range(ctx.m)]
-        x = _fp_from_digits(ctx, xd)
-        points.append(beta)
-        values.append(h_map(x))
+    values = [
+        h_map(_from_fp_coords(ctx, [row[t] for row in sol])) for t in range(ctx.n)
+    ]
     g = QPoly(ctx, moore_interpolate(ctx, points, values))
 
     if verify:
@@ -239,16 +214,12 @@ def moebius_image(S: ImageSet, phi: SemilinearMap) -> frozenset:
     return frozenset(int(v) for v in vals)
 
 
-def _cross_ratio_matrix(ctx: FieldCtx, z1: int, z2: int, z3: int):
-    # matrix sending slopes (z1, z2, z3) to (0, 1, INF)
-    d21 = ctx.sub(z2, z1)
-    d23 = ctx.sub(z2, z3)
-    return (
-        ctx.neg(ctx.mul(z3, d21)),  # a
-        d21,  # b
-        ctx.neg(ctx.mul(z1, d23)),  # c
-        d23,  # d
-    )
+def _cross_ratio_matrix(ctx: FieldCtx, z1, z2, z3):
+    # matrix (a, b, c, d) sending slopes (z1, z2, z3) to (0, 1, INF); the
+    # slopes may be scalars or arrays of candidate triples
+    d21 = ctx.vadd(z2, ctx.vneg(z1))
+    d23 = ctx.vadd(z2, ctx.vneg(z3))
+    return ctx.vneg(ctx.vmul(z3, d21)), d21, ctx.vneg(ctx.vmul(z1, d23)), d23
 
 
 def find_set_equivalence(
@@ -275,9 +246,8 @@ def find_set_equivalence(
 
     for e in range(ctx.m):
         s_sig = np.sort(ctx.vfrob(S.indices(), e))
-        s1, s2, s3 = (int(v) for v in s_sig[:3])
         rest = s_sig[3:]
-        pa, pb, pc, pd = _cross_ratio_matrix(ctx, s1, s2, s3)
+        pa, pb, pc, pd = _cross_ratio_matrix(ctx, *s_sig[:3])
 
         for lo in range(0, total, chunk):
             G = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
@@ -288,16 +258,9 @@ def find_set_equivalence(
             if not distinct.any():
                 continue
             G = G[distinct]
-            t1 = t_idx[i1[distinct]]
-            t2 = t_idx[i2[distinct]]
-            t3 = t_idx[i3[distinct]]
-
-            d21 = ctx.vadd(t2, ctx.vneg(t1))
-            d23 = ctx.vadd(t2, ctx.vneg(t3))
-            qa = ctx.vneg(ctx.vmul(t3, d21))
-            qb = d21
-            qc = ctx.vneg(ctx.vmul(t1, d23))
-            qd = d23
+            qa, qb, qc, qd = _cross_ratio_matrix(
+                ctx, t_idx[i1[distinct]], t_idx[i2[distinct]], t_idx[i3[distinct]]
+            )
             # M = adj(Q) . P  maps s-anchors to (t1, t2, t3)
             nqb = ctx.vneg(qb)
             nqc = ctx.vneg(qc)

@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 
-from .errors import NotInvertible, ZeroPolynomial, ZeroScalar
+from .errors import InconsistentStructure, NotInvertible, ZeroPolynomial, ZeroScalar
 from .gf import FieldCtx
 
 
@@ -74,14 +74,7 @@ class QPoly:
     def ratio_values(self) -> np.ndarray:
         """f(x)/x over all nonzero x, ordered by discrete log of x."""
         ctx = self.ctx
-        K = np.arange(ctx.order, dtype=np.int64)  # x = g^K
-        acc = np.zeros(ctx.order, dtype=np.int64)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                # a * x^(q^i - 1) = g^(log a + K*(q^i - 1))
-                e = (ctx.q**i - 1) % ctx.order if ctx.order > 1 else 0
-                acc = ctx.vadd(acc, (a - 1 + K * e) % ctx.order + 1)
-        return acc
+        return ratio_values_at(ctx, self.coeffs, np.arange(ctx.order, dtype=np.int64))
 
     # --------------------------------------------------------------- algebra
 
@@ -122,8 +115,8 @@ class QPoly:
         if lam == 0:
             raise ZeroScalar("scaling element must be nonzero")
         out = [
-            ctx.mul(a, ctx.pow_int(lam, ctx.q**i - 1)) if a else 0
-            for i, a in enumerate(self.coeffs)
+            ctx.mul(a, ctx.pow_int(lam, e)) if a else 0
+            for a, e in zip(self.coeffs, ratio_exponents(ctx))
         ]
         return QPoly(ctx, out)
 
@@ -155,7 +148,8 @@ class QPoly:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def kernel_dim(self) -> int:
-        return self.ctx.n - _rank(self.ctx, self.as_matrix())
+        n = self.ctx.n
+        return n - _row_reduce(self.ctx, self.as_matrix(), n)[1]
 
     def is_invertible(self) -> bool:
         return self.kernel_dim() == 0
@@ -164,7 +158,7 @@ class QPoly:
         """Compositional inverse: compose(f, inverse(f)) is the identity."""
         ctx = self.ctx
         n = ctx.n
-        minv = _matrix_inverse(ctx, self.as_matrix())
+        minv = solve(ctx, self.as_matrix(), _identity(n))
         if minv is None:
             raise NotInvertible("kernel is nontrivial")
         # column j of minv = coordinates of f^(-1)(g^j); interpolate the
@@ -201,14 +195,50 @@ def trace_poly(ctx: FieldCtx) -> QPoly:
     return QPoly(ctx, [1] * ctx.n)
 
 
+# ------------------------------------------------------------ ratio kernel
+
+def ratio_exponents(ctx: FieldCtx) -> list[int]:
+    """(q^i - 1) mod (q^n - 1) for i < n: a x^{q^i} / x = a x^(q^i - 1)."""
+    return [(ctx.q**i - 1) % ctx.order for i in range(ctx.n)]
+
+
+def ratio_values_at(ctx: FieldCtx, coeffs, k):
+    """f(x)/x at x = g^k for f with the given coefficients.
+
+    Coefficients are element indices, each a scalar or an array (one entry
+    per coefficient tuple); k is a scalar or an array of discrete logs.
+    All of them broadcast together.
+    """
+    ordr = ctx.order
+    acc = None
+    for a, e in zip(coeffs, ratio_exponents(ctx)):
+        # a * g^(k e) = g^(log a + k e)
+        if np.ndim(a) == 0:
+            if a == 0:
+                continue
+            term = (a - 1 + k * e) % ordr + 1
+        else:
+            term = np.where(a == 0, 0, (a - 1 + k * e) % ordr + 1)
+        acc = term if acc is None else ctx.vadd(acc, term)
+    if acc is None:
+        return np.zeros(np.broadcast_shapes(np.shape(k), *map(np.shape, coeffs)), np.int64)
+    return acc
+
+
 # ------------------------------------------------- linear algebra over F_q^n
 
-def _rank(ctx: FieldCtx, mat) -> int:
-    m = [row[:] for row in mat]
+def _identity(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _row_reduce(ctx: FieldCtx, mat, ncols: int):
+    """Gauss-Jordan elimination over the field, pivoting in the first
+    `ncols` columns of `mat` (a list of rows); returns the reduced rows and
+    the rank of that left block."""
+    m = [list(row) for row in mat]
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
@@ -222,46 +252,17 @@ def _rank(ctx: FieldCtx, mat) -> int:
         r += 1
         if r == rows:
             break
-    return r
+    return m, r
 
 
-def _matrix_inverse(ctx: FieldCtx, mat):
+def solve(ctx: FieldCtx, mat, rhs):
+    """X with mat * X = rhs over the field, for square `mat` and `rhs` given
+    as rows; None if `mat` is singular."""
     n = len(mat)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ctx.inv(aug[r][c])
-        aug[r] = [ctx.mul(inv, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
-
-
-def solve_linear(ctx: FieldCtx, mat, rhs):
-    """Solve mat * x = rhs over the field; None if singular."""
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ctx.inv(aug[r][c])
-        aug[r] = [ctx.mul(inv, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [aug[i][n] for i in range(n)]
+    red, rank = _row_reduce(ctx, [list(a) + list(b) for a, b in zip(mat, rhs)], n)
+    if rank < n:
+        return None
+    return [row[n:] for row in red]
 
 
 def moore_interpolate(ctx: FieldCtx, points, values):
@@ -271,10 +272,10 @@ def moore_interpolate(ctx: FieldCtx, points, values):
     """
     n = ctx.n
     mat = [[ctx.pow_int(pt, ctx.q**k) if pt else 0 for k in range(n)] for pt in points]
-    sol = solve_linear(ctx, mat, list(values))
+    sol = solve(ctx, mat, [[v] for v in values])
     if sol is None:
         raise ValueError("interpolation points are not an F_q-basis")
-    return sol
+    return [row[0] for row in sol]
 
 
 _MOORE_INV_CACHE: "weakref.WeakKeyDictionary[FieldCtx, list]" = weakref.WeakKeyDictionary()
@@ -289,8 +290,9 @@ def _gen_moore_inverse(ctx: FieldCtx):
             [ctx.pow_int(ctx.from_exp(j), ctx.q**k) for j in range(n)]
             for k in range(n)
         ]
-        inv = _matrix_inverse(ctx, mat)
-        assert inv is not None, "generator powers must form a basis"
+        inv = solve(ctx, mat, _identity(n))
+        if inv is None:
+            raise InconsistentStructure("generator powers do not form a basis")
         _MOORE_INV_CACHE[ctx] = inv
     return inv
 

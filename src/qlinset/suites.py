@@ -15,6 +15,7 @@ import numpy as np
 from . import criteria as cr
 from . import imageset as ims
 from . import linset as ls
+from .errors import SingularMatrix
 from .gf import FieldCtx, build_field
 from .moebius import INF, SemilinearMap, is_admissible, moebius_image, transform_poly
 from .qpoly import QPoly, monomial, trace_poly
@@ -42,7 +43,7 @@ def _rand_semilinear(ctx: FieldCtx, rng: random.Random, sigma: int | None = None
                 rng.randrange(ctx.size),
                 rng.randrange(ctx.m) if sigma is None else sigma,
             )
-        except Exception:
+        except SingularMatrix:
             continue
 
 

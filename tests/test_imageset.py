@@ -8,6 +8,7 @@ import pytest
 from qlinset import imageset as ims
 from qlinset.errors import TooLargeForExhaustive
 from qlinset.gf import build_field
+from qlinset.moebius import INF
 from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly, zero_poly
 
 
@@ -19,6 +20,15 @@ def test_image_scalar_map(f32):
     im = ims.image_of_ratio(QPoly(f32, [7, 0, 0, 0, 0]))
     assert im.as_frozenset() == {7}
     assert len(im) == 1
+
+
+def test_inf_is_never_a_member(f32):
+    # the image {g^30} fills the last slot, which INF = -1 would index
+    top = f32.from_exp(30)
+    im = ims.image_of_ratio(QPoly(f32, [top, 0, 0, 0, 0]))
+    assert top in im
+    assert INF not in im
+    assert f32.size not in im
 
 
 def test_image_zero_map_is_zero_singleton(f32):
@@ -214,3 +224,34 @@ def test_equal_image_tuples_generic_path_agrees_with_mask_path():
         via_mask = ims.equal_image_tuples(ctx, f)
         via_filter = ims._equal_image_tuples_filtered(ctx, ims.image_of_ratio(f))
         assert sorted(via_mask.tolist()) == sorted(via_filter.tolist())
+
+
+def _naive_image(ctx, t):
+    f = ims.poly_from_tuple(ctx, t)
+    return frozenset(ctx.div(f.eval(x), x) for x in ctx.nonzero())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tuple_kernels_against_naive_oracle(n):
+    # F_9 and F_27: odd characteristic, small enough for bitmask images
+    ctx = build_field(3, 1, n)
+    T = np.arange(ctx.size**n, dtype=np.int64)
+    naive = [_naive_image(ctx, int(t)) for t in T]
+    masks = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    assert [int(m) for m in masks] == [sum(1 << e for e in im) for im in naive]
+    assert ims._sizes_for_tuples(ctx, T).tolist() == [len(im) for im in naive]
+    r = random.Random(36 + n)
+    for t in r.sample(range(T.size), 3):
+        target = ims.ImageSet.from_indices(ctx, naive[t])
+        expected = [u for u, im in enumerate(naive) if im == naive[t]]
+        assert ims._equal_image_tuples_filtered(ctx, target).tolist() == expected
+
+
+def test_wide_field_sizes_against_naive_oracle():
+    # F_81 has too many elements for a bitmask: sizes come from value lists
+    ctx = build_field(3, 1, 4)
+    assert ims._mask_dtype(ctx.size) is None
+    r = random.Random(38)
+    T = np.asarray(r.sample(range(ctx.size**ctx.n), 200), dtype=np.int64)
+    sizes = ims._sizes_for_tuples(ctx, T)
+    assert sizes.tolist() == [len(_naive_image(ctx, int(t))) for t in T]

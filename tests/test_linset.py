@@ -9,7 +9,6 @@ from qlinset import imageset as ims
 from qlinset import linset as ls
 from qlinset.errors import (
     InvalidParameters,
-    NoSource,
     NotStrictlyLinear,
     PreconditionViolated,
 )
@@ -26,18 +25,19 @@ def rand_strict(ctx, r):
 
 
 def test_linear_set_sizes(f32, f243):
-    assert len(ls.linear_set(QPoly(f32, [7, 0, 0, 0, 0]))) == 1
-    assert len(ls.linear_set(monomial(f243, 1))) == 121
-    assert len(ls.linear_set(trace_poly(f32))) == 17
+    assert len(ims.image_of_ratio(QPoly(f32, [7, 0, 0, 0, 0]))) == 1
+    assert len(ims.image_of_ratio(monomial(f243, 1))) == 121
+    assert len(ims.image_of_ratio(trace_poly(f32))) == 17
 
 
 def test_linear_set_matches_image(f32):
+    # L_f is the slope set {f(x)/x : x != 0}, which never contains INF
     r = random.Random(80)
     for _ in range(100):
         f = QPoly(f32, [r.randrange(32) for _ in range(5)])
-        L = ls.linear_set(f)
-        assert len(L) == len(ims.image_of_ratio(f))
-        assert INF not in L.points
+        L = ims.image_of_ratio(f)
+        assert L.as_frozenset() == {f32.div(f.eval(x), x) for x in f32.nonzero()}
+        assert INF not in L
 
 
 def test_linear_sets_coincide_for_adjoint_and_scaling(f32, f243):
@@ -46,17 +46,16 @@ def test_linear_sets_coincide_for_adjoint_and_scaling(f32, f243):
         for _ in range(200):
             f = QPoly(ctx, [r.randrange(ctx.size) for _ in range(ctx.n)])
             lam = r.randrange(1, ctx.size)
-            assert ls.linear_set(f) == ls.linear_set(f.scale_conjugate(lam))
-            assert ls.linear_set(f) == ls.linear_set(f.adjoint())
+            L = ims.image_of_ratio(f)
+            assert L == ims.image_of_ratio(f.scale_conjugate(lam))
+            assert L == ims.image_of_ratio(f.adjoint())
 
 
 def test_is_max_scattered(f32, f243):
-    assert ls.is_max_scattered(ls.linear_set(monomial(f32, 1)))
-    assert not ls.is_max_scattered(ls.linear_set(trace_poly(f32)))
+    assert ls.is_max_scattered(monomial(f32, 1))
+    assert not ls.is_max_scattered(trace_poly(f32))
     delta = f243.gen  # N(delta) = 2
-    assert ls.is_max_scattered(ls.linear_set(ls.family_g(f243, 2, delta)))
-    with pytest.raises(NoSource):
-        ls.is_max_scattered(ls.LinearSet(f32, {1, 2, 3}))
+    assert ls.is_max_scattered(ls.family_g(f243, 2, delta))
 
 
 def test_family_f(f243):
@@ -65,9 +64,9 @@ def test_family_f(f243):
         ls.family_f(f243, 5)
     # L_{f_1} = L_{f_s} for all s coprime to n
     for ctx in (build_field(2, 1, 5), f243):
-        L1 = ls.linear_set(ls.family_f(ctx, 1))
+        L1 = ims.image_of_ratio(ls.family_f(ctx, 1))
         for s in (2, 3, 4):
-            assert ls.linear_set(ls.family_f(ctx, s)) == L1
+            assert ims.image_of_ratio(ls.family_f(ctx, s)) == L1
 
 
 def test_family_g_validation(f32, f243):
@@ -96,7 +95,7 @@ def test_family_h_validation():
     for d in list(ctx.nonzero())[:200]:
         if ctx.norm_rel(d, 3) in (0, 1):
             continue
-        sizes.add(len(ls.linear_set(ls.family_h(ctx, 1, d))))
+        sizes.add(len(ims.image_of_ratio(ls.family_h(ctx, 1, d))))
     assert ls.max_scattered_size(ctx) in sizes
 
 
@@ -116,8 +115,7 @@ def test_family_k_scattered_at_q5():
     # q = 5 satisfies q = 0 mod 5; the set is maximum scattered there
     ctx = build_field(5, 1, 6)
     b = next(b for b in ctx.elements() if ctx.add(ctx.mul(b, b), b) == 1)
-    L = ls.linear_set(ls.family_k(ctx, b))
-    assert ls.is_max_scattered(L)
+    assert ls.is_max_scattered(ls.family_k(ctx, b))
 
 
 def test_family_dispatcher(f243):
@@ -141,7 +139,7 @@ def test_fs_family_pseudoregulus_and_scattered(f32, f243):
     for ctx in (f32, f243):
         for s in (1, 2, 3, 4):
             f = ls.family_f(ctx, s)
-            assert ls.is_max_scattered(ls.linear_set(f))
+            assert ls.is_max_scattered(f)
             assert ls.is_pseudoregulus_type(f) is not None
 
 

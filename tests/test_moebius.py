@@ -102,6 +102,22 @@ def test_transform_identity_and_scaling(f243):
         assert transform_poly(f, phi, verify=True) == f.scale_conjugate(lam)
 
 
+def test_transform_every_automorphism_at_q4(f1024):
+    # odd sigma_exp move F_4, so k_f is F_2-linear but not F_4-linear
+    r = random.Random(52)
+    for e in range(f1024.m):
+        done = 0
+        while done < 3:
+            f = rand_poly(f1024, r)
+            phi = rand_phi(f1024, r, sigma=e)
+            im = ims.image_of_ratio(f)
+            if not is_admissible(f, phi, im):
+                continue
+            done += 1
+            g = transform_poly(f, phi, verify=True)
+            assert ims.image_of_ratio(g).as_frozenset() == moebius_image(im, phi)
+
+
 def test_scaling_transport_commutes(f243):
     # g = f(lam x)/lam  iff  g_phi = f_phi(lam^s x)/lam^s, for any phi
     r = random.Random(44)
