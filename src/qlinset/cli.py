@@ -135,36 +135,7 @@ def cmd_verify(args) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        if suite == "bounds":
-            result = suites.suite_bounds(seed=args.seed, samples=args.samples or 10_000)
-        elif suite == "survey-n4":
-            result = suites.suite_survey_n4()
-        elif suite == "thm-n4":
-            result = suites.suite_thm_n4(seed=args.seed, per_n=args.samples or 20)
-        elif suite == "thm-main-q2":
-            result = suites.suite_thm_main_q2(seed=args.seed)
-        elif suite == "trace5":
-            result = suites.suite_trace5(seed=args.seed, count=args.samples or 100)
-        elif suite == "pseudoalg":
-            result = suites.suite_pseudoalg(seed=args.seed, count=args.samples or 100)
-        elif suite == "erelations":
-            result = suites.suite_erelations(seed=args.seed, pairs=args.samples or 1000)
-        elif suite == "new-linset":
-            p, h, n = args.field if args.field else (3, 1, 5)
-            delta = None
-            if args.delta:
-                delta = build_field(p, h, n, args.modulus).parse(args.delta)
-            result = suites.suite_new_linset(
-                p, h, n,
-                delta=delta,
-                all_mu=args.all_mu,
-                samples=args.samples or 8,
-                seed=args.seed,
-                threads=args.threads,
-                modulus=args.modulus,
-            )
-        else:  # adjoint property bundle
-            result = suites.suite_properties(seed=args.seed, count=args.samples or 1000)
+        result = suites.SUITES[suite](**SUITE_ARGS[suite](args))
     except QlinsetError as exc:
         print(f"suite {suite}: guard violation: {exc}", file=sys.stderr)
         return 2
@@ -190,6 +161,37 @@ def cmd_verify(args) -> int:
     status = "PASS" if result["passed"] else "FAIL"
     print(f"suite {suite}: {status}", file=sys.stderr)
     return 0 if result["passed"] else 1
+
+
+def _new_linset_args(args) -> dict:
+    p, h, n = args.field if args.field else (3, 1, 5)
+    delta = None
+    if args.delta:
+        delta = build_field(p, h, n, args.modulus).parse(args.delta)
+    return {
+        "p": p, "h": h, "n": n,
+        "delta": delta,
+        "all_mu": args.all_mu,
+        "samples": args.samples or 8,
+        "seed": args.seed,
+        "threads": args.threads,
+        "modulus": args.modulus,
+    }
+
+
+# keyword arguments of each suite in suites.SUITES from the parsed `verify`
+# options, with the suite's own default where --samples is not given
+SUITE_ARGS = {
+    "bounds": lambda a: {"seed": a.seed, "samples": a.samples or 10_000},
+    "survey-n4": lambda a: {},
+    "thm-n4": lambda a: {"seed": a.seed, "per_n": a.samples or 20},
+    "thm-main-q2": lambda a: {"seed": a.seed},
+    "trace5": lambda a: {"seed": a.seed, "count": a.samples or 100},
+    "pseudoalg": lambda a: {"seed": a.seed, "count": a.samples or 100},
+    "erelations": lambda a: {"seed": a.seed, "pairs": a.samples or 1000},
+    "new-linset": _new_linset_args,
+    "adjoint": lambda a: {"seed": a.seed, "count": a.samples or 1000},
+}
 
 
 def make_parser() -> argparse.ArgumentParser:

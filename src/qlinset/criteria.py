@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import (
-    _power_sum_from_values,
+    _power_sums_from_values,
     equal_image_tuples,
     image_of_ratio,
     images_equal,
@@ -37,6 +37,7 @@ from .moebius import SemilinearMap, find_set_equivalence, is_admissible, transfo
 from .qpoly import QPoly, monomial, trace_poly
 
 _SAME_IMAGE_GUARD = 2**26
+_POWER_SUM_BLOCK = 1 << 20
 
 
 # ------------------------------------------------------------ e-relations
@@ -136,8 +137,13 @@ def power_sums_all_equal(f: QPoly, g: QPoly) -> bool:
     ctx = f.ctx
     rf = f.ratio_values()
     rg = g.ratio_values()
-    for d in range(1, ctx.size):
-        if _power_sum_from_values(ctx, rf, d) != _power_sum_from_values(ctx, rg, d):
+    # every d at once, in blocks of about 2^20 table entries
+    step = max(1, _POWER_SUM_BLOCK // ctx.order)
+    for lo in range(1, ctx.size, step):
+        ds = np.arange(lo, min(lo + step, ctx.size), dtype=np.int64)
+        if not np.array_equal(
+            _power_sums_from_values(ctx, rf, ds), _power_sums_from_values(ctx, rg, ds)
+        ):
             return False
     return True
 

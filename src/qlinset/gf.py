@@ -7,10 +7,26 @@ recognized as Frobenius-fixed subsets.  Elements are encoded as plain ints:
     k + 1  -> g^k, where g is the fixed multiplicative generator
               (the root of the modulus), 0 <= k < p^{h*n} - 1
 
-This makes multiplication, inversion and Frobenius maps O(1) index
-arithmetic; addition goes through a single Zech-logarithm table.  The int
-encoding doubles as the canonical total order on elements (zero first,
-then by discrete log).
+This makes scalar multiplication, inversion and Frobenius maps O(1) index
+arithmetic; scalar addition goes through a single Zech-logarithm table.
+The int encoding doubles as the canonical total order on elements (zero
+first, then by discrete log).
+
+The vector operations `vadd`, `vmul`, `vneg`, `vinv` and `vfrob` of a field
+with at most MAX_TABLE_SIZE = 2^12 elements are one gather each from lookup
+tables: flat size x size int16 sum and product tables (2 MB each at 2^10
+elements, 32 MB each at 2^12) and one-dimensional negation, inverse and
+per-exponent Frobenius tables.  The tables are built on the first vector
+call, not with the field.  Larger fields do the same operations by index
+and Zech arithmetic.  The gathers still win at the limit: on 2^18 random
+operands at 4096 elements (2-core Xeon) a gather took 1.7 ms for `vadd` and
+1.6 ms for `vmul`, against 9.4 ms and 2.6 ms by index and Zech arithmetic,
+and the 0.1 s table build is repaid after about fifteen such sums.
+
+Contexts are interned: while a context is alive, `build_field` returns that
+one object for its (p, h, n) and resolved modulus, and a context pickles as a
+call to `build_field`, so it keeps its identity in worker processes and never
+sends its tables.  An unused context is freed with its tables.
 
 The modulus is the lexicographically least primitive polynomial of degree
 h*n over F_p, coefficient vectors compared low-degree-first, so field
@@ -21,7 +37,11 @@ the element encoding is built on discrete logs of its root.
 
 from __future__ import annotations
 
+import weakref
+from typing import NamedTuple
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DivisionByZero,
@@ -32,6 +52,7 @@ from .errors import (
 )
 
 MAX_FIELD_SIZE = 2**24
+MAX_TABLE_SIZE = 2**12
 
 
 def _is_prime(n: int) -> bool:
@@ -139,11 +160,22 @@ def _search_modulus(p, m, order):
     )
 
 
+class _Tables(NamedTuple):
+    """Lookup tables of a small field, indexed by element index."""
+
+    add: np.ndarray  # flat size*size: add[a*size + b] = a + b
+    mul: np.ndarray  # flat size*size: mul[a*size + b] = a * b
+    neg: np.ndarray
+    inv: np.ndarray  # inv[0] = 0
+    frob: np.ndarray  # frob[e, a] = a^(p^e)
+
+
 class FieldCtx:
     """Arithmetic context for F_{p^{h*n}} with its F_{p^h}-tower structure.
 
-    Immutable after construction; all operations are pure, so a single
-    context can be shared freely across worker processes or threads.
+    Immutable after construction apart from the lookup tables built on the
+    first vector call; all operations are pure, so a single context can be
+    shared freely across worker processes or threads.
     """
 
     def __init__(self, p: int, h: int, n: int, modulus: list[int] | None = None):
@@ -188,6 +220,11 @@ class FieldCtx:
         self.gen = 2 if self.order > 1 else 1  # g = g^1; in F_2 it is g^0 = 1
         # -1 as an element: g^(order/2) in odd characteristic, 1 in char 2
         self.minus_one = 1 if p == 2 else (self.order // 2) + 1
+        self._tab = None
+
+    def __reduce__(self):
+        # unpickling interns: the worker's context is its own build_field's
+        return _unpickle_field, (self.p, self.h, self.n, list(self.modulus))
 
     def _build_tables(self):
         p, m, size, order = self.p, self.m, self.size, self.order
@@ -357,41 +394,100 @@ class FieldCtx:
     # -------------------------------------------------------------- vectors
     #
     # Same encoding on numpy int64 arrays; inputs broadcast like numpy ops.
+    # Small fields gather from lookup tables; the _*_ix methods compute the
+    # same maps by index and Zech arithmetic for larger fields.
+
+    def _tables(self) -> _Tables | None:
+        """The lookup tables, built on first use; None above MAX_TABLE_SIZE."""
+        if self._tab is None and self.size <= MAX_TABLE_SIZE:
+            self._tab = self._build_lookup_tables()
+        return self._tab
+
+    def _build_lookup_tables(self) -> _Tables:
+        size, order = self.size, self.order
+        nz = np.arange(1, size, dtype=np.int16)
+        mul = np.zeros((size, size), dtype=np.int16)
+        # row g^i of the product table is the row of 1 = g^0 shifted by i
+        mul[1:, 1:] = sliding_window_view(np.concatenate((nz, nz[:-1])), order)
+        # g^i + g^j = g^i (1 + g^(j-i)): row g^i of the sum table is the row
+        # of 1 shifted by i, then multiplied by g^i
+        one_plus = np.where(self._zech < 0, 0, self._zech + 1).astype(np.int16)
+        one_plus = np.concatenate((one_plus, one_plus))
+        add = np.empty_like(mul)
+        add[0] = add[:, 0] = np.arange(size)
+        for i in range(order):
+            add[i + 1, 1:] = mul[i + 1, one_plus[order - i:2 * order - i]]
+        X = np.arange(size, dtype=np.int64)
+        frob = np.stack([self._frob_ix(X, e) for e in range(self.m)])
+        return _Tables(
+            add.ravel(),
+            mul.ravel(),
+            self._neg_ix(X).astype(np.int16),
+            self._inv_ix(X).astype(np.int16),
+            frob.astype(np.int16),
+        )
 
     def vadd(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
+        t = self._tables()
+        if t is None:
+            return self._add_ix(A, B)
+        return t.add.take(A * self.size + B).astype(np.int64)
+
+    def vneg(self, A):
+        A = np.asarray(A, dtype=np.int64)
+        if self.p == 2:
+            return A
+        t = self._tables()
+        return self._neg_ix(A) if t is None else t.neg.take(A).astype(np.int64)
+
+    def vmul(self, A, B):
+        A = np.asarray(A, dtype=np.int64)
+        B = np.asarray(B, dtype=np.int64)
+        t = self._tables()
+        if t is None:
+            return self._mul_ix(A, B)
+        return t.mul.take(A * self.size + B).astype(np.int64)
+
+    def vinv(self, A):
+        """Inverse on nonzero entries; zero entries pass through as zero."""
+        A = np.asarray(A, dtype=np.int64)
+        t = self._tables()
+        return self._inv_ix(A) if t is None else t.inv.take(A).astype(np.int64)
+
+    def vfrob(self, A, e: int):
+        A = np.asarray(A, dtype=np.int64)
+        e %= self.m
+        t = self._tables()
+        return self._frob_ix(A, e) if t is None else t.frob[e].take(A).astype(np.int64)
+
+    def _add_ix(self, A, B):
         i = A - 1
         j = B - 1
         z = self._zech[(j - i) % self.order]
         s = np.where(z < 0, 0, (i + z) % self.order + 1)
         return np.where(A == 0, B, np.where(B == 0, A, s))
 
-    def vneg(self, A):
+    def _neg_ix(self, A):
         if self.p == 2:
-            return np.asarray(A, dtype=np.int64)
-        A = np.asarray(A, dtype=np.int64)
+            return A
         return np.where(A == 0, 0, (A - 1 + self.order // 2) % self.order + 1)
 
-    def vmul(self, A, B):
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+    def _mul_ix(self, A, B):
         return np.where((A == 0) | (B == 0), 0, (A + B - 2) % self.order + 1)
 
-    def vinv(self, A):
-        """Inverse on nonzero entries; zero entries pass through as zero."""
-        A = np.asarray(A, dtype=np.int64)
+    def _inv_ix(self, A):
         return np.where(A == 0, 0, (self.order - (A - 1)) % self.order + 1)
+
+    def _frob_ix(self, A, e: int):
+        return np.where(A == 0, 0, (A - 1) * self._pe[e] % self.order + 1)
 
     def vpow(self, A, e: int):
         A = np.asarray(A, dtype=np.int64)
         if e <= 0:
             raise ValueError("vpow needs a positive exponent")
         return np.where(A == 0, 0, (A - 1) * (e % self.order) % self.order + 1)
-
-    def vfrob(self, A, e: int):
-        A = np.asarray(A, dtype=np.int64)
-        return np.where(A == 0, 0, (A - 1) * self._pe[e % self.m] % self.order + 1)
 
     def vfold_add(self, A) -> int:
         """Field sum of all entries of A (tree reduction)."""
@@ -411,6 +507,27 @@ class FieldCtx:
         return self._idx[np.asarray(A, dtype=np.int64)]
 
 
+# weak values: a context lives while some caller or object holds it
+_FIELDS: weakref.WeakValueDictionary[tuple, FieldCtx] = weakref.WeakValueDictionary()
+
+
 def build_field(p: int, h: int, n: int, modulus: list[int] | None = None) -> FieldCtx:
-    """Construct the tower context; deterministic given (p, h, n)."""
-    return FieldCtx(p, h, n, modulus)
+    """The tower context; deterministic given (p, h, n).
+
+    Interned per process: while a context is alive, the same (p, h, n) and
+    resolved modulus give the same object, whether the modulus is passed or
+    searched.
+    """
+    key = (p, h, n, None if modulus is None else tuple(modulus))
+    ctx = _FIELDS.get(key)
+    if ctx is None:
+        ctx = FieldCtx(p, h, n, modulus)
+        ctx = _FIELDS.setdefault((p, h, n, ctx.modulus), ctx)
+        _FIELDS[key] = ctx
+    return ctx
+
+
+def _unpickle_field(p: int, h: int, n: int, modulus: list[int]) -> FieldCtx:
+    # a module function of its own, so that pickle saves it by reference
+    # even where build_field is wrapped
+    return build_field(p, h, n, modulus)

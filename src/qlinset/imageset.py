@@ -41,6 +41,9 @@ class ImageSet:
     def __setattr__(self, *_):
         raise AttributeError("ImageSet is immutable")
 
+    def __reduce__(self):
+        return ImageSet, (self.ctx, self.mask)
+
     @classmethod
     def from_indices(cls, ctx: FieldCtx, indices) -> "ImageSet":
         mask = np.zeros(ctx.size, dtype=bool)
@@ -112,6 +115,27 @@ def _power_sum_from_values(ctx: FieldCtx, values: np.ndarray, d: int) -> int:
     sup = np.flatnonzero(counts)
     elems = np.repeat(sup + 1, counts[sup])
     return ctx.vfold_add(elems)
+
+
+def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """sum over x of values[x]^d for every d in the array ds at once.
+
+    With c_l the number of values equal to g^l, reduced mod p, the sum for d
+    is sum_l c_l g^(l d): one exponent table (l d) mod (q^n - 1) over the
+    distinct l, scaled by c_l and folded along the l axis with vadd.
+    """
+    logs, counts = np.unique(values[values > 0] - 1, return_counts=True)
+    counts %= ctx.p
+    logs, counts = logs[counts > 0], counts[counts > 0]
+    if logs.size == 0:
+        return np.zeros(len(ds), dtype=np.int64)
+    # c_l as an element of the prime field: the element whose packed encoding is c_l
+    terms = ctx.vmul(ctx._idx[counts], np.multiply.outer(ds, logs) % ctx.order + 1)
+    while terms.shape[1] > 1:
+        if terms.shape[1] & 1:
+            terms = np.pad(terms, ((0, 0), (0, 1)))
+        terms = ctx.vadd(terms[:, 0::2], terms[:, 1::2])
+    return terms[:, 0]
 
 
 # ------------------------------------------------------- tuple-space helpers

@@ -160,11 +160,10 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     Writes k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s, solves
     k_f(x) = g^t (t < n) as an F_p-linear system, and interpolates
     h_f o k_f^{-1} back into q-polynomial coefficients.  With verify=True the graph identity is
-    re-checked on every field element.
+    re-checked on every field element.  Raises NotAdmissible when k_f is
+    singular, which is exactly when is_admissible(f, phi) is False.
     """
     ctx = f.ctx
-    if not is_admissible(f, phi):
-        raise NotAdmissible("k_f is singular for this map (footnote condition fails)")
     e = phi.sigma_exp
 
     def k_map(x):
@@ -184,7 +183,7 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     targets = [_fp_coords(ctx, beta) for beta in points]
     sol = solve(ctx, list(zip(*cols)), list(zip(*targets)))
     if sol is None:
-        raise NotAdmissible("k_f is singular for this map")
+        raise NotAdmissible("k_f is singular for this map (footnote condition fails)")
     values = [
         h_map(_from_fp_coords(ctx, [row[t] for row in sol])) for t in range(ctx.n)
     ]

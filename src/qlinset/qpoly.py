@@ -30,6 +30,9 @@ class QPoly:
     def __setattr__(self, *_):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        return QPoly, (self.ctx, self.coeffs)
+
     def __eq__(self, other):
         return (
             isinstance(other, QPoly)

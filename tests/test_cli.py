@@ -1,10 +1,12 @@
 """CLI surface: report schema, determinism, exit codes, CSV side outputs."""
 
+import inspect
 import json
 
 import pytest
 
-from qlinset.cli import main
+from qlinset import suites
+from qlinset.cli import SUITE_ARGS, main, make_parser
 
 
 def run_cli(args):
@@ -141,6 +143,17 @@ def test_verify_new_linset_delta_guard(tmp_path, capsys):
     rc = run_cli(["verify", "--suite", "new-linset", "--delta", "g^2",
                   "--samples", "1", "--out", str(out)])
     assert rc == 2  # N(g^2) = 1: precondition violation -> guard exit
+
+
+def test_verify_arguments_fit_every_suite():
+    assert set(SUITE_ARGS) == set(suites.SUITES)
+    args = make_parser().parse_args(["verify", "--suite", "bounds", "--seed", "3"])
+    for name, fn in suites.SUITES.items():
+        inspect.signature(fn).bind(**SUITE_ARGS[name](args))
+    assert SUITE_ARGS["bounds"](args) == {"seed": 3, "samples": 10_000}
+    assert SUITE_ARGS["adjoint"](args) == {"seed": 3, "count": 1000}
+    nl = SUITE_ARGS["new-linset"](args)
+    assert (nl["p"], nl["h"], nl["n"], nl["samples"], nl["delta"]) == (3, 1, 5, 8, None)
 
 
 def test_verify_unknown_suite():

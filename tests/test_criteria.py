@@ -3,6 +3,7 @@ certification, and the same-image classifiers."""
 
 import random
 
+import numpy as np
 import pytest
 
 from qlinset import criteria as cr
@@ -16,6 +17,7 @@ from qlinset.errors import (
     WrongDegree,
 )
 from qlinset.gf import build_field
+from qlinset.imageset import _power_sum_from_values, _power_sums_from_values
 from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import QPoly, monomial, trace_poly
 
@@ -89,6 +91,32 @@ def test_power_sums_all_equal(f32, f243):
     r = random.Random(63)
     f = rand_poly(f243, r)
     assert cr.power_sums_all_equal(f, f.scale_conjugate(17))
+
+
+def test_power_sums_all_d_match_per_d_helper(f32, f243):
+    # the all-d table against the per-d helper, on equal-image pairs and on
+    # random (mostly unequal) pairs
+    r = random.Random(64)
+    for ctx in (f32, f243):
+        ds = np.arange(1, ctx.size, dtype=np.int64)
+        verdicts = set()
+        for k in range(12):
+            f = rand_poly(ctx, r)
+            if k < 6:
+                lam = r.randrange(1, ctx.size)
+                g = (f.adjoint() if k % 2 else f).scale_conjugate(lam)
+            else:
+                g = rand_poly(ctx, r)
+            sums = {}
+            for h in (f, g):
+                v = h.ratio_values()
+                sums[h] = _power_sums_from_values(ctx, v, ds).tolist()
+                assert sums[h] == [_power_sum_from_values(ctx, v, int(d)) for d in ds]
+            same = sums[f] == sums[g]
+            assert cr.power_sums_all_equal(f, g) == same
+            assert same or k >= 6
+            verdicts.add(same)
+        assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------- trace5 test

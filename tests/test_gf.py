@@ -1,13 +1,21 @@
 """Field engine: construction, arithmetic, Frobenius, trace/norm, subfields."""
 
+import gc
+import pickle
 import random
+import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
+from qlinset import gf
 from qlinset.errors import DivisionByZero, InvalidModulus, NotADivisor, NotPrime, TooLarge
-from qlinset.gf import build_field
+from qlinset.gf import MAX_TABLE_SIZE, FieldCtx, build_field
+from qlinset.imageset import image_of_ratio
+from qlinset.qpoly import QPoly, trace_poly
 
 
 def test_build_field_sizes():
@@ -254,3 +262,116 @@ def test_element_parse_format(f32):
     assert f32.parse("1") == 1
     with pytest.raises(ValueError):
         f32.parse("h^2")
+
+
+# ------------------------------------------- lookup tables against an oracle
+
+def _digitwise_sum(ctx, pa, pb):
+    """Packed a + b by base-p digits, reading no log or Zech table."""
+    if ctx.p == 2:
+        return pa ^ pb
+    out = np.zeros_like(pa)
+    for i in range(ctx.m):
+        w = ctx.p**i
+        out += (pa // w % ctx.p + pb // w % ctx.p) % ctx.p * w
+    return out
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 2), (2, 2, 2), (2, 1, 5), (3, 1, 5), (2, 2, 5)],
+                         ids=["F9", "F16-tower", "F32", "F243", "F1024"])
+def test_vector_tables_on_every_pair(spec):
+    ctx = build_field(*spec)
+    assert ctx.size <= MAX_TABLE_SIZE and ctx._tables() is not None
+    X = np.arange(ctx.size, dtype=np.int64)
+    A, B = (M.ravel() for M in np.meshgrid(X, X, indexing="ij"))
+    sums, prods = ctx.vadd(A, B), ctx.vmul(A, B)
+    assert sums.dtype == prods.dtype == np.int64
+    assert np.array_equal(ctx.packed(sums), _digitwise_sum(ctx, ctx.packed(A), ctx.packed(B)))
+    assert prods.tolist() == [ctx.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    assert ctx.vneg(X).tolist() == [ctx.neg(a) for a in X.tolist()]
+    assert ctx.vinv(X).tolist() == [ctx.inv(a) if a else 0 for a in X.tolist()]
+    for e in range(ctx.m):
+        assert ctx.vfrob(X, e).tolist() == [ctx.frobenius(a, e) for a in X.tolist()]
+    # scalar x array, array x scalar and row x column broadcast like numpy
+    for a in (0, 1, ctx.size - 1):
+        full = np.full(ctx.size, a, dtype=np.int64)
+        assert np.array_equal(ctx.vadd(a, X), ctx.vadd(full, X))
+        assert np.array_equal(ctx.vmul(X, a), ctx.vmul(X, full))
+    grid = ctx.vadd(X[:, None], X[None, :])
+    assert np.array_equal(grid.ravel(), sums)
+    assert int(ctx.vadd(2, 3)) == ctx.add(2, 3)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 11), (5, 1, 5), (2, 1, 12), (3, 1, 8)],
+                         ids=["F2048", "F3125", "F4096", "F6561"])
+def test_vector_ops_on_random_pairs(spec):
+    # 2048..4096 elements gather from tables; 6561 uses index and Zech
+    # arithmetic
+    ctx = build_field(*spec)
+    assert (ctx._tables() is not None) == (ctx.size <= MAX_TABLE_SIZE)
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, ctx.size, 100_000)
+    B = rng.integers(0, ctx.size, 100_000)
+    assert np.array_equal(
+        ctx.packed(ctx.vadd(A, B)), _digitwise_sum(ctx, ctx.packed(A), ctx.packed(B))
+    )
+    assert ctx.vmul(A, B).tolist() == [ctx.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    X = A[:5000].tolist()
+    assert ctx.vneg(A[:5000]).tolist() == [ctx.neg(a) for a in X]
+    assert ctx.vinv(A[:5000]).tolist() == [ctx.inv(a) if a else 0 for a in X]
+    for e in range(ctx.m):
+        assert ctx.vfrob(A[:5000], e).tolist() == [ctx.frobenius(a, e) for a in X]
+
+
+# ------------------------------------------------------ interned contexts
+
+def test_build_field_is_interned():
+    assert build_field(3, 1, 5) is build_field(3, 1, 5)
+    ctx = build_field(2, 1, 5)
+    assert build_field(2, 1, 5, modulus=list(ctx.modulus)) is ctx
+    # an explicit lex-least modulus first, the searched one second
+    lex_least = list(FieldCtx(7, 1, 2).modulus)
+    explicit = build_field(7, 1, 2, modulus=lex_least)
+    assert build_field(7, 1, 2) is explicit
+    assert build_field(2, 1, 5, modulus=[1, 0, 1, 0, 0, 1]) is not ctx
+
+
+def test_unused_context_is_freed():
+    ctx = build_field(3, 1, 3)
+    ctx._tables()
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
+    assert build_field(3, 1, 3).size == 27
+
+
+def test_pickle_with_build_field_wrapped(monkeypatch, f243):
+    # a profiler may replace gf.build_field by a wrapper that pickle cannot
+    # save by reference; contexts still pickle and intern
+    real = gf.build_field
+    monkeypatch.setattr(gf, "build_field", lambda *a, **k: real(*a, **k))
+    assert pickle.loads(pickle.dumps(f243)) is f243
+
+
+def test_pickle_keeps_identity_and_sends_no_tables(f1024):
+    ctx = f1024
+    ctx._tables()
+    data = pickle.dumps(ctx)
+    assert len(data) < 2048
+    assert pickle.loads(data) is ctx
+    f = QPoly(ctx, [3, 0, 7, 1, 0])
+    assert pickle.loads(pickle.dumps(f)) == f
+    im = image_of_ratio(f)
+    assert pickle.loads(pickle.dumps(im)) == im
+
+
+def test_context_identity_across_a_worker_process(f243):
+    # a fresh interpreter rebuilds the context from its pickle; what it
+    # sends back compares equal to the parent's own objects
+    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+        tr = pool.submit(trace_poly, f243).result(timeout=120)
+        im = pool.submit(image_of_ratio, tr).result(timeout=120)
+    assert tr.ctx is f243
+    assert tr == trace_poly(f243)
+    assert im == image_of_ratio(trace_poly(f243))

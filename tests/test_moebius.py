@@ -2,6 +2,7 @@
 and the three-point set-equivalence search."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -116,6 +117,26 @@ def test_transform_every_automorphism_at_q4(f1024):
             done += 1
             g = transform_poly(f, phi, verify=True)
             assert ims.image_of_ratio(g).as_frozenset() == moebius_image(im, phi)
+
+
+def test_transform_raises_exactly_when_inadmissible(f32, f243, f1024):
+    # transform_poly decides admissibility by its own F_p solve
+    r = random.Random(53)
+    for ctx in (f32, f243, f1024):
+        seen = Counter()
+        for _ in range(150):
+            f = rand_poly(ctx, r)
+            phi = rand_phi(ctx, r)
+            ok = is_admissible(f, phi)
+            seen[ok, phi.sigma_exp != 0] += 1
+            try:
+                transform_poly(f, phi)
+                raised = False
+            except NotAdmissible:
+                raised = True
+            assert raised == (not ok), (ctx, f, phi)
+        # both outcomes, with and without a field automorphism
+        assert len(seen) == 4 and min(seen.values()) >= 3, (ctx, seen)
 
 
 def test_scaling_transport_commutes(f243):
