@@ -140,19 +140,24 @@ def _x_is_primitive(mod, p, order):
     return True
 
 
+def _eval_mod_p(coeffs, a, p):
+    # Horner evaluation of a low-degree-first coefficient list at a
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * a + c) % p
+    return acc
+
+
 def _search_modulus(p, m, order):
     """Lex-least monic primitive polynomial of degree m over F_p."""
-    # Enumerate constant-first coefficient vectors (c_0, ..., c_{m-1});
-    # candidates with c_0 = 0 are divisible by x and can be skipped.
-    total = p**m
-    for t in range(total):
-        coeffs = []
-        rem = t
-        for i in range(m):
-            coeffs.append(rem // p ** (m - 1 - i) % p)
-        if coeffs[0] == 0:
+    # Enumerate constant-first coefficient vectors (c_0, ..., c_{m-1}) in
+    # base-p order from t = p^(m-1): the candidates below have c_0 = 0 and
+    # are divisible by x.  For m > 1 a root in F_p means a linear factor,
+    # which is cheaper to find than the order of x.
+    for t in range(p ** (m - 1), p**m):
+        mod = [t // p ** (m - 1 - i) % p for i in range(m)] + [1]
+        if m > 1 and any(_eval_mod_p(mod, a, p) == 0 for a in range(1, p)):
             continue
-        mod = coeffs + [1]
         if _x_is_primitive(mod, p, order):
             return mod
     raise RuntimeError(

@@ -2,10 +2,19 @@
 
 The dominant cost in every search is set comparison, so images are stored
 as dense boolean membership arrays keyed by element index (slot 0 is the
-zero element).  The exhaustive enumerators walk the whole coefficient-tuple
-space N^n in numpy chunks; tuple index t encodes (a_0, ..., a_{n-1}) with
-a_0 most significant, so ascending t is lexicographic order on tuples and
-"lex-least representative" is simply the smallest surviving t.
+zero element).  Tuple index t encodes (a_0, ..., a_{n-1}) with a_0 most
+significant, so ascending t is lexicographic order on tuples and "lex-least
+representative" is simply the smallest surviving t.
+
+The exhaustive enumerators walk the coefficient-tuple space N^n one scalar
+orbit at a time.  Scaling every coefficient by c = g^k gives Im(c f) =
+c Im(f), so in a bitmask (bit e = element index e, bit e >= 1 = g^(e-1))
+the image of g^k f is the image of f with bits 1..q^n-1 rotated by k and
+bit 0 kept.  Each nonzero orbit has exactly q^n - 1 members and one
+representative, the tuple whose first nonzero coefficient is 1 = g^0; it is
+also the orbit's lex-least member.  Only representatives are evaluated
+((32^5 - 1)/31 of them at q = 2, n = 5); every other mask is a rotation,
+and the zero tuple's image is {0}.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from .qpoly import QPoly, ratio_exponents, ratio_values_at
 
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # tuples per block in the sampled survey and the subset filter
+_REP_BLOCK = 1 << 18  # representatives per block of the orbit walk
 
 
 class ImageSet:
@@ -240,21 +250,64 @@ def _bit_table(ctx: FieldCtx) -> np.ndarray:
     return (1 << np.arange(ctx.size, dtype=np.uint64)).astype(dt)
 
 
-def all_ratio_masks(ctx: FieldCtx, chunk: int = _CHUNK) -> np.ndarray:
+def _representative_blocks(ctx: FieldCtx):
+    """Ascending blocks of orbit representatives: the nonzero tuples whose
+    first nonzero coefficient is 1 = g^0.
+
+    With the leading coefficient at position j, the representatives are
+    1 * N^(n-1-j) plus a free tail, the contiguous range [N^(n-1-j),
+    2 N^(n-1-j)); later leading positions give smaller indices.
+    """
+    N, n = ctx.size, ctx.n
+    for j in reversed(range(n)):
+        lo = N ** (n - 1 - j)
+        for start in range(lo, 2 * lo, _REP_BLOCK):
+            yield np.arange(start, min(start + _REP_BLOCK, 2 * lo), dtype=np.int64)
+
+
+def _scale_table(ctx: FieldCtx) -> np.ndarray:
+    """scale[k, d] = element index of g^k * d."""
+    scale = np.zeros((ctx.order, ctx.size), dtype=np.int64)
+    ks = np.arange(ctx.order, dtype=np.int64)[:, None]
+    scale[:, 1:] = (np.arange(ctx.order, dtype=np.int64) + ks) % ctx.order + 1
+    return scale
+
+
+def _scaled_tuples(ctx: FieldCtx, digits: list[np.ndarray], row: np.ndarray) -> np.ndarray:
+    """Tuple index of c times each tuple, with row = scale[k] for c = g^k."""
+    out = row[digits[0]]
+    for d in digits[1:]:
+        out *= ctx.size
+        out += row[d]
+    return out
+
+
+def _rotate(masks, k: int, order: int):
+    """Bitmask of Im(g^k f) from that of Im(f): bits 1..order rotate by k."""
+    nonzero = ((1 << order) - 1) << 1
+    hi = masks & nonzero
+    return ((hi << k) | (hi >> (order - k))) & nonzero | (masks & 1)
+
+
+def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     """Image-set bitmask of every coefficient tuple, indexed by tuple index.
 
-    Feasible only for fields of at most 64 elements and at most 2^26 tuples;
-    the q=2, n=5 space (32^5 tuples) takes under a minute.
+    Feasible only for fields of at most 64 elements and at most 2^26 tuples.
+    One mask per scalar orbit is evaluated and the rest are rotations of it;
+    the q=2, n=5 space (32^5 tuples, (32^5 - 1)/31 nonzero orbits) takes 1-2 s.
     """
     total = ctx.size**ctx.n
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
     bit = _bit_table(ctx)
+    scale = _scale_table(ctx)
     out = np.empty(total, dtype=bit.dtype)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        T = np.arange(lo, hi, dtype=np.int64)
-        out[lo:hi] = _chunk_ratio_masks(ctx, T, bit)
+    out[0] = bit[0]
+    for T in _representative_blocks(ctx):
+        masks = _chunk_ratio_masks(ctx, T, bit)
+        digits = _tuple_digits(ctx, T)
+        for k in range(ctx.order):
+            out[_scaled_tuples(ctx, digits, scale[k])] = _rotate(masks, k, ctx.order)
     return out
 
 
@@ -271,8 +324,9 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     """Tuple indices of every g (any linearity) with Im(g(x)/x) = Im(f(x)/x).
 
     With `masks` (a cached all_ratio_masks array) this is a single vector
-    compare; otherwise fields of <= 64 elements run the chunked bitmask
-    enumeration, and larger fields run a subset filter over the tuple space
+    compare.  Otherwise fields of <= 64 elements walk the orbit
+    representatives: g^k r matches when the mask of r equals the target
+    rotated by -k.  Larger fields run a subset filter over the tuple space
     followed by exact per-survivor verification.
     """
     total = ctx.size**ctx.n
@@ -280,16 +334,32 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     if masks is not None:
         return np.flatnonzero(masks == masks.dtype.type(mask_of_imageset(target)))
     if _mask_dtype(ctx.size) is not None and total <= _MASK_TUPLE_GUARD:
-        bit = _bit_table(ctx)
-        tmask = bit.dtype.type(mask_of_imageset(target))
-        hits = []
-        for lo in range(0, total, _CHUNK):
-            T = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-            hits.append(T[_chunk_ratio_masks(ctx, T, bit) == tmask])
-        return np.concatenate(hits)
+        return _equal_image_tuples_by_orbit(ctx, target)
     if total > _EXHAUSTIVE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
     return _equal_image_tuples_filtered(ctx, target)
+
+
+def _equal_image_tuples_by_orbit(ctx: FieldCtx, target: ImageSet) -> np.ndarray:
+    bit = _bit_table(ctx)
+    tmask = mask_of_imageset(target)
+    order = ctx.order
+    wants = np.array([_rotate(tmask, -k % order, order) for k in range(order)], dtype=bit.dtype)
+    scale = _scale_table(ctx)
+    # the zero tuple is the one tuple whose image is {0}
+    hits = [np.zeros(int(tmask == bit[0]), dtype=np.int64)]
+    for T in _representative_blocks(ctx):
+        masks = _chunk_ratio_masks(ctx, T, bit)
+        keep = np.isin(masks, wants)
+        if not keep.any():
+            continue
+        masks = masks[keep]
+        digits = _tuple_digits(ctx, T[keep])
+        for k in range(order):
+            sel = masks == wants[k]
+            if sel.any():
+                hits.append(_scaled_tuples(ctx, [d[sel] for d in digits], scale[k]))
+    return np.sort(np.concatenate(hits))
 
 
 def _equal_image_tuples_filtered(ctx: FieldCtx, target: ImageSet) -> np.ndarray:
@@ -345,28 +415,29 @@ def survey_image_sizes(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int = 0,
-    chunk: int = _CHUNK,
 ) -> list[SurveyRow]:
     """Histogram of |Im(f(x)/x)| over strictly F_q-linear f.
 
-    Exhaustive mode enumerates every coefficient tuple (guarded at 2^32
-    tuples); sample mode draws `samples` tuples from a seeded generator.
-    One lex-least representative tuple is kept per occurring size.
+    Exhaustive mode covers every coefficient tuple (guarded at 2^32 tuples)
+    by walking the scalar-orbit representatives: strictness and |Im| are
+    scale-invariant and every nonzero orbit has q^n - 1 members, so each
+    representative counts q^n - 1 times, and as the orbit's lex-least member
+    it is the candidate for the size's representative.  Sample mode draws
+    `samples` tuples from a seeded generator.  One lex-least representative
+    tuple is kept per occurring size.
     """
     total = ctx.size**ctx.n
     if mode == "exhaustive":
         if total > _EXHAUSTIVE_GUARD:
             raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
-        starts = range(0, total, chunk)
-        blocks = (
-            np.arange(lo, min(lo + chunk, total), dtype=np.int64) for lo in starts
-        )
+        blocks, weight = _representative_blocks(ctx), ctx.order
     elif mode == "sample":
         if not samples:
             raise ValueError("sample mode needs a positive sample count")
         rng = np.random.default_rng(seed)
         draw = rng.integers(0, total, size=samples, dtype=np.int64)
-        blocks = (draw[lo : lo + chunk] for lo in range(0, samples, chunk))
+        blocks = (draw[lo : lo + _CHUNK] for lo in range(0, samples, _CHUNK))
+        weight = 1
     else:
         raise ValueError(f"unknown survey mode {mode!r}")
 
@@ -382,7 +453,7 @@ def survey_image_sizes(
         for s in np.unique(sizes):
             sel = sizes == s
             s = int(s)
-            counts[s] = counts.get(s, 0) + int(sel.sum())
+            counts[s] = counts.get(s, 0) + weight * int(sel.sum())
             cand = int(T[sel].min())
             if s not in reps or cand < reps[s]:
                 reps[s] = cand

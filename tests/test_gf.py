@@ -54,6 +54,45 @@ def test_modulus_override_roundtrip():
         build_field(2, 1, 4, modulus=[1, 1, 1, 1, 1])
 
 
+def _brute_force_modulus(p, m):
+    # every monic f = low + x^m with low[0] != 0 in base-p order of
+    # (c_0, ..., c_{m-1}); the first where x has order exactly p^m - 1,
+    # found by multiplying by x until the power returns to 1
+    one = [1] + [0] * (m - 1)
+    for t in range(p**m):
+        low = [t // p ** (m - 1 - i) % p for i in range(m)]
+        if low[0] == 0:
+            continue
+        power, k = one, 0
+        while True:
+            top = power[-1]  # x^m = -(c_0 + ... + c_{m-1} x^(m-1))
+            power = [(-top * low[0]) % p] + [
+                (power[i - 1] - top * low[i]) % p for i in range(1, m)
+            ]
+            k += 1
+            if power == one:
+                break
+        if k == p**m - 1:
+            return tuple(low + [1])
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(2, m) for m in range(1, 11)]
+    + [(3, m) for m in range(1, 7)]
+    + [(5, m) for m in range(1, 5)]
+    + [(7, 2)],
+)
+def test_search_modulus_against_brute_force(p, m):
+    assert tuple(gf._search_modulus(p, m, p**m - 1)) == _brute_force_modulus(p, m)
+
+
+def test_search_modulus_of_the_wide_fields():
+    assert tuple(gf._search_modulus(3, 10, 3**10 - 1)) == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
+    # x^20 + x^17 + 1
+    assert gf._search_modulus(2, 20, 2**20 - 1) == [1] + [0] * 16 + [1, 0, 0, 1]
+
+
 def test_construction_guards():
     with pytest.raises(NotPrime):
         build_field(4, 1, 3)

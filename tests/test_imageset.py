@@ -79,6 +79,69 @@ def test_adjoint_image_invariance_exhaustive_q2_n5(f32, q2_masks):
     assert np.array_equal(q2_masks, q2_masks[perm])
 
 
+def _masks_of_every_tuple(ctx):
+    # the reference: the mask kernel run on the whole tuple space
+    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
+    return ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
+     (2, 2, 2), (2, 2, 3)],
+    ids=["F4", "F8", "F16", "F9", "F27", "F25", "F49", "F16-tower", "F64"],
+)
+def test_orbit_walk_masks_match_every_tuple(spec):
+    ctx = build_field(*spec)
+    masks = ims.all_ratio_masks(ctx)
+    expected = _masks_of_every_tuple(ctx)
+    assert masks.dtype == expected.dtype
+    assert np.array_equal(masks, expected)
+
+
+def test_orbit_walk_masks_on_random_tuples_q2_n5(f32, q2_masks):
+    T = np.random.default_rng(40).integers(0, f32.size**f32.n, size=2**16)
+    expected = ims._chunk_ratio_masks(f32, T, ims._bit_table(f32))
+    assert q2_masks.dtype == expected.dtype
+    assert np.array_equal(q2_masks[T], expected)
+
+
+def _tuples_with_mask(masks, f):
+    target = ims.mask_of_imageset(ims.image_of_ratio(f))
+    return np.flatnonzero(masks == masks.dtype.type(target))
+
+
+def test_equal_image_tuples_by_orbit_q2_n5(f32, q2_masks):
+    r = random.Random(41)
+    dense = QPoly(f32, [r.randrange(f32.size)] + [r.randrange(1, f32.size) for _ in range(4)])
+    for f in (trace_poly(f32), monomial(f32, 1), dense):
+        got = ims.equal_image_tuples(f32, f)
+        assert np.array_equal(got, _tuples_with_mask(q2_masks, f))
+
+
+def test_equal_image_tuples_by_orbit_every_f_q2_n3(small_fields):
+    ctx = small_fields[3]
+    masks = _masks_of_every_tuple(ctx)
+    for t in range(ctx.size**ctx.n):
+        f = ims.poly_from_tuple(ctx, t)
+        got = ims.equal_image_tuples(ctx, f)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _tuples_with_mask(masks, f)), t
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 3), (3, 2, 2)], ids=["F27", "F81-wide"])
+def test_survey_by_orbit_matches_every_tuple(spec):
+    ctx = build_field(*spec)
+    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
+    T = T[ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))]
+    sizes = ims._sizes_for_tuples(ctx, T)
+    expected = [
+        (int(s), int((sizes == s).sum()), ims.tuple_to_coeffs(ctx, int(T[sizes == s].min())))
+        for s in np.unique(sizes)
+    ]
+    assert [tuple(row) for row in ims.survey_image_sizes(ctx)] == expected
+
+
 def test_power_sum_identity_poly(f32, f243):
     # sum over nonzero x of 1^d = (q^n - 1) * 1 = -1
     assert ims.power_sum(identity_poly(f32), 3) == f32.neg(1)
