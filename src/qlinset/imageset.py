@@ -215,7 +215,7 @@ def _packed_term_tables(ctx: FieldCtx):
             per_i = []
             for k in range(ordr):
                 arr = np.zeros(ctx.size, dtype=np.int64)
-                arr[1:] = ctx._alog[(ks + k * e) % ordr]
+                arr[1:] = ctx._pck[1 + (ks + k * e) % ordr]
                 per_i.append(arr)
             tabs.append(per_i)
         _TERM_TABLE_CACHE[ctx] = tabs

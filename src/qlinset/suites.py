@@ -186,13 +186,13 @@ def suite_thm_main_q2(
 
     Enumerates all 32^5 candidates against Tr, x^q and a random fully-dense
     strict polynomial; checks the two predicted partner sets exactly and
-    classifies every pair with zero inconsistent outcomes.
+    classifies every pair with zero inconsistent outcomes.  With `masks`,
+    a cached `all_ratio_masks` array, each query is one compare; without
+    it each query walks the scalar-orbit representatives.
     """
     t0 = time.perf_counter()
     ctx = build_field(2, 1, 5)
     rng = random.Random(seed)
-    if masks is None:
-        masks = ims.all_ratio_masks(ctx)
 
     while True:
         f_rand = _rand_strict_poly(ctx, rng)

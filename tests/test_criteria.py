@@ -8,6 +8,7 @@ import pytest
 
 from qlinset import criteria as cr
 from qlinset import imageset as ims
+from qlinset import suites
 from qlinset.errors import (
     ImagesDiffer,
     NotMonomial,
@@ -394,6 +395,18 @@ def test_exhaustive_same_image_trace(f32, q2_masks):
     partners = cr.exhaustive_same_image(tr, masks=q2_masks)
     assert set(partners) == {tr.scale_conjugate(lam) for lam in f32.nonzero()}
     assert len(partners) == 31
+
+
+def test_thm_main_q2_without_masks_matches_with_masks(q2_masks):
+    # without a mask array each query walks the scalar-orbit representatives
+    runs = [
+        suites.suite_thm_main_q2(seed=0, masks=masks, return_pairs=True)
+        for masks in (q2_masks, None)
+    ]
+    for result, _ in runs:
+        result.pop("elapsed_s")
+    assert runs[0] == runs[1]
+    assert runs[0][0]["passed"]
 
 
 def test_exhaustive_same_image_guards(f32, f243):

@@ -93,6 +93,46 @@ def test_search_modulus_of_the_wide_fields():
     assert gf._search_modulus(2, 20, 2**20 - 1) == [1] + [0] * 16 + [1, 0, 0, 1]
 
 
+def _packed_powers_by_recurrence(p, modulus):
+    # packed x^k mod modulus for k = 0 .. p^m - 2, one multiply-by-x step at
+    # a time: the sequential construction the doubling build replaced
+    m = len(modulus) - 1
+    cur, out = [1] + [0] * (m - 1), []
+    for _ in range(p**m - 1):
+        out.append(sum(c * p**i for i, c in enumerate(cur)))
+        top = cur[-1]
+        cur = [(-top * modulus[0]) % p] + [
+            (cur[i - 1] - top * modulus[i]) % p for i in range(1, m)
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(2, m, None) for m in range(1, 11)]
+    + [(3, m, None) for m in range(1, 7)]
+    + [(5, m, None) for m in range(1, 5)]
+    + [(7, 2, None), (3, 10, None), (2, 20, None), (2, 5, [1, 0, 1, 0, 0, 1])],
+)
+def test_alog_table_against_recurrence(p, m, modulus):
+    ctx = build_field(p, 1, m, modulus)
+    want = np.array(_packed_powers_by_recurrence(p, ctx.modulus), dtype=np.int64)
+    assert ctx._pck[0] == 0
+    assert np.array_equal(ctx._pck[1:], want)
+    assert np.array_equal(ctx._idx[ctx._pck], np.arange(ctx.size))
+
+
+def test_search_skips_an_irreducible_non_primitive_candidate():
+    # At 2^8 the first batch of 16 candidates holds x^8 + x^7 + x^5 + x^4 + 1,
+    # which is irreducible (no factor of degree <= 4) but gives x order 51,
+    # ahead of the lex-least primitive modulus in the same batch.
+    below = (1, 0, 0, 0, 1, 1, 0, 1, 1)
+    assert len(set(_packed_powers_by_recurrence(2, below))) == 51
+    modulus = tuple(gf._search_modulus(2, 8, 255))
+    assert below < modulus and modulus == _brute_force_modulus(2, 8)
+    assert sum(c << (7 - i) for i, c in enumerate(modulus[:8])) < 2**7 + 16
+
+
 def test_construction_guards():
     with pytest.raises(NotPrime):
         build_field(4, 1, 3)
@@ -127,6 +167,19 @@ def test_addition_against_packed_oracle(f243):
             pb //= ctx.p
             mult *= ctx.p
         assert ctx.add(a, b) == int(ctx._idx[ps])
+
+
+def test_scalar_add_above_the_table_limit():
+    # above MAX_TABLE_SIZE scalar add reads the Zech array, not a list copy
+    ctx = build_field(3, 1, 8)
+    assert ctx.size > MAX_TABLE_SIZE
+    rng = random.Random(8)
+    pairs = [(rng.randrange(ctx.size), rng.randrange(ctx.size)) for _ in range(2000)]
+    pairs += [(a, ctx.neg(a)) for a, _ in pairs[:10]]
+    sums = [ctx.add(a, b) for a, b in pairs]
+    assert all(type(s) is int for s in sums)
+    A, B = (np.array(col) for col in zip(*pairs))
+    assert sums == ctx.vadd(A, B).tolist()
 
 
 def test_frobenius_matches_brute_force(f243):
