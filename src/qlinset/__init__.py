@@ -15,6 +15,7 @@ from .imageset import (
 from .moebius import (
     INF,
     SemilinearMap,
+    SetEquivalenceIndex,
     find_set_equivalence,
     is_admissible,
     moebius_image,
@@ -58,6 +59,7 @@ __all__ = [
     "survey_image_sizes",
     "INF",
     "SemilinearMap",
+    "SetEquivalenceIndex",
     "find_set_equivalence",
     "is_admissible",
     "moebius_image",

@@ -146,7 +146,6 @@ def cmd_verify(args) -> int:
         "suite": suite,
         "config": {
             "seed": args.seed,
-            "threads": args.threads,
             "samples": args.samples,
             "all_mu": args.all_mu,
         },
@@ -174,7 +173,6 @@ def _new_linset_args(args) -> dict:
         "all_mu": args.all_mu,
         "samples": args.samples or 8,
         "seed": args.seed,
-        "threads": args.threads,
         "modulus": args.modulus,
     }
 
@@ -209,8 +207,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="modulus override, coefficients low-degree-first "
                              "(must be primitive)")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-        sp.add_argument("--threads", type=int, default=max(os.cpu_count() or 1, 1),
-                        help="worker processes for parallel searches")
         sp.add_argument("--out", default=None,
                         help=f"JSON report path (relative paths join ${OUT_DIR_ENV})")
 

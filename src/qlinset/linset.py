@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,7 +23,12 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import image_of_ratio
-from .moebius import SemilinearMap, find_set_equivalence, moebius_image
+from .moebius import (
+    SemilinearMap,
+    SetEquivalenceIndex,
+    find_set_equivalence,
+    moebius_image,
+)
 from .qpoly import QPoly
 
 
@@ -234,29 +238,21 @@ def _sample_mus(ctx: FieldCtx, count: int, seed: int) -> list[int]:
     return out
 
 
-def _check_one_mu(args):
-    ctx, g2d_coeffs, mu = args
-    f = QPoly(ctx, g2d_coeffs)
-    g1m = family_g(ctx, 1, mu)
-    t0 = time.perf_counter()
-    w = pgammal_equivalent(f, g1m)
-    return MuVerdict(mu, ctx.norm_rel(mu, 1), w, time.perf_counter() - t0)
-
-
 def verify_new_example(
     ctx: FieldCtx,
     delta: int,
     all_mu: bool = False,
     sample_count: int = 8,
     seed: int = 0,
-    threads: int = 1,
 ) -> NewExampleReport:
     """Check that L of delta x^{q^2} + x^{q^3} is maximum scattered and not
     equivalent to any L of mu x^q + x^{q^4}, over sampled or all admissible mu.
 
     Preconditions: n = 5, q > 2, N(delta) not in {0, 1} and N(delta)^5 != 1.
-    A positive control (two scalings of the same degree-one family member)
-    must produce a verified witness.
+    L is indexed once (SetEquivalenceIndex) and each mu is one query with
+    the verdict and witness of `pgammal_equivalent`.  A positive control
+    (two scalings of the same degree-one family member) must produce a
+    verified witness through `pgammal_equivalent`.
     """
     if ctx.n != 5:
         raise PreconditionViolated(f"the example lives over F_{{q^5}}; got n = {ctx.n}")
@@ -273,7 +269,9 @@ def verify_new_example(
 
     t_start = time.perf_counter()
     g2d = family_g(ctx, 2, delta)
-    points = len(image_of_ratio(g2d))
+    _require_strict(g2d)
+    L = image_of_ratio(g2d)
+    points = len(L)
     expected = max_scattered_size(ctx)
 
     if all_mu:
@@ -283,12 +281,14 @@ def verify_new_example(
         mus = _sample_mus(ctx, sample_count, seed)
         mode = f"sampled({sample_count})"
 
-    jobs = [(ctx, g2d.coeffs, mu) for mu in mus]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(_check_one_mu, jobs, chunksize=4))
-    else:
-        verdicts = [_check_one_mu(j) for j in jobs]
+    index = SetEquivalenceIndex(L)
+    verdicts = []
+    for mu in mus:
+        t0 = time.perf_counter()
+        g1m = family_g(ctx, 1, mu)
+        _require_strict(g1m)
+        w = index.find(image_of_ratio(g1m))
+        verdicts.append(MuVerdict(mu, ctx.norm_rel(mu, 1), w, time.perf_counter() - t0))
 
     # positive control: two scalings of g_{1,mu} must be found equivalent
     control_mu = mus[0] if mus else ctx.gen

@@ -391,13 +391,14 @@ def suite_new_linset(
     modulus: list[int] | None = None,
 ) -> dict:
     """The two-coefficient example delta x^{q^2} + x^{q^3} with N(delta)^5 != 1
-    is maximum scattered and inequivalent to every mu x^q + x^{q^4}."""
+    is maximum scattered and inequivalent to every mu x^q + x^{q^4}.
+
+    `threads` is accepted and ignored: the mu run in one process against one
+    set-equivalence index."""
     ctx = build_field(p, h, n, modulus)
     if delta is None:
         delta = default_new_example_delta(ctx)
-    report = ls.verify_new_example(
-        ctx, delta, all_mu=all_mu, sample_count=samples, seed=seed, threads=threads
-    )
+    report = ls.verify_new_example(ctx, delta, all_mu=all_mu, sample_count=samples, seed=seed)
     out = report.to_dict(ctx)
     out["passed"] = report.passed
     out["elapsed_s"] = round(report.elapsed_total, 3)

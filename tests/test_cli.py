@@ -130,7 +130,7 @@ def test_verify_out_dir_env(tmp_path, monkeypatch):
 def test_verify_new_linset_sampled(tmp_path):
     out = tmp_path / "nl.json"
     rc = run_cli(["verify", "--suite", "new-linset", "--samples", "1",
-                  "--threads", "1", "--out", str(out)])
+                  "--out", str(out)])
     assert rc == 0
     rep = load(out)
     assert rep["passed"] is True

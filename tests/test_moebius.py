@@ -1,22 +1,28 @@
 """Semilinear maps: group laws, admissibility, transport, the slope action,
-and the three-point set-equivalence search."""
+the three-point set-equivalence search, and the set-equivalence index."""
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qlinset import imageset as ims
 from qlinset.errors import DegenerateSet, NotAdmissible, SingularMatrix
+from qlinset.linset import _sample_mus, family_g
 from qlinset.moebius import (
     INF,
     SemilinearMap,
+    SetEquivalenceIndex,
+    _cross_ratio_matrix,
+    _probes,
     find_set_equivalence,
     is_admissible,
     moebius_image,
     transform_poly,
 )
 from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly
+from qlinset.suites import default_new_example_delta
 
 
 def rand_poly(ctx, r):
@@ -282,3 +288,161 @@ def test_witness_is_canonical_scaled(f32):
 def test_serialization(f32):
     phi = SemilinearMap(f32, 1, 0, 4, 8, 3)
     assert phi.serialize() == "[[g^0,0],[g^3,g^7]];sigma=2^3"
+
+
+# ------------------------------------------------ the set-equivalence index
+
+def agrees(S, T, index=None):
+    """The index's answer is find_set_equivalence's, witness included."""
+    want = find_set_equivalence(S, T)
+    got = (index or SetEquivalenceIndex(S)).find(T)
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert got.serialize() == want.serialize()
+        assert moebius_image(S, got) == T.as_frozenset()
+    return got
+
+
+def new_example_set(ctx):
+    # L of delta x^(q^2) + x^(q^3), the set of criterion 7
+    return ims.image_of_ratio(family_g(ctx, 2, default_new_example_delta(ctx)))
+
+
+def test_index_matches_search_on_known_cases(f32, f243):
+    S = ims.image_of_ratio(trace_poly(f32))
+    assert agrees(S, S) is not None
+    r = random.Random(51)
+    f = rand_poly(f243, r)
+    assert agrees(ims.image_of_ratio(f), ims.image_of_ratio(f.scale_conjugate(7)))
+    # the moved trace images of test_three_point_solver_reproduces_known_map
+    r = random.Random(50)
+    S = ims.image_of_ratio(trace_poly(f243))
+    index = SetEquivalenceIndex(S)
+    for _ in range(5):
+        moved = moebius_image(S, rand_phi(f243, r))
+        if INF not in moved:
+            assert agrees(S, ims.ImageSet.from_indices(f243, moved), index)
+
+
+@pytest.mark.parametrize("field", ["f32", "f243"])
+def test_index_matches_search_on_transported_pairs(field, request):
+    ctx = request.getfixturevalue(field)
+    r = random.Random(54)
+    # (set, the sigma exponents drawn for it): a witness with sigma = p^e
+    # costs the search e whole blocks when S has a small stabilizer, as a
+    # random set at F_243 does; the new example's stabilizer has a map for
+    # every e, so its search stops in block 0
+    cases = [(new_example_set(ctx), range(1, ctx.m))] if ctx.q > 2 else []
+    while len(cases) < (4 if ctx.q == 2 else 2):
+        f = rand_poly(ctx, r)
+        if f.is_strictly_linear():
+            cases.append((ims.image_of_ratio(f), range(1, 2 if ctx.q > 2 else ctx.m)))
+    for S, sigmas in cases:
+        index = SetEquivalenceIndex(S)
+        done = 0
+        while done < 3:
+            moved = moebius_image(S, rand_phi(ctx, r, sigma=r.choice(sigmas)))
+            if INF in moved:
+                continue
+            done += 1
+            assert agrees(S, ims.ImageSet.from_indices(ctx, moved), index)
+
+
+def test_index_matches_search_on_nonequivalent_pairs(f32, f243):
+    # L of delta x^(q^2) + x^(q^3) against sampled L of mu x^q + x^(q^4)
+    S = new_example_set(f243)
+    index = SetEquivalenceIndex(S)
+    for mu in _sample_mus(f243, 3, seed=0):
+        assert agrees(S, ims.image_of_ratio(family_g(f243, 1, mu)), index) is None
+    # random sets of one size at F_32 that no semilinear map relates
+    r = random.Random(55)
+    nones = 0
+    for _ in range(20):
+        k = r.randrange(5, 16)
+        S, T = (ims.ImageSet.from_indices(f32, r.sample(range(32), k)) for _ in "ST")
+        nones += agrees(S, T) is None
+    assert nones >= 10
+
+
+def test_index_rejects_a_key_match_that_is_no_witness(f243):
+    # T is S with one point swapped for a point outside S, both kept off the
+    # probes by the map M sending the three smallest points of S to
+    # (0, 1, INF): the identity stays a key match, but carries S onto no T
+    S = new_example_set(f243)
+    pts = S.indices().tolist()
+    M = SemilinearMap(f243, *(int(v) for v in _cross_ratio_matrix(f243, *pts[:3])))
+    probes = set(_probes(f243).tolist())
+    x = next(z for z in pts[3:] if M.apply_slope(z) not in probes)
+    y = next(z for z in range(pts[2] + 1, f243.size)
+             if z not in S and M.apply_slope(z) not in probes)
+    T = ims.ImageSet.from_indices(f243, set(pts) - {x} | {y})
+    index = SetEquivalenceIndex(S)
+    assert agrees(S, T, index) is None
+    assert index.witnesses(T) == []
+
+
+def test_index_size_mismatch_and_degenerate(f32):
+    index = SetEquivalenceIndex(ims.image_of_ratio(monomial(f32, 1)))
+    assert index.find(ims.image_of_ratio(trace_poly(f32))) is None
+    assert index.witnesses(ims.image_of_ratio(trace_poly(f32))) == []
+    with pytest.raises(DegenerateSet):
+        SetEquivalenceIndex(ims.ImageSet.from_indices(f32, [1, 2]))
+
+
+def stabilizer_order_by_walk(S):
+    """|{(e, M) : M(S^sigma^e) = S}|, by sending the three smallest points
+    a of S^sigma^e to every ordered triple t of S, with no early exit.  A
+    point z goes to the x with cross-ratio cr(t; x) = cr(a; z), where
+    cr(z1, z2, z3; z) = r (z - z1)/(z - z3), r = (z2 - z3)/(z2 - z1)."""
+    ctx = S.ctx
+    pts = S.indices()
+    n = pts.size
+    g = np.arange(n**3)
+    i1, i2, i3 = g // (n * n), g // n % n, g % n
+    keep = (i1 != i2) & (i1 != i3) & (i2 != i3)
+    t1, t2, t3 = pts[i1[keep]], pts[i2[keep]], pts[i3[keep]]
+
+    def sub(a, b):
+        return ctx.vadd(a, ctx.vneg(b))
+
+    def div(a, b):
+        return ctx.vmul(a, ctx.vinv(b))
+
+    rt = div(sub(t2, t3), sub(t2, t1))
+    kt = ctx.vmul(rt, sub(t3, t1))  # x = t3 + kt/(y - rt) has cr(t; x) = y
+    total = 0
+    for e in range(ctx.m):
+        w = np.sort(ctx.vfrob(pts, e))
+        a1, a2, a3 = w[:3]
+        ra = div(sub(a2, a3), sub(a2, a1))
+        alive = np.arange(t1.size)
+        for z in w[3:]:
+            y = ctx.vmul(ra, div(sub(z, a1), sub(z, a3)))
+            den = sub(y, rt[alive])
+            x = ctx.vadd(t3[alive], div(kt[alive], den))
+            alive = alive[(den != 0) & S.mask[x]]
+        total += alive.size
+    return total
+
+
+def test_index_counts_the_stabilizer(f32, f243):
+    # x^q, whose L is F_32^*, then random strict f
+    r = random.Random(56)
+    polys = [monomial(f32, 1)]
+    while len(polys) < 5:
+        f = rand_poly(f32, r)
+        if f.is_strictly_linear():
+            polys.append(f)
+    orders = []
+    for f in polys:
+        S = ims.image_of_ratio(f)
+        found = SetEquivalenceIndex(S).witnesses(S)
+        assert all(moebius_image(S, w) == S.as_frozenset() for w in found)
+        assert len({w.serialize() for w in found}) == len(found)
+        assert len(found) == stabilizer_order_by_walk(S)
+        orders.append(len(found))
+    assert orders[0] == 2 * 31 * 5 and len(set(orders)) >= 3
+    S = new_example_set(f243)
+    found = SetEquivalenceIndex(S).witnesses(S)
+    assert len(found) == stabilizer_order_by_walk(S) == 10
+    assert found[0] == SemilinearMap.identity(f243)
