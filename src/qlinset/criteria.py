@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ImagesDiffer,
     InconsistentStructure,
+    NotAdmissible,
     NotMonomial,
     NotStrictlyLinear,
     PreconditionViolated,
@@ -33,7 +34,7 @@ from .imageset import (
     images_equal,
     poly_from_tuple,
 )
-from .moebius import SemilinearMap, find_set_equivalence, is_admissible, transform_poly
+from .moebius import SemilinearMap, find_set_equivalence, transform_poly
 from .qpoly import QPoly, monomial, trace_poly
 
 _SAME_IMAGE_GUARD = 2**26
@@ -435,9 +436,10 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
                 "pseudoregulus-equivalent"
             )
 
-    if not is_admissible(f, phi):
+    try:
+        f_phi = transform_poly(f, phi, verify=True)
+    except NotAdmissible:
         return ClassifyOutcome.inconsistent("produced map is not admissible for f")
-    f_phi = transform_poly(f, phi, verify=True)
     g_phi = transform_poly(g, phi, verify=True)
     fshape = _monomial_shape(f_phi)
     if fshape is None:

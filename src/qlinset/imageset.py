@@ -35,7 +35,11 @@ _REP_BLOCK = 1 << 18  # representatives per block of the orbit walk
 
 
 class ImageSet:
-    """The set {f(x)/x : x != 0} as a dense membership array over F_{q^n}."""
+    """A set of elements of F_{q^n} as a dense membership array.
+
+    It holds any such set: ratio images {f(x)/x : x != 0}, and the slope
+    images of them under the semilinear group (`moebius.moebius_image`).
+    """
 
     __slots__ = ("ctx", "mask", "size")
 
@@ -80,9 +84,6 @@ class ImageSet:
     def indices(self) -> np.ndarray:
         """Sorted element indices of the members."""
         return np.flatnonzero(self.mask).astype(np.int64)
-
-    def as_frozenset(self) -> frozenset:
-        return frozenset(int(i) for i in self.indices())
 
     def __repr__(self):
         return f"ImageSet(|S|={self.size} of {self.ctx.size})"

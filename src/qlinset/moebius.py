@@ -11,6 +11,11 @@ z = f(x)/x it therefore acts as the Moebius-semilinear map
 with the value INF when the denominator vanishes.  Slope values use the
 field's int encoding plus the INF marker below.
 
+Both actions run on field-wide arrays.  `transform_poly` tabulates the
+graph map over all of F_{q^n}, inverts it by scatter and interpolates;
+`moebius_image` returns the image of a slope set as an ImageSet, or None
+when a point goes to INF, so every witness check is an ImageSet compare.
+
 Two paths decide whether some phi carries a slope set S onto a set T, and
 both return the same lex-least witness, canonically scaled and re-checked,
 or None after exhausting the group.  `find_set_equivalence` searches one
@@ -40,7 +45,7 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import ImageSet, image_of_ratio
-from .qpoly import QPoly, moore_interpolate, solve
+from .qpoly import QPoly, moore_interpolate
 
 INF = -1  # the projective point (0 : 1), used as a slope marker
 
@@ -150,81 +155,57 @@ def is_admissible(f: QPoly, phi: SemilinearMap, im: ImageSet | None = None) -> b
 
 # ------------------------------------------------------- graph transport
 
-def _fp_coords(ctx: FieldCtx, e: int) -> list[int]:
-    """F_p-coordinates of e in the basis 1, x, ..., x^(m-1) of the packed
-    encoding, each written as an element of the prime field."""
-    v = int(ctx._pck[e])
-    out = []
-    for _ in range(ctx.m):
-        v, r = divmod(v, ctx.p)
-        out.append(int(ctx._idx[r]))
-    return out
-
-
-def _from_fp_coords(ctx: FieldCtx, coords) -> int:
-    v = 0
-    for c in reversed(coords):
-        v = v * ctx.p + int(ctx._pck[c])
-    return int(ctx._idx[v])
-
-
 def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     """The transported q-polynomial f_phi with graph M * (graph f)^sigma.
 
-    Writes k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s, solves
-    k_f(x) = g^t (t < n) as an F_p-linear system, and interpolates
-    h_f o k_f^{-1} back into q-polynomial coefficients.  With verify=True the graph identity is
-    re-checked on every field element.  Raises NotAdmissible when k_f is
-    singular, which is exactly when is_admissible(f, phi) is False.
+    Tabulates k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s over
+    all of F_{q^n}, inverts k_f by scatter (kinv[k_f(x)] = x), and
+    interpolates h_f o k_f^{-1} at g^t, t < n, back into q-polynomial
+    coefficients.  Time and memory are O(q^n): a handful of vector passes
+    and tables of q^n int64 entries.  Raises NotAdmissible when a slot of
+    kinv stays unfilled, i.e. k_f is not a bijection, which is exactly
+    when is_admissible(f, phi) is False.  With verify=True the graph
+    identity f_phi(k_f(x)) = h_f(x) is re-checked on every field element,
+    reusing the tables.
     """
     ctx = f.ctx
     e = phi.sigma_exp
-
-    def k_map(x):
-        xs = ctx.frobenius(x, e)
-        fs = ctx.frobenius(f.eval(x), e)
-        return ctx.add(ctx.mul(phi.a, xs), ctx.mul(phi.b, fs))
-
-    def h_map(x):
-        xs = ctx.frobenius(x, e)
-        fs = ctx.frobenius(f.eval(x), e)
-        return ctx.add(ctx.mul(phi.c, xs), ctx.mul(phi.d, fs))
-
-    # k_f is F_p-linear but not F_q-linear when sigma moves F_q, so the
-    # system is written in F_p-coordinates, embedded in the prime field
-    cols = [_fp_coords(ctx, k_map(int(ctx._idx[ctx.p**j]))) for j in range(ctx.m)]
-    points = [ctx.from_exp(t) for t in range(ctx.n)]
-    targets = [_fp_coords(ctx, beta) for beta in points]
-    sol = solve(ctx, list(zip(*cols)), list(zip(*targets)))
-    if sol is None:
+    X = np.arange(ctx.size, dtype=np.int64)
+    xs = ctx.vfrob(X, e)
+    fs = ctx.vfrob(f.eval_on(X), e)
+    kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
+    hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
+    kinv = np.full(ctx.size, -1, dtype=np.int64)
+    kinv[kv] = X
+    if (kinv < 0).any():
         raise NotAdmissible("k_f is singular for this map (footnote condition fails)")
-    values = [
-        h_map(_from_fp_coords(ctx, [row[t] for row in sol])) for t in range(ctx.n)
-    ]
-    g = QPoly(ctx, moore_interpolate(ctx, points, values))
-
-    if verify:
-        X = np.arange(ctx.size, dtype=np.int64)
-        xs = ctx.vfrob(X, e)
-        fs = ctx.vfrob(f.eval_on(X), e)
-        kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
-        hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
-        if not np.array_equal(g.eval_on(kv), hv):
-            raise InconsistentStructure("transported polynomial fails graph identity")
+    points = [ctx.from_exp(t) for t in range(ctx.n)]
+    g = QPoly(ctx, moore_interpolate(ctx, points, hv[kinv[points]].tolist()))
+    if verify and not np.array_equal(g.eval_on(kv), hv):
+        raise InconsistentStructure("transported polynomial fails graph identity")
     return g
 
 
 # ------------------------------------------------------------ slope action
 
-def moebius_image(S: ImageSet, phi: SemilinearMap) -> frozenset:
-    """{(c + d z^s)/(a + b z^s) : z in S} as slopes, INF included when hit."""
+def moebius_image(S: ImageSet, phi: SemilinearMap) -> ImageSet | None:
+    """{(c + d z^s)/(a + b z^s) : z in S}, or None when some z goes to INF."""
     ctx = S.ctx
-    z = S.indices()
-    w = ctx.vfrob(z, phi.sigma_exp)
+    w = ctx.vfrob(S.indices(), phi.sigma_exp)
     den = ctx.vadd(phi.a, ctx.vmul(phi.b, w))
+    if not den.all():
+        return None
     num = ctx.vadd(phi.c, ctx.vmul(phi.d, w))
-    vals = np.where(den == 0, INF, ctx.vmul(num, ctx.vinv(den)))
-    return frozenset(int(v) for v in vals)
+    return ImageSet.from_indices(ctx, ctx.vmul(num, ctx.vinv(den)))
+
+
+def _checked_witness(S: ImageSet, T: ImageSet, e: int, a, b, c, d) -> SemilinearMap:
+    """The map (a, b, c, d; p^e), canonically scaled, once it is checked to
+    carry S onto T."""
+    phi = SemilinearMap(S.ctx, int(a), int(b), int(c), int(d), e).canonical_scaled()
+    if moebius_image(S, phi) != T:
+        raise InconsistentStructure("set-equivalence witness failed its self-check")
+    return phi
 
 
 def _cross_ratio_matrix(ctx: FieldCtx, z1, z2, z3):
@@ -252,7 +233,7 @@ def _carry(ctx: FieldCtx, P, Q):
 def find_set_equivalence(
     S: ImageSet, T: ImageSet, chunk: int = _SEARCH_CHUNK
 ) -> SemilinearMap | None:
-    """Search GammaL(2,q^n) for phi with moebius_image(S, phi) = T (INF-free).
+    """Search GammaL(2,q^n) for phi with moebius_image(S, phi) = T.
 
     Anchors the three smallest points of S^sigma, enumerates ordered distinct
     triples of T in lexicographic order per automorphism, solves the unique
@@ -307,14 +288,7 @@ def find_set_equivalence(
 
             if alive.any():
                 k = int(np.flatnonzero(alive)[0])  # G ascends, so first = lex-least
-                phi = SemilinearMap(
-                    ctx, int(ma[k]), int(mb[k]), int(mc[k]), int(md[k]), e
-                ).canonical_scaled()
-                if moebius_image(S, phi) != T.as_frozenset():
-                    raise InconsistentStructure(
-                        "set-equivalence witness failed its self-check"
-                    )
-                return phi
+                return _checked_witness(S, T, e, ma[k], mb[k], mc[k], md[k])
     return None
 
 
@@ -452,7 +426,4 @@ class SetEquivalenceIndex:
         if not hits.size:
             return None
         e, _, _, _, a, b, c, d = hits[0].tolist()
-        phi = SemilinearMap(self.S.ctx, a, b, c, d, e).canonical_scaled()
-        if moebius_image(self.S, phi) != T.as_frozenset():
-            raise InconsistentStructure("set-equivalence witness failed its self-check")
-        return phi
+        return _checked_witness(self.S, T, e, a, b, c, d)

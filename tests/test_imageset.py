@@ -18,7 +18,7 @@ def rand_poly(ctx, r):
 
 def test_image_scalar_map(f32):
     im = ims.image_of_ratio(QPoly(f32, [7, 0, 0, 0, 0]))
-    assert im.as_frozenset() == {7}
+    assert im.indices().tolist() == [7]
     assert len(im) == 1
 
 
@@ -32,7 +32,7 @@ def test_inf_is_never_a_member(f32):
 
 
 def test_image_zero_map_is_zero_singleton(f32):
-    assert ims.image_of_ratio(zero_poly(f32)).as_frozenset() == {0}
+    assert ims.image_of_ratio(zero_poly(f32)).indices().tolist() == [0]
 
 
 def test_image_monomial_and_trace_sizes(f32, f243):
@@ -46,7 +46,7 @@ def test_image_against_naive_oracle(f32):
     for _ in range(25):
         f = rand_poly(f32, r)
         naive = {f32.div(f.eval(x), x) for x in f32.nonzero()}
-        assert naive == ims.image_of_ratio(f).as_frozenset()
+        assert sorted(naive) == ims.image_of_ratio(f).indices().tolist()
 
 
 def test_images_equal_under_scaling_and_adjoint(f243):

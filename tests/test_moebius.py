@@ -21,7 +21,14 @@ from qlinset.moebius import (
     moebius_image,
     transform_poly,
 )
-from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly
+from qlinset.qpoly import (
+    QPoly,
+    identity_poly,
+    monomial,
+    moore_interpolate,
+    solve,
+    trace_poly,
+)
 from qlinset.suites import default_new_example_delta
 
 
@@ -122,11 +129,11 @@ def test_transform_every_automorphism_at_q4(f1024):
                 continue
             done += 1
             g = transform_poly(f, phi, verify=True)
-            assert ims.image_of_ratio(g).as_frozenset() == moebius_image(im, phi)
+            assert ims.image_of_ratio(g) == moebius_image(im, phi)
 
 
 def test_transform_raises_exactly_when_inadmissible(f32, f243, f1024):
-    # transform_poly decides admissibility by its own F_p solve
+    # transform_poly decides admissibility by its own inverse table
     r = random.Random(53)
     for ctx in (f32, f243, f1024):
         seen = Counter()
@@ -143,6 +150,83 @@ def test_transform_raises_exactly_when_inadmissible(f32, f243, f1024):
             assert raised == (not ok), (ctx, f, phi)
         # both outcomes, with and without a field automorphism
         assert len(seen) == 4 and min(seen.values()) >= 3, (ctx, seen)
+
+
+def transport_by_fp_solve(f, phi):
+    """f_phi by solving k_f(x) = g^t, t < n, as an F_p-linear system in
+    coordinates embedded in the prime field, with scalar arithmetic; None
+    when the system is singular.  The reference for transform_poly."""
+    ctx = f.ctx
+    e = phi.sigma_exp
+
+    def coords(v):
+        # F_p-coordinates of v in the basis 1, x, ..., x^(m-1) of the packed
+        # encoding, each written as an element of the prime field
+        v = int(ctx._pck[v])
+        out = []
+        for _ in range(ctx.m):
+            v, c = divmod(v, ctx.p)
+            out.append(int(ctx._idx[c]))
+        return out
+
+    def from_coords(cs):
+        v = 0
+        for c in reversed(cs):
+            v = v * ctx.p + int(ctx._pck[c])
+        return int(ctx._idx[v])
+
+    def graph_map(u, v, x):
+        xs = ctx.frobenius(x, e)
+        fs = ctx.frobenius(f.eval(x), e)
+        return ctx.add(ctx.mul(u, xs), ctx.mul(v, fs))
+
+    cols = [coords(graph_map(phi.a, phi.b, int(ctx._idx[ctx.p**j]))) for j in range(ctx.m)]
+    points = [ctx.from_exp(t) for t in range(ctx.n)]
+    sol = solve(ctx, list(zip(*cols)), list(zip(*(coords(y) for y in points))))
+    if sol is None:
+        return None
+    values = [
+        graph_map(phi.c, phi.d, from_coords([row[t] for row in sol]))
+        for t in range(ctx.n)
+    ]
+    return QPoly(ctx, moore_interpolate(ctx, points, values))
+
+
+@pytest.mark.parametrize("field", ["f32", "f243", "f1024"])
+def test_transform_matches_fp_solve_oracle(field, request):
+    # every sigma_exp in turn; at F_1024 odd ones move F_4
+    ctx = request.getfixturevalue(field)
+    r = random.Random(57)
+    seen = Counter()
+    for k in range(160):
+        f = rand_poly(ctx, r)
+        phi = rand_phi(ctx, r, sigma=k % ctx.m)
+        want = transport_by_fp_solve(f, phi)
+        try:
+            got = transform_poly(f, phi, verify=k % 2 == 0)
+        except NotAdmissible:
+            got = None
+        assert got == want, (ctx, f, phi)
+        seen[got is None] += 1
+    assert len(seen) == 2, (ctx, seen)
+
+
+@pytest.mark.parametrize("field", ["f32", "f243"])
+def test_moebius_image_is_none_exactly_when_inf_is_hit(field, request):
+    ctx = request.getfixturevalue(field)
+    r = random.Random(58)
+    seen = Counter()
+    for _ in range(200):
+        S = ims.image_of_ratio(rand_poly(ctx, r))
+        phi = rand_phi(ctx, r)
+        pointwise = [phi.apply_slope(z) for z in S.indices().tolist()]
+        got = moebius_image(S, phi)
+        seen[got is None] += 1
+        if INF in pointwise:
+            assert got is None
+        else:
+            assert got == ims.ImageSet.from_indices(ctx, pointwise)
+    assert len(seen) == 2, (ctx, seen)
 
 
 def test_scaling_transport_commutes(f243):
@@ -185,9 +269,11 @@ def test_moebius_image_identity_and_size(f32):
     for _ in range(50):
         f = rand_poly(f32, r)
         S = ims.image_of_ratio(f)
-        assert moebius_image(S, ident) == S.as_frozenset()
+        assert moebius_image(S, ident) == S
         phi = rand_phi(f32, r)
-        assert len(moebius_image(S, phi)) == len(S)
+        moved = moebius_image(S, phi)
+        assert len({phi.apply_slope(z) for z in S.indices().tolist()}) == len(S)
+        assert moved is None or len(moved) == len(S)
 
 
 def test_scalar_matrices_fix_every_set(f243):
@@ -197,7 +283,7 @@ def test_scalar_matrices_fix_every_set(f243):
         S = ims.image_of_ratio(f)
         lam = r.randrange(1, f243.size)
         phi = SemilinearMap(f243, lam, 0, 0, lam, 0)
-        assert moebius_image(S, phi) == S.as_frozenset()
+        assert moebius_image(S, phi) == S
 
 
 def test_transform_image_consistency(f32, f243):
@@ -213,8 +299,8 @@ def test_transform_image_consistency(f32, f243):
             done += 1
             g = transform_poly(f, phi, verify=True)
             slopes = moebius_image(S, phi)
-            assert INF not in slopes
-            assert slopes == ims.image_of_ratio(g).as_frozenset()
+            assert slopes is not None
+            assert slopes == ims.image_of_ratio(g)
 
 
 def test_group_action_on_polynomials(f32):
@@ -241,20 +327,19 @@ def test_three_point_solver_reproduces_known_map(f243):
     S = ims.image_of_ratio(tr)
     for _ in range(5):
         phi0 = rand_phi(f243, r)
-        moved = moebius_image(S, phi0)
-        if INF in moved:
+        T = moebius_image(S, phi0)
+        if T is None:
             continue
-        T = ims.ImageSet.from_indices(f243, moved)
         w = find_set_equivalence(S, T)
         assert w is not None
-        assert moebius_image(S, w) == T.as_frozenset()
+        assert moebius_image(S, w) == T
 
 
 def test_find_set_equivalence_identity_case(f32):
     S = ims.image_of_ratio(trace_poly(f32))
     w = find_set_equivalence(S, S)
     assert w is not None
-    assert moebius_image(S, w) == S.as_frozenset()
+    assert moebius_image(S, w) == S
 
 
 def test_find_set_equivalence_scaled_images(f243):
@@ -299,7 +384,7 @@ def agrees(S, T, index=None):
     assert (got is None) == (want is None), (got, want)
     if want is not None:
         assert got.serialize() == want.serialize()
-        assert moebius_image(S, got) == T.as_frozenset()
+        assert moebius_image(S, got) == T
     return got
 
 
@@ -320,8 +405,8 @@ def test_index_matches_search_on_known_cases(f32, f243):
     index = SetEquivalenceIndex(S)
     for _ in range(5):
         moved = moebius_image(S, rand_phi(f243, r))
-        if INF not in moved:
-            assert agrees(S, ims.ImageSet.from_indices(f243, moved), index)
+        if moved is not None:
+            assert agrees(S, moved, index)
 
 
 @pytest.mark.parametrize("field", ["f32", "f243"])
@@ -342,10 +427,10 @@ def test_index_matches_search_on_transported_pairs(field, request):
         done = 0
         while done < 3:
             moved = moebius_image(S, rand_phi(ctx, r, sigma=r.choice(sigmas)))
-            if INF in moved:
+            if moved is None:
                 continue
             done += 1
-            assert agrees(S, ims.ImageSet.from_indices(ctx, moved), index)
+            assert agrees(S, moved, index)
 
 
 def test_index_matches_search_on_nonequivalent_pairs(f32, f243):
@@ -437,7 +522,7 @@ def test_index_counts_the_stabilizer(f32, f243):
     for f in polys:
         S = ims.image_of_ratio(f)
         found = SetEquivalenceIndex(S).witnesses(S)
-        assert all(moebius_image(S, w) == S.as_frozenset() for w in found)
+        assert all(moebius_image(S, w) == S for w in found)
         assert len({w.serialize() for w in found}) == len(found)
         assert len(found) == stabilizer_order_by_walk(S)
         orders.append(len(found))
