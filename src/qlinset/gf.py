@@ -561,14 +561,17 @@ class FieldCtx:
             raise ValueError("vpow needs a positive exponent")
         return np.where(A == 0, 0, (A - 1) * (e % self.order) % self.order + 1)
 
-    def vfold_add(self, A) -> int:
-        """Field sum of all entries of A (tree reduction)."""
-        A = np.asarray(A, dtype=np.int64).ravel()
-        while A.size > 1:
-            if A.size & 1:
-                A = np.append(A, 0)
-            A = self.vadd(A[0::2], A[1::2])
-        return int(A[0]) if A.size else 0
+    def vfold_add(self, A):
+        """Field sum of A along its last axis (tree reduction); a 1-D A
+        gives one element."""
+        A = np.asarray(A, dtype=np.int64)
+        if A.shape[-1] == 0:
+            return np.zeros(A.shape[:-1], dtype=np.int64)
+        while A.shape[-1] > 1:
+            if A.shape[-1] & 1:
+                A = np.concatenate([A, np.zeros(A.shape[:-1] + (1,), np.int64)], axis=-1)
+            A = self.vadd(A[..., 0::2], A[..., 1::2])
+        return A[..., 0]
 
     def packed(self, A):
         """Index encoding -> packed base-p coefficient encoding."""

@@ -114,18 +114,7 @@ def power_sum(f: QPoly, d: int) -> int:
     ctx = f.ctx
     if not 1 <= d <= ctx.size - 1:
         raise ValueError(f"d = {d} outside [1, {ctx.size - 1}]")
-    return _power_sum_from_values(ctx, f.ratio_values(), d)
-
-
-def _power_sum_from_values(ctx: FieldCtx, values: np.ndarray, d: int) -> int:
-    nz = values[values > 0] - 1
-    if nz.size == 0:
-        return 0
-    idx = (nz * (d % ctx.order)) % ctx.order if ctx.order > 1 else nz * 0
-    counts = np.bincount(idx, minlength=ctx.order) % ctx.p
-    sup = np.flatnonzero(counts)
-    elems = np.repeat(sup + 1, counts[sup])
-    return ctx.vfold_add(elems)
+    return int(_power_sums_from_values(ctx, f.ratio_values(), [d])[0])
 
 
 def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -138,15 +127,9 @@ def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -
     logs, counts = np.unique(values[values > 0] - 1, return_counts=True)
     counts %= ctx.p
     logs, counts = logs[counts > 0], counts[counts > 0]
-    if logs.size == 0:
-        return np.zeros(len(ds), dtype=np.int64)
     # c_l as an element of the prime field: the element whose packed encoding is c_l
     terms = ctx.vmul(ctx._idx[counts], np.multiply.outer(ds, logs) % ctx.order + 1)
-    while terms.shape[1] > 1:
-        if terms.shape[1] & 1:
-            terms = np.pad(terms, ((0, 0), (0, 1)))
-        terms = ctx.vadd(terms[:, 0::2], terms[:, 1::2])
-    return terms[:, 0]
+    return ctx.vfold_add(terms)
 
 
 # ------------------------------------------------------- tuple-space helpers

@@ -12,6 +12,7 @@ x^{q^3} against delta' x^q + x^{q^4}.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -216,13 +217,13 @@ def mus_with_nontrivial_norm(ctx: FieldCtx) -> list[int]:
 
 
 def _sample_mus(ctx: FieldCtx, count: int, seed: int) -> list[int]:
-    """`count` values spanning every norm class of F_q^* minus {1}."""
-    import random
-
+    """`count` values spanning every norm class of F_q^* minus {1}; every
+    admissible mu once when `count` exceeds their number."""
     rng = random.Random(seed)
     classes = list(range(1, ctx.q - 1))  # norm exponent j -> N(mu) = g^(jR)
+    count = min(count, ctx.order - ctx.order // (ctx.q - 1))
     out, seen = [], set()
-    while len(out) < count and len(seen) < ctx.order:
+    while len(out) < count:
         j = classes[len(out) % len(classes)]
         k = rng.randrange(ctx.order // (ctx.q - 1)) * (ctx.q - 1) + j
         if k in seen:

@@ -12,7 +12,8 @@ with the value INF when the denominator vanishes.  Slope values use the
 field's int encoding plus the INF marker below.
 
 Both actions run on field-wide arrays.  `transform_poly` tabulates the
-graph map over all of F_{q^n}, inverts it by scatter and interpolates;
+graph map over all of F_{q^n}, inverts it by scatter and interpolates
+(`qpoly.interpolate_through_inverse`, which `QPoly.inverse` shares);
 `moebius_image` returns the image of a slope set as an ImageSet, or None
 when a point goes to INF, so every witness check is an ImageSet compare.
 
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import ImageSet, image_of_ratio
-from .qpoly import QPoly, moore_interpolate
+from .qpoly import QPoly, interpolate_through_inverse
 
 INF = -1  # the projective point (0 : 1), used as a slope marker
 
@@ -159,14 +160,14 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     """The transported q-polynomial f_phi with graph M * (graph f)^sigma.
 
     Tabulates k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s over
-    all of F_{q^n}, inverts k_f by scatter (kinv[k_f(x)] = x), and
-    interpolates h_f o k_f^{-1} at g^t, t < n, back into q-polynomial
-    coefficients.  Time and memory are O(q^n): a handful of vector passes
-    and tables of q^n int64 entries.  Raises NotAdmissible when a slot of
-    kinv stays unfilled, i.e. k_f is not a bijection, which is exactly
-    when is_admissible(f, phi) is False.  With verify=True the graph
-    identity f_phi(k_f(x)) = h_f(x) is re-checked on every field element,
-    reusing the tables.
+    all of F_{q^n} and returns h_f o k_f^{-1} through the table inversion
+    `interpolate_through_inverse` (k_f inverted by scatter, interpolated at
+    the basis g^t, t < n, through the cached Moore inverse).  Time and
+    memory are O(q^n): a handful of vector passes and tables of q^n int64
+    entries.  Raises NotAdmissible when k_f is not a bijection, which is
+    exactly when is_admissible(f, phi) is False.  With verify=True the
+    graph identity f_phi(k_f(x)) = h_f(x) is re-checked on every field
+    element, reusing the tables.
     """
     ctx = f.ctx
     e = phi.sigma_exp
@@ -175,12 +176,10 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     fs = ctx.vfrob(f.eval_on(X), e)
     kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
     hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
-    kinv = np.full(ctx.size, -1, dtype=np.int64)
-    kinv[kv] = X
-    if (kinv < 0).any():
+    coeffs = interpolate_through_inverse(ctx, kv, hv)
+    if coeffs is None:
         raise NotAdmissible("k_f is singular for this map (footnote condition fails)")
-    points = [ctx.from_exp(t) for t in range(ctx.n)]
-    g = QPoly(ctx, moore_interpolate(ctx, points, hv[kinv[points]].tolist()))
+    g = QPoly(ctx, coeffs)
     if verify and not np.array_equal(g.eval_on(kv), hv):
         raise InconsistentStructure("transported polynomial fails graph identity")
     return g

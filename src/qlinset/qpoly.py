@@ -158,22 +158,16 @@ class QPoly:
         return self.kernel_dim() == 0
 
     def inverse(self) -> "QPoly":
-        """Compositional inverse: compose(f, inverse(f)) is the identity."""
-        ctx = self.ctx
-        n = ctx.n
-        minv = solve(ctx, self.as_matrix(), _identity(n))
-        if minv is None:
+        """Compositional inverse: compose(f, inverse(f)) is the identity.
+
+        Tabulates f over the whole field and inverts the table by scatter,
+        as graph transport does (`interpolate_through_inverse`).
+        """
+        X = np.arange(self.ctx.size, dtype=np.int64)
+        coeffs = interpolate_through_inverse(self.ctx, self.eval_on(X), X)
+        if coeffs is None:
             raise NotInvertible("kernel is nontrivial")
-        # column j of minv = coordinates of f^(-1)(g^j); interpolate the
-        # q-polynomial through those n evaluations
-        points = [ctx.from_exp(j) for j in range(n)]
-        values = []
-        for j in range(n):
-            acc = 0
-            for i in range(n):
-                acc = ctx.add(acc, ctx.mul(minv[i][j], ctx.from_exp(i)))
-            values.append(acc)
-        return QPoly(ctx, moore_interpolate(ctx, points, values))
+        return QPoly(self.ctx, coeffs)
 
 
 # ------------------------------------------------------------- constructors
@@ -268,17 +262,30 @@ def solve(ctx: FieldCtx, mat, rhs):
     return [row[n:] for row in red]
 
 
-def moore_interpolate(ctx: FieldCtx, points, values):
-    """Coefficients of the q-polynomial taking the given values at the points.
+def moore_interpolate(ctx: FieldCtx, values):
+    """Coefficients of the q-polynomial taking values[t] at g^t, t < n.
 
-    The points must be an F_q-basis of F_{q^n} (Moore matrix invertible).
+    With W the cached inverse of the transposed Moore matrix of the basis
+    1, g, ..., g^(n-1) (`_gen_moore_inverse`), a_k = sum_t W[t][k] values[t].
     """
-    n = ctx.n
-    mat = [[ctx.pow_int(pt, ctx.q**k) if pt else 0 for k in range(n)] for pt in points]
-    sol = solve(ctx, mat, [[v] for v in values])
-    if sol is None:
-        raise ValueError("interpolation points are not an F_q-basis")
-    return [row[0] for row in sol]
+    W = np.asarray(_gen_moore_inverse(ctx), dtype=np.int64)
+    return ctx.vfold_add(ctx.vmul(W.T, np.asarray(values, dtype=np.int64))).tolist()
+
+
+def interpolate_through_inverse(ctx: FieldCtx, kv: np.ndarray, hv: np.ndarray):
+    """Coefficients of the q-polynomial h o k^-1, or None when k is not a
+    bijection.
+
+    kv and hv tabulate the F_q-linear maps k and h over all of F_{q^n}
+    (kv[x] = k(x)).  k is inverted by scatter, kinv[k(x)] = x, and h o k^-1
+    is interpolated at g^t, t < n.  Time and memory are O(q^n).
+    """
+    kinv = np.full(ctx.size, -1, dtype=np.int64)
+    kinv[kv] = np.arange(ctx.size, dtype=np.int64)
+    if (kinv < 0).any():
+        return None
+    basis = [ctx.from_exp(t) for t in range(ctx.n)]
+    return moore_interpolate(ctx, hv[kinv[basis]])
 
 
 _MOORE_INV_CACHE: "weakref.WeakKeyDictionary[FieldCtx, list]" = weakref.WeakKeyDictionary()

@@ -18,7 +18,7 @@ from qlinset.errors import (
     WrongDegree,
 )
 from qlinset.gf import build_field
-from qlinset.imageset import _power_sum_from_values, _power_sums_from_values
+from qlinset.imageset import _power_sums_from_values
 from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import QPoly, monomial, trace_poly
 
@@ -83,6 +83,18 @@ def test_e5_e6_follow_from_matching_power_sums(f243):
 
 
 # -------------------------------------------------------------- power sums
+
+def _power_sum_from_values(ctx, values, d):
+    # one d at a time: the exponents l d of the nonzero values, counted mod
+    # p, each repeated element folded with vfold_add
+    nz = values[values > 0] - 1
+    if nz.size == 0:
+        return 0
+    idx = (nz * (d % ctx.order)) % ctx.order
+    counts = np.bincount(idx, minlength=ctx.order) % ctx.p
+    sup = np.flatnonzero(counts)
+    return int(ctx.vfold_add(np.repeat(sup + 1, counts[sup])))
+
 
 def test_power_sums_all_equal(f32, f243):
     tr = trace_poly(f32)

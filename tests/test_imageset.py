@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlinset import imageset as ims
+from qlinset import suites
 from qlinset.errors import TooLargeForExhaustive
 from qlinset.gf import build_field
 from qlinset.moebius import INF
@@ -268,6 +269,54 @@ def test_survey_sample_mode_deterministic():
     assert a == b
     lo, hi = ims.direction_bounds(ctx)
     assert all(lo <= r.size <= hi for r in a)
+
+
+def _bounds_by_direct_count(seed, samples):
+    # suite_bounds computed without the survey: every tuple's mask at (2,4)
+    # with the strict filter, and at (3,5) strict draws until `samples`
+    # strict tuples are checked
+    ctx = build_field(2, 1, 4)
+    lo, hi = ims.direction_bounds(ctx)
+    sizes = np.bitwise_count(ims.all_ratio_masks(ctx)).astype(np.int64)
+    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
+    s_sizes = sizes[ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))]
+    exhaustive = {
+        "field": ctx.spec_string,
+        "checked": int(s_sizes.size),
+        "window": [lo, hi],
+        "observed": [int(s_sizes.min()), int(s_sizes.max())],
+        "ok": bool((s_sizes >= lo).all() and (s_sizes <= hi).all()),
+    }
+    ctx3 = build_field(3, 1, 5)
+    lo3, hi3 = ims.direction_bounds(ctx3)
+    rng = np.random.default_rng(seed)
+    total = ctx3.size**ctx3.n
+    drawn, s_min, s_max, ok3 = 0, hi3, lo3, True
+    while drawn < samples:
+        batch = rng.integers(0, total, size=min(4096, samples - drawn), dtype=np.int64)
+        batch = batch[ims.strict_linear_mask(ctx3, ims._tuple_digits(ctx3, batch))]
+        if batch.size == 0:
+            continue
+        sz = ims._sizes_for_tuples(ctx3, batch)
+        drawn += batch.size
+        s_min, s_max = min(s_min, int(sz.min())), max(s_max, int(sz.max()))
+        ok3 &= bool((sz >= lo3).all() and (sz <= hi3).all())
+    sampled = {
+        "field": ctx3.spec_string,
+        "checked": drawn,
+        "window": [lo3, hi3],
+        "observed": [s_min, s_max],
+        "ok": ok3,
+    }
+    return {"passed": exhaustive["ok"] and ok3, "exhaustive": exhaustive, "sampled": sampled}
+
+
+@pytest.mark.parametrize("samples", [3000, 10_000])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_suite_bounds_matches_direct_count(seed, samples):
+    got = suites.suite_bounds(seed=seed, samples=samples)
+    del got["elapsed_s"]
+    assert got == _bounds_by_direct_count(seed, samples)
 
 
 def test_survey_guard():

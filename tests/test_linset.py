@@ -214,6 +214,19 @@ def test_mus_with_nontrivial_norm(f243):
     assert ls.mus_with_nontrivial_norm(build_field(2, 1, 5)) == []
 
 
+@pytest.mark.parametrize("field", ["f243", "f1024"])
+def test_sample_mus_oversampled_returns_every_admissible_mu(field, request):
+    # F_243: 121 admissible mu in one norm class; F_1024: 682 in two
+    ctx = request.getfixturevalue(field)
+    admissible = ls.mus_with_nontrivial_norm(ctx)
+    full = ls._sample_mus(ctx, len(admissible), seed=4)
+    assert len(full) == len(set(full)) and set(full) == set(admissible)
+    assert ls._sample_mus(ctx, len(admissible) + 1, seed=4) == full
+    assert ls._sample_mus(ctx, 10 * len(admissible), seed=4) == full
+    # a smaller count draws the same sequence and stops early
+    assert ls._sample_mus(ctx, 7, seed=4) == full[:7]
+
+
 def test_delta_precondition_n_delta_5th_power():
     # q = 4: N(delta)^5 = N(delta)^2 in F_4*, which is 1 only for N(delta) = 1,
     # so every delta with nontrivial norm qualifies

@@ -25,7 +25,6 @@ from qlinset.qpoly import (
     QPoly,
     identity_poly,
     monomial,
-    moore_interpolate,
     solve,
     trace_poly,
 )
@@ -189,7 +188,9 @@ def transport_by_fp_solve(f, phi):
         graph_map(phi.c, phi.d, from_coords([row[t] for row in sol]))
         for t in range(ctx.n)
     ]
-    return QPoly(ctx, moore_interpolate(ctx, points, values))
+    # interpolate by solving the Moore system sum_k a_k pt^(q^k) = value
+    moore = [[ctx.pow_int(pt, ctx.q**k) for k in range(ctx.n)] for pt in points]
+    return QPoly(ctx, [row[0] for row in solve(ctx, moore, [[v] for v in values])])
 
 
 @pytest.mark.parametrize("field", ["f32", "f243", "f1024"])

@@ -148,14 +148,18 @@ def test_kernel_dim_against_counting_oracle(f32):
         assert count == f32.q**kd
 
 
-def test_inverse(f32):
-    idp = identity_poly(f32)
-    assert monomial(f32, 1).inverse() == monomial(f32, 4)
+@pytest.mark.parametrize("field", ["f32", "f243", "f1024"])
+def test_inverse(field, request):
+    ctx = request.getfixturevalue(field)
+    idp = identity_poly(ctx)
+    assert monomial(ctx, 1).inverse() == monomial(ctx, 4)
     r = random.Random(20)
     done = 0
+    singular = 0
     while done < 25:
-        f = rand_poly(f32, r)
+        f = rand_poly(ctx, r)
         if not f.is_invertible():
+            singular += 1
             with pytest.raises(NotInvertible):
                 f.inverse()
             continue
@@ -163,8 +167,9 @@ def test_inverse(f32):
         fi = f.inverse()
         assert f.compose(fi) == idp
         assert fi.compose(f) == idp
-        for x in f32.elements():
+        for x in ctx.elements():
             assert f.eval(fi.eval(x)) == x
+    assert singular, "no singular f drawn: NotInvertible untested"
 
 
 def test_max_field_of_linearity():
@@ -204,11 +209,13 @@ def test_string_roundtrip(f32):
         assert QPoly.from_string(f32, f.to_string()) == f
 
 
-def test_moore_interpolation_roundtrip(f243):
-    ctx = f243
+@pytest.mark.parametrize("field", ["f32", "f243", "f1024"])
+def test_moore_interpolation_roundtrip(field, request):
+    # the basis g^0..g^(n-1) is over F_q: F_4 at F_1024
+    ctx = request.getfixturevalue(field)
     r = random.Random(23)
     pts = [ctx.from_exp(j) for j in range(ctx.n)]
     for _ in range(20):
         f = rand_poly(ctx, r)
         vals = [f.eval(p) for p in pts]
-        assert tuple(moore_interpolate(ctx, pts, vals)) == f.coeffs
+        assert tuple(moore_interpolate(ctx, vals)) == f.coeffs
