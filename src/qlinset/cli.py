@@ -133,6 +133,12 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {suite!r}; choose from {sorted(suites.SUITES)}",
               file=sys.stderr)
         return 2
+    if suite != "new-linset":
+        given = [flag for flag, dest in NEW_LINSET_OPTIONS.items() if getattr(args, dest)]
+        if given:
+            print(f"{', '.join(given)}: read only by --suite new-linset, not {suite}",
+                  file=sys.stderr)
+            return 2
     t0 = time.perf_counter()
     try:
         result = suites.SUITES[suite](**SUITE_ARGS[suite](args))
@@ -177,6 +183,10 @@ def _new_linset_args(args) -> dict:
     }
 
 
+# `verify` options that only new-linset reads; other suites reject them
+NEW_LINSET_OPTIONS = {"--field": "field", "--modulus": "modulus",
+                      "--delta": "delta", "--all-mu": "all_mu"}
+
 # keyword arguments of each suite in suites.SUITES from the parsed `verify`
 # options, with the suite's own default where --samples is not given
 SUITE_ARGS = {
@@ -206,7 +216,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--modulus", type=_parse_modulus, default=None,
                         help="modulus override, coefficients low-degree-first "
                              "(must be primitive)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
         sp.add_argument("--out", default=None,
                         help=f"JSON report path (relative paths join ${OUT_DIR_ENV})")
 
@@ -223,8 +232,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp, field_required=False)
+    common(sp, field_required=False)  # --field/--modulus: new-linset only
     sp.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
     sp.add_argument("--samples", type=int, default=None,
                     help="sample/pair count override where a suite samples")
     sp.add_argument("--all-mu", action="store_true", dest="all_mu",

@@ -371,11 +371,6 @@ class FieldCtx:
         """The element g^k."""
         return k % self.order + 1
 
-    def exp_of(self, e: int) -> int:
-        if e == 0:
-            raise DivisionByZero("zero has no discrete log")
-        return e - 1
-
     # ------------------------------------------------------------- scalars
 
     def add(self, a: int, b: int) -> int:

@@ -274,7 +274,7 @@ def verify_new_example(
         mode = "all"
     else:
         mus = _sample_mus(ctx, sample_count, seed)
-        mode = f"sampled({sample_count})"
+        mode = f"sampled({len(mus)})"
 
     index = SetEquivalenceIndex(L)
     verdicts = []

@@ -162,7 +162,7 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     Tabulates k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s over
     all of F_{q^n} and returns h_f o k_f^{-1} through the table inversion
     `interpolate_through_inverse` (k_f inverted by scatter, interpolated at
-    the basis g^t, t < n, through the cached Moore inverse).  Time and
+    the basis g^t, t < n, through its trace-dual basis, cached per field).  Time and
     memory are O(q^n): a handful of vector passes and tables of q^n int64
     entries.  Raises NotAdmissible when k_f is not a bijection, which is
     exactly when is_admissible(f, phi) is False.  With verify=True the
@@ -229,9 +229,7 @@ def _carry(ctx: FieldCtx, P, Q):
     )
 
 
-def find_set_equivalence(
-    S: ImageSet, T: ImageSet, chunk: int = _SEARCH_CHUNK
-) -> SemilinearMap | None:
+def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
     """Search GammaL(2,q^n) for phi with moebius_image(S, phi) = T.
 
     Anchors the three smallest points of S^sigma, enumerates ordered distinct
@@ -256,15 +254,14 @@ def find_set_equivalence(
         rest = s_sig[3:]
         P = _cross_ratio_matrix(ctx, *s_sig[:3])
 
-        for lo in range(0, total, chunk):
-            G = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        for lo in range(0, total, _SEARCH_CHUNK):
+            G = np.arange(lo, min(lo + _SEARCH_CHUNK, total), dtype=np.int64)
             i1 = G // (mlen * mlen)
             i2 = (G // mlen) % mlen
             i3 = G % mlen
             distinct = (i1 != i2) & (i1 != i3) & (i2 != i3)
             if not distinct.any():
                 continue
-            G = G[distinct]
             Q = _cross_ratio_matrix(
                 ctx, t_idx[i1[distinct]], t_idx[i2[distinct]], t_idx[i3[distinct]]
             )
@@ -277,8 +274,8 @@ def find_set_equivalence(
                     break
                 keep = np.flatnonzero(alive)
                 if keep.size * 4 < alive.size:
-                    G, ma, mb, mc, md = (arr[keep] for arr in (G, ma, mb, mc, md))
-                    alive = np.ones(G.size, dtype=bool)
+                    ma, mb, mc, md = (arr[keep] for arr in (ma, mb, mc, md))
+                    alive = np.ones(keep.size, dtype=bool)
                 w = int(w)
                 den = ctx.vadd(ma, ctx.vmul(mb, w))
                 num = ctx.vadd(mc, ctx.vmul(md, w))
@@ -286,7 +283,7 @@ def find_set_equivalence(
                 alive &= (den != 0) & t_mask[val]
 
             if alive.any():
-                k = int(np.flatnonzero(alive)[0])  # G ascends, so first = lex-least
+                k = int(np.flatnonzero(alive)[0])  # triples ascend: first = lex-least
                 return _checked_witness(S, T, e, ma[k], mb[k], mc[k], md[k])
     return None
 

@@ -4,6 +4,11 @@ A QPoly stores exactly n coefficients (index i belongs to x^{q^i}) and
 represents an F_q-linear map of the big field.  Everything here is pure;
 QPoly values are immutable and hashable so they can flow through
 exhaustive-search workers and be collected into sets.
+
+Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
+through the trace-dual basis beta of that basis, cached per field as the
+matrix W[t][k] = beta_t^(q^k); no linear system is solved.  The one
+elimination left is the rank behind `kernel_dim`.
 """
 
 from __future__ import annotations
@@ -143,16 +148,15 @@ class QPoly:
         """Matrix of the induced F_q-linear map in the basis 1, g, ..., g^(n-1).
 
         Entries are field elements lying in F_q; column j holds the
-        coordinates of f(g^j).
+        coordinates of f(g^j) (`_coords_in_gen_basis`).
         """
         ctx = self.ctx
-        n = ctx.n
-        cols = [_coords_in_gen_basis(ctx, self.eval(ctx.from_exp(j))) for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        basis = np.array([ctx.from_exp(j) for j in range(ctx.n)], dtype=np.int64)
+        return _coords_in_gen_basis(ctx, self.eval_on(basis)).tolist()
 
     def kernel_dim(self) -> int:
-        n = self.ctx.n
-        return n - _row_reduce(self.ctx, self.as_matrix(), n)[1]
+        """n minus the rank of `as_matrix`, by elimination over the field."""
+        return self.ctx.n - _rank(self.ctx, self.as_matrix())
 
     def is_invertible(self) -> bool:
         return self.kernel_dim() == 0
@@ -224,51 +228,33 @@ def ratio_values_at(ctx: FieldCtx, coeffs, k):
 
 # ------------------------------------------------- linear algebra over F_q^n
 
-def _identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _row_reduce(ctx: FieldCtx, mat, ncols: int):
-    """Gauss-Jordan elimination over the field, pivoting in the first
-    `ncols` columns of `mat` (a list of rows); returns the reduced rows and
-    the rank of that left block."""
+def _rank(ctx: FieldCtx, mat) -> int:
+    """Rank over the field of the square matrix `mat` (a list of rows), by
+    elimination."""
     m = [list(row) for row in mat]
-    rows = len(m)
+    n = len(m)
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(n):
+        piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = ctx.inv(m[r][c])
-        m[r] = [ctx.mul(inv, v) for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
+        for i in range(r + 1, n):
+            if m[i][c]:
+                f = ctx.mul(inv, m[i][c])
                 m[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(m[i], m[r])]
         r += 1
-        if r == rows:
-            break
-    return m, r
-
-
-def solve(ctx: FieldCtx, mat, rhs):
-    """X with mat * X = rhs over the field, for square `mat` and `rhs` given
-    as rows; None if `mat` is singular."""
-    n = len(mat)
-    red, rank = _row_reduce(ctx, [list(a) + list(b) for a, b in zip(mat, rhs)], n)
-    if rank < n:
-        return None
-    return [row[n:] for row in red]
+    return r
 
 
 def moore_interpolate(ctx: FieldCtx, values):
     """Coefficients of the q-polynomial taking values[t] at g^t, t < n.
 
-    With W the cached inverse of the transposed Moore matrix of the basis
-    1, g, ..., g^(n-1) (`_gen_moore_inverse`), a_k = sum_t W[t][k] values[t].
+    With beta the trace-dual basis of 1, g, ..., g^(n-1) and the cached
+    W[t][k] = beta_t^(q^k) (`_dual_basis_matrix`), a_k = sum_t W[t][k] values[t].
     """
-    W = np.asarray(_gen_moore_inverse(ctx), dtype=np.int64)
+    W = _dual_basis_matrix(ctx)
     return ctx.vfold_add(ctx.vmul(W.T, np.asarray(values, dtype=np.int64))).tolist()
 
 
@@ -288,38 +274,49 @@ def interpolate_through_inverse(ctx: FieldCtx, kv: np.ndarray, hv: np.ndarray):
     return moore_interpolate(ctx, hv[kinv[basis]])
 
 
-_MOORE_INV_CACHE: "weakref.WeakKeyDictionary[FieldCtx, list]" = weakref.WeakKeyDictionary()
+def _conjugates(ctx: FieldCtx, A) -> np.ndarray:
+    """A^(q^k), k < n, along a new last axis; vfold_add of it is Tr_{q^n/q}."""
+    return np.stack([ctx.vfrob(A, ctx.h * k % ctx.m) for k in range(ctx.n)], axis=-1)
 
 
-def _gen_moore_inverse(ctx: FieldCtx):
-    # inverse of the Moore matrix (g^(j q^k))_{k,j} of the basis 1, g, ..., g^(n-1)
-    inv = _MOORE_INV_CACHE.get(ctx)
-    if inv is None:
-        n = ctx.n
-        mat = [
-            [ctx.pow_int(ctx.from_exp(j), ctx.q**k) for j in range(n)]
-            for k in range(n)
-        ]
-        inv = solve(ctx, mat, _identity(n))
-        if inv is None:
-            raise InconsistentStructure("generator powers do not form a basis")
-        _MOORE_INV_CACHE[ctx] = inv
-    return inv
+_DUAL_CACHE: "weakref.WeakKeyDictionary[FieldCtx, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
-def _coords_in_gen_basis(ctx: FieldCtx, y: int):
-    """Coordinates of y in the F_q-basis 1, g, ..., g^(n-1).
+def _dual_basis_matrix(ctx: FieldCtx) -> np.ndarray:
+    """W[t][k] = beta_t^(q^k), beta the trace-dual basis of 1, g, ..., g^(n-1).
 
-    Solves the Moore system sum_j c_j g^(j q^k) = y^(q^k), k = 0..n-1, whose
-    unique solution automatically lies in F_q.
+    With (x - g) b(x) the minimal polynomial of g over F_q, that is
+    b(x) = prod_{k=1}^{n-1} (x - g^(q^k)), beta_j = b_j / b(g) (Lidl and
+    Niederreiter, Finite Fields, ch. 2); b(g) != 0 as the conjugates of g
+    are distinct.  W is the inverse of the Moore matrix (g^(j q^k))_{k,j};
+    built once per field and checked against Tr(beta_i g^j) = [i = j].
     """
-    n = ctx.n
-    minv = _gen_moore_inverse(ctx)
-    rhs = [ctx.pow_int(y, ctx.q**k) if y else 0 for k in range(n)]
-    out = []
-    for i in range(n):
-        acc = 0
-        for k in range(n):
-            acc = ctx.add(acc, ctx.mul(minv[i][k], rhs[k]))
-        out.append(acc)
-    return out
+    W = _DUAL_CACHE.get(ctx)
+    if W is None:
+        n, g = ctx.n, ctx.from_exp(1)
+        b, bg = [1], 1
+        for k in range(1, n):
+            c = ctx.neg(ctx.frobenius(g, ctx.h * k % ctx.m))
+            # b(x) <- b(x) (x + c), coefficients low-degree first
+            b = [ctx.add(lo, ctx.mul(c, hi)) for lo, hi in zip([0] + b, b + [0])]
+            bg = ctx.mul(bg, ctx.add(g, c))
+        beta = ctx.vmul(b, ctx.inv(bg))
+        basis = np.array([ctx.from_exp(j) for j in range(n)], dtype=np.int64)
+        tr = ctx.vfold_add(_conjugates(ctx, ctx.vmul(beta[:, None], basis)))
+        if not (tr == np.eye(n)).all():
+            raise InconsistentStructure("Tr(beta_i g^j) = [i = j] fails for the dual basis")
+        W = _conjugates(ctx, beta)
+        _DUAL_CACHE[ctx] = W
+    return W
+
+
+def _coords_in_gen_basis(ctx: FieldCtx, y):
+    """Coordinates of y in the F_q-basis 1, g, ..., g^(n-1): c_j =
+    Tr_{q^n/q}(beta_j y), beta the trace-dual basis.
+
+    y is an element or an array of them; the coordinates run along a new
+    first axis of length n.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    beta = _dual_basis_matrix(ctx)[:, 0]
+    return ctx.vfold_add(_conjugates(ctx, ctx.vmul(beta.reshape((-1,) + (1,) * y.ndim), y)))

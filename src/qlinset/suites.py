@@ -378,7 +378,6 @@ def suite_new_linset(
         delta = default_new_example_delta(ctx)
     report = ls.verify_new_example(ctx, delta, all_mu=all_mu, sample_count=samples, seed=seed)
     out = report.to_dict(ctx)
-    out["passed"] = report.passed
     out["elapsed_s"] = round(report.elapsed_total, 3)
     return out
 

@@ -156,6 +156,33 @@ def test_verify_arguments_fit_every_suite():
     assert (nl["p"], nl["h"], nl["n"], nl["samples"], nl["delta"]) == (3, 1, 5, 8, None)
 
 
+@pytest.mark.parametrize("opts", [
+    ["--field", "3,1,5"],
+    ["--modulus", "1,2,0,0,0,1"],
+    ["--delta", "g^7"],
+    ["--all-mu"],
+    ["--field", "3,1,5", "--all-mu", "--delta", "g^7"],
+], ids=["field", "modulus", "delta", "all-mu", "three-at-once"])
+def test_verify_rejects_new_linset_options_on_other_suites(opts, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = run_cli(["verify", "--suite", "survey-n4", *opts, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in opts if flag.startswith("--"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["image", "--field", "2,1,5", "--poly", "g^0,g^0,g^0,g^0,g^0"],
+    ["classify", "--field", "2,1,5", "--f", "0,g^0,0,0,0", "--g", "0,0,g^4,0,0"],
+], ids=["image", "classify"])
+def test_seed_is_a_verify_option_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         run_cli(["verify", "--suite", "nonsense"])

@@ -227,6 +227,15 @@ def test_sample_mus_oversampled_returns_every_admissible_mu(field, request):
     assert ls._sample_mus(ctx, 7, seed=4) == full[:7]
 
 
+def test_new_linset_oversampled_run_is_labelled_by_the_mu_that_ran():
+    # 121 admissible mu at F_243: asking for 200 runs each once
+    from qlinset.suites import suite_new_linset
+
+    out = suite_new_linset(samples=200)
+    assert (out["mu_mode"], out["mu_count"]) == ("sampled(121)", 121)
+    assert suite_new_linset(samples=2)["mu_mode"] == "sampled(2)"
+
+
 def test_delta_precondition_n_delta_5th_power():
     # q = 4: N(delta)^5 = N(delta)^2 in F_4*, which is 1 only for N(delta) = 1,
     # so every delta with nontrivial norm qualifies

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from qlinset.errors import NotInvertible, ZeroPolynomial, ZeroScalar
+from qlinset.gf import build_field
 from qlinset.qpoly import (
     QPoly,
+    _coords_in_gen_basis,
+    _dual_basis_matrix,
     identity_poly,
     monomial,
     moore_interpolate,
@@ -139,13 +142,15 @@ def test_matrix_entries_live_in_subfield(f1024):
                 assert f1024.in_subfield(v, 1)
 
 
-def test_kernel_dim_against_counting_oracle(f32):
+@pytest.mark.parametrize("field", ["f32", "f1024"])
+def test_kernel_dim_against_counting_oracle(field, request):
+    ctx = request.getfixturevalue(field)
     r = random.Random(19)
     for _ in range(40):
-        f = rand_poly(f32, r)
+        f = rand_poly(ctx, r)
         kd = f.kernel_dim()
-        count = sum(1 for x in f32.elements() if f.eval(x) == 0)
-        assert count == f32.q**kd
+        count = sum(1 for x in ctx.elements() if f.eval(x) == 0)
+        assert count == ctx.q**kd
 
 
 @pytest.mark.parametrize("field", ["f32", "f243", "f1024"])
@@ -173,8 +178,6 @@ def test_inverse(field, request):
 
 
 def test_max_field_of_linearity():
-    from qlinset.gf import build_field
-
     ctx4 = build_field(2, 1, 4)
     assert monomial(ctx4, 2).max_field_of_linearity() == 2
     assert trace_poly(ctx4).max_field_of_linearity() == 1
@@ -219,3 +222,45 @@ def test_moore_interpolation_roundtrip(field, request):
         f = rand_poly(ctx, r)
         vals = [f.eval(p) for p in pts]
         assert tuple(moore_interpolate(ctx, vals)) == f.coeffs
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (3, 2, 3), (2, 1, 12)],
+    ids=["f32", "f243", "f1024", "f729", "f4096"],
+)
+def test_dual_basis_against_power_trace(spec):
+    # Tr(beta_i g^j) = [i = j], the trace summed from x^(q^k) by pow_int,
+    # and W[t][k] = beta_t^(q^k)
+    ctx = build_field(*spec)
+    n, q = ctx.n, ctx.q
+    W = _dual_basis_matrix(ctx)
+    assert W.shape == (n, n)
+
+    def trace(x):
+        acc = 0
+        for k in range(n):
+            acc = ctx.add(acc, ctx.pow_int(x, q**k) if x else 0)
+        return acc
+
+    beta = [int(b) for b in W[:, 0]]
+    for i in range(n):
+        assert [int(w) for w in W[i]] == [ctx.pow_int(beta[i], q**k) for k in range(n)]
+        for j in range(n):
+            assert trace(ctx.mul(beta[i], ctx.from_exp(j))) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("field", ["f32", "f1024"])
+def test_coords_roundtrip_every_element(field, request):
+    # sum_j c_j g^j = y with every c_j in F_q, for each y; the array call
+    # agrees with the scalar one
+    ctx = request.getfixturevalue(field)
+    every = _coords_in_gen_basis(ctx, list(ctx.elements()))
+    assert every.shape == (ctx.n, ctx.size)
+    for y in ctx.elements():
+        cs = [int(c) for c in _coords_in_gen_basis(ctx, y)]
+        assert cs == every[:, y].tolist()
+        assert all(ctx.in_subfield(c, 1) for c in cs)
+        acc = 0
+        for j, c in enumerate(cs):
+            acc = ctx.add(acc, ctx.mul(c, ctx.from_exp(j)))
+        assert acc == y
