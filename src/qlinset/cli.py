@@ -19,7 +19,7 @@ import time
 from . import criteria as cr
 from . import imageset as ims
 from . import suites
-from .errors import ImagesDiffer, QlinsetError
+from .errors import ImagesDiffer, InvalidModulus, QlinsetError
 from .gf import build_field
 from .qpoly import QPoly
 
@@ -36,6 +36,19 @@ def _parse_field(spec: str):
 
 def _parse_modulus(spec: str):
     return [int(v) for v in spec.split(",")]
+
+
+class OptionError(Exception):
+    """An option value that parsed but names no field, element or polynomial;
+    `main` exits 2 with one line naming the option."""
+
+
+def _option(flag: str, read, *args):
+    """read(*args), with its ValueError or QlinsetError as an OptionError."""
+    try:
+        return read(*args)
+    except (ValueError, QlinsetError) as exc:
+        raise OptionError(f"{flag}: {exc}") from exc
 
 
 def _resolve_out(path: str | None):
@@ -68,12 +81,16 @@ def _write_survey_csv(rows: list[dict], out_path: str):
 
 def _build_ctx(args):
     p, h, n = args.field
-    return build_field(p, h, n, args.modulus)
+    try:
+        return build_field(p, h, n, args.modulus)
+    except QlinsetError as exc:
+        bad_modulus = isinstance(exc, InvalidModulus) and args.modulus is not None
+        raise OptionError(f"{'--modulus' if bad_modulus else '--field'}: {exc}") from exc
 
 
 def cmd_image(args) -> int:
     ctx = _build_ctx(args)
-    f = QPoly.from_string(ctx, args.poly)
+    f = _option("--poly", QPoly.from_string, ctx, args.poly)
     im = ims.image_of_ratio(f)
     lo, hi = ims.direction_bounds(ctx)
     strict = f.is_strictly_linear()
@@ -100,8 +117,8 @@ def cmd_classify(args) -> int:
     if not 2 <= ctx.n <= 5:
         print(f"classification covers 2 <= n <= 5, got n = {ctx.n}", file=sys.stderr)
         return 2
-    f = QPoly.from_string(ctx, args.f)
-    g = QPoly.from_string(ctx, args.g)
+    f = _option("--f", QPoly.from_string, ctx, args.f)
+    g = _option("--g", QPoly.from_string, ctx, args.g)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "classify",
@@ -172,7 +189,7 @@ def _new_linset_args(args) -> dict:
     p, h, n = args.field if args.field else (3, 1, 5)
     delta = None
     if args.delta:
-        delta = build_field(p, h, n, args.modulus).parse(args.delta)
+        delta = _option("--delta", build_field(p, h, n, args.modulus).parse, args.delta)
     return {
         "p": p, "h": h, "n": n,
         "delta": delta,
@@ -247,7 +264,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OptionError as exc:
+        print(f"qlinset {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,8 +60,13 @@ class ImageSet:
 
     @classmethod
     def from_indices(cls, ctx: FieldCtx, indices) -> "ImageSet":
+        """The set of the elements with these int encodings; ValueError for
+        an index outside [0, q^n), such as INF, which numpy would wrap."""
+        idx = np.array(list(indices), dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= ctx.size):
+            raise ValueError(f"element index outside [0, {ctx.size})")
         mask = np.zeros(ctx.size, dtype=bool)
-        mask[list(indices)] = True
+        mask[idx] = True
         return cls(ctx, mask)
 
     def __len__(self):

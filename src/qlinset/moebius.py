@@ -17,18 +17,20 @@ graph map over all of F_{q^n}, inverts it by scatter and interpolates
 `moebius_image` returns the image of a slope set as an ImageSet, or None
 when a point goes to INF, so every witness check is an ImageSet compare.
 
-Two paths decide whether some phi carries a slope set S onto a set T, and
-both return the same lex-least witness, canonically scaled and re-checked,
-or None after exhausting the group.  `find_set_equivalence` searches one
-pair: it anchors the three smallest points of S^sigma and walks the ordered
-triples of T, stopping at the first witness, so an equivalent pair is cheap
-(about 0.05 s at F_243) and an inequivalent 121-point pair costs the whole
-walk (about 2 s).  `SetEquivalenceIndex` serves one S against many T: it
-keys every unordered triple of S once by probing its cross-ratio set and
-then answers each T from six key lookups per automorphism, about a
-millisecond a query after a build of under half a second at F_243.  One-off
-pairs use the search; `linset.verify_new_example`, which tests one set
-against every mu, uses the index.
+One algorithm decides whether some phi = A o sigma^e carries a slope set S
+onto a set T.  For a triple s of S let M_s send s to (0, 1, INF), and let
+N(S;s) = M_s(S) minus {0, 1, INF}.  Cross-ratios are PGL-invariant and
+commute with Frobenius, so phi works exactly when N(T;phi(s)) =
+sigma^e(N(S;s)), and phi sends the sorted triple phi^-1(t0) of S to one of
+the six orderings of the three smallest points t0 of T.  Each triple
+i < j < k of S is keyed by 64 probes y_j outside {0, 1} (bit j: y_j in
+N(S;s)), and the orderings of t0 by every sigma^e(y_j), 6m anchor keys.  A
+key match is kept once its map carries all of S onto T; the answer is the
+lex-least witness, canonically scaled and re-checked, or None once the group
+is exhausted.  `SetEquivalenceIndex` stores the keys of S for many queries
+(`linset.verify_new_example`, one set against every mu), and
+`find_set_equivalence` streams them for one pair, on the first 16 probes,
+keeping only the triples whose keys match.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ from .imageset import ImageSet, image_of_ratio
 from .qpoly import QPoly, interpolate_through_inverse
 
 INF = -1  # the projective point (0 : 1), used as a slope marker
-
-_SEARCH_CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class SemilinearMap:
@@ -229,68 +228,12 @@ def _carry(ctx: FieldCtx, P, Q):
     )
 
 
-def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
-    """Search GammaL(2,q^n) for phi with moebius_image(S, phi) = T.
+# ------------------------------------------------------------ set equivalence
 
-    Anchors the three smallest points of S^sigma, enumerates ordered distinct
-    triples of T in lexicographic order per automorphism, solves the unique
-    Moebius map through the anchors, and keeps candidates that carry all of
-    S^sigma into T.  The first (lex-least) survivor is canonicalized,
-    re-verified by direct application, and returned; None means the search
-    space is exhausted.
-    """
-    if len(S) < 3:
-        raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-    if len(S) != len(T):
-        return None
-    ctx = S.ctx
-    t_idx = T.indices()
-    t_mask = T.mask
-    mlen = t_idx.size
-    total = mlen**3
-
-    for e in range(ctx.m):
-        s_sig = np.sort(ctx.vfrob(S.indices(), e))
-        rest = s_sig[3:]
-        P = _cross_ratio_matrix(ctx, *s_sig[:3])
-
-        for lo in range(0, total, _SEARCH_CHUNK):
-            G = np.arange(lo, min(lo + _SEARCH_CHUNK, total), dtype=np.int64)
-            i1 = G // (mlen * mlen)
-            i2 = (G // mlen) % mlen
-            i3 = G % mlen
-            distinct = (i1 != i2) & (i1 != i3) & (i2 != i3)
-            if not distinct.any():
-                continue
-            Q = _cross_ratio_matrix(
-                ctx, t_idx[i1[distinct]], t_idx[i2[distinct]], t_idx[i3[distinct]]
-            )
-            ma, mb, mc, md = _carry(ctx, P, Q)  # s-anchors to (t1, t2, t3)
-            det = ctx.vadd(ctx.vmul(ma, md), ctx.vneg(ctx.vmul(mb, mc)))
-            alive = det != 0
-
-            for w in rest:
-                if not alive.any():
-                    break
-                keep = np.flatnonzero(alive)
-                if keep.size * 4 < alive.size:
-                    ma, mb, mc, md = (arr[keep] for arr in (ma, mb, mc, md))
-                    alive = np.ones(keep.size, dtype=bool)
-                w = int(w)
-                den = ctx.vadd(ma, ctx.vmul(mb, w))
-                num = ctx.vadd(mc, ctx.vmul(md, w))
-                val = ctx.vmul(num, ctx.vinv(den))
-                alive &= (den != 0) & t_mask[val]
-
-            if alive.any():
-                k = int(np.flatnonzero(alive)[0])  # triples ascend: first = lex-least
-                return _checked_witness(S, T, e, ma[k], mb[k], mc[k], md[k])
-    return None
-
-
-# ------------------------------------------------- one set against many sets
-
+_BLOCK = 1 << 16  # array elements per vector pass
 _PROBES = 64  # key bits: one per probe point
+_STREAM_BITS = 16  # key bits of a streamed search; a false match fails the image check
+_NO_HITS = np.empty((0, 8), dtype=np.int64)
 
 
 def _probes(ctx: FieldCtx) -> np.ndarray:
@@ -298,128 +241,161 @@ def _probes(ctx: FieldCtx) -> np.ndarray:
     return np.arange(2, min(ctx.size, _PROBES + 2), dtype=np.int64)
 
 
-def _probe_keys(ctx: FieldCtx, mask, z1, z2, z3, probes) -> np.ndarray:
-    """One 64-bit key per triple (z1[i], z2[i], z3[i]) of the set `mask`:
-    bit j is set iff probes[..., j] lies in N = M(set) minus {0, 1, INF},
-    M the map sending the triple to (0, 1, INF).  `probes` is one row for
-    every triple, or one row per triple."""
+def _triple_keys(ctx: FieldCtx, mask, z1, z2, z3, probes, want=None):
+    """Positions and keys of the triples (z1[i], z2[i], z3[i]) of the set
+    `mask`; bit j of a key is [probes[..., j] in N(set; triple)], with one
+    row of probes for every triple or, without `want`, one row each.  With
+    `want`, a triple is dropped once its bits so far match no wanted key,
+    checked by table after each bit once the prefixes outnumber the keys."""
     # M(z) = r (z - z1)/(z - z3) with r = (z2 - z3)/(z2 - z1), so
     # M^-1(y) = z3 + K/(y - r) with K = r (z3 - z1); y = r goes to INF
     r = ctx.vmul(ctx.vadd(z2, ctx.vneg(z3)), ctx.vinv(ctx.vadd(z2, ctx.vneg(z1))))
-    k = ctx.vmul(r, ctx.vadd(z3, ctx.vneg(z1)))
-    den = ctx.vadd(probes, ctx.vneg(r)[:, None])
-    x = ctx.vadd(z3[:, None], ctx.vmul(k[:, None], ctx.vinv(den)))
-    bits = mask[x] & (den != 0)
-    packed = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-    row = np.packbits(bits, axis=1, bitorder="little")
-    packed[:, : row.shape[1]] = row
-    return packed.view("<u8").ravel()
+    nr, k = ctx.vneg(r), ctx.vmul(r, ctx.vadd(z3, ctx.vneg(z1)))
+    pos = np.arange(z1.size)
+    keys = np.zeros(z1.size, dtype=np.int64)
+    for b in range(probes.shape[-1]):
+        den = ctx.vadd(probes[..., b], nr)
+        bit = mask[ctx.vadd(z3, ctx.vmul(k, ctx.vinv(den)))] & (den != 0)
+        keys |= np.left_shift(bit, b, dtype=np.int64)
+        if want is not None and want.size < 2 << b:
+            table = np.zeros(2 << b, dtype=bool)
+            table[want & ((2 << b) - 1)] = True
+            keep = np.flatnonzero(table[keys])
+            pos, keys, nr, k, z3 = (x[keep] for x in (pos, keys, nr, k, z3))
+    return pos, keys
+
+
+def _anchor_keys(T: ImageSet, probes):
+    """The six orderings of the three smallest points of T, and their keys
+    against sigma^e of the probes, one row of keys per automorphism."""
+    ctx = T.ctx
+    orders = np.array(list(permutations(T.indices()[:3])), dtype=np.int64)
+    rows = np.repeat([ctx.vfrob(probes, e) for e in range(ctx.m)], len(orders), axis=0)
+    _, keys = _triple_keys(ctx, T.mask, *np.tile(orders.T, ctx.m), rows)
+    return orders, keys.reshape(ctx.m, len(orders))
+
+
+def _keyed_triples(S: ImageSet, probes, want=None):
+    """Keys and codes (i |S| + j) |S| + k of the unordered triples i < j < k
+    of S, sorted by key.  With `want`, a triple is dropped once a key bit
+    computed so far differs from every wanted key, so every triple whose key
+    is wanted is kept."""
+    ctx = S.ctx
+    s_idx = S.indices()
+    size = s_idx.size
+    pj, pk = np.triu_indices(size, 1)  # pairs j < k in lex order
+    first = np.searchsorted(pj, np.arange(1, size - 1))  # the pairs after i
+    start = np.concatenate(([0], np.cumsum(pj.size - first)))
+    keys, codes = [], []
+    for lo in range(0, int(start[-1]), _BLOCK):
+        t = np.arange(lo, min(lo + _BLOCK, int(start[-1])))
+        i = np.searchsorted(start, t, side="right") - 1
+        p = first[i] + t - start[i]
+        pos, key = _triple_keys(ctx, S.mask, *s_idx[[i, pj[p], pk[p]]], probes, want)
+        keys.append(key)
+        codes.append((i[pos] * size + pj[p[pos]]) * size + pk[p[pos]])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate(codes)[order]
+
+
+def _hits(S: ImageSet, keys, codes, T: ImageSet, probes) -> np.ndarray:
+    """Every (e, i1, i2, i3, a, b, c, d) whose M = (a, b, c, d) carries
+    S^sigma^e onto T, sending its three smallest points to T[i1], T[i2],
+    T[i3], among the triples of S with sorted `keys` and their `codes`; by
+    (e, i1, i2, i3), the order in which sending those points to each ordered
+    triple of T, e by e, would meet them."""
+    if len(T) != len(S):
+        return _NO_HITS
+    ctx = S.ctx
+    s_idx = S.indices()
+    t_idx = T.indices()
+    size = s_idx.size
+    orders, anchors = _anchor_keys(T, probes)
+    found = [_NO_HITS]
+    for e, qkeys in enumerate(anchors):
+        lo = np.searchsorted(keys, qkeys, side="left")
+        hi = np.searchsorted(keys, qkeys, side="right")
+        row = np.repeat(np.arange(len(orders)), hi - lo)
+        if not row.size:
+            continue
+        code = codes[np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])]
+        src = ctx.vfrob(s_idx[[code // (size * size), code // size % size,
+                               code % size]], e)
+        ma, mb, mc, md = _carry(
+            ctx, _cross_ratio_matrix(ctx, *src), _cross_ratio_matrix(ctx, *orders[row].T)
+        )
+        # full-image check; the three smallest points of S^sigma come first
+        w = np.sort(ctx.vfrob(s_idx, e))
+        block = max(1, _BLOCK // size)
+        for b0 in range(0, ma.size, block):
+            a, b, c, d = (x[b0:b0 + block, None] for x in (ma, mb, mc, md))
+            den = ctx.vadd(a, ctx.vmul(b, w))
+            val = ctx.vmul(ctx.vadd(c, ctx.vmul(d, w)), ctx.vinv(den))
+            ok = ((den != 0) & T.mask[val]).all(axis=1)
+            found.append(np.column_stack((
+                np.full(ok.sum(), e), np.searchsorted(t_idx, val[ok, :3]),
+                a[ok], b[ok], c[ok], d[ok],
+            )))
+    hits = np.concatenate(found)
+    return hits[np.lexsort(hits[:, 3::-1].T)]
+
+
+def _first_witness(S: ImageSet, T: ImageSet, hits: np.ndarray):
+    if not hits.size:
+        return None
+    e, _, _, _, a, b, c, d = hits[0].tolist()
+    return _checked_witness(S, T, e, a, b, c, d)
+
+
+def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
+    """The lex-least phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
+    canonically scaled and re-checked, or None.
+
+    Keys the triples of S on the first _STREAM_BITS probes only, dropping a
+    triple once its bits so far match none of the 6m anchor keys of T, and
+    stores nothing but the survivors; a false match costs one image check.
+    Every pair costs one scan of the triples of S, equivalent or not: about
+    0.05 s for 121-point sets at F_243, and 2.3 s at a peak RSS of 45 MB for
+    341-point sets at F_{4^5} (2-core box).
+    """
+    if len(S) < 3:
+        raise DegenerateSet(f"need at least 3 points, got {len(S)}")
+    if len(S) != len(T):
+        return None
+    probes = _probes(S.ctx)[:_STREAM_BITS]
+    keys, codes = _keyed_triples(S, probes, np.unique(_anchor_keys(T, probes)[1]))
+    return _first_witness(S, T, _hits(S, keys, codes, T, probes))
 
 
 class SetEquivalenceIndex:
     """One set S, indexed once, tested against many sets T of its size.
 
-    For an ordered triple s of S let M_s send s to (0, 1, INF), and let
-    N(S;s) = M_s(S) minus {0, 1, INF}.  Cross-ratios are PGL-invariant and
-    commute with Frobenius, so phi = A o sigma^e carries S onto T exactly
-    when N(T;t) = sigma^e(N(S;s)) for the triple t = phi(s); fixing t0 of
-    T, every phi sends the sorted triple phi^-1(t0) of S to one of the six
-    orderings of t0.  The index keys each unordered triple i < j < k of S
-    by 64 probes y_j outside {0, 1} (bit j is y_j in N(S;s)) and keeps the
-    keys sorted.  A query keys the six orderings of t0 against every
-    sigma^e(y_j) and looks the keys up; a key match is only a candidate,
-    kept once its map carries all of S onto T, so a None answer is as
-    exhaustive as `find_set_equivalence`.
-
-    The index pays for itself against several sets: at F_243 a 121-point
-    set has 287,980 triples and its index takes under half a second to
-    build, after which a query takes about a millisecond.
+    Stores the sorted 64-bit keys of all the triples of S; a query looks up
+    the 6m anchor keys of T.  At F_243 a 121-point set has 287,980 triples,
+    its index takes about 0.3 s to build, and a query about a millisecond
+    (2-core box), against 0.05 s for `find_set_equivalence`.
     """
 
     def __init__(self, S: ImageSet):
         if len(S) < 3:
             raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-        ctx = S.ctx
         self.S = S
-        self._probes = _probes(ctx)
-        s_idx = S.indices()
-        size = s_idx.size
-        pj, pk = np.triu_indices(size, 1)  # pairs j < k in lex order
-        per = max(1, _SEARCH_CHUNK // self._probes.size)
-        keys, codes = [], []
-        for i in range(size - 2):
-            # the pairs after i are a suffix of the lex order
-            for lo in range(int(np.searchsorted(pj, i + 1)), pj.size, per):
-                j, k = pj[lo:lo + per], pk[lo:lo + per]
-                keys.append(_probe_keys(
-                    ctx, S.mask, s_idx[i], s_idx[j], s_idx[k], self._probes
-                ))
-                codes.append((i * size + j) * size + k)
-        keys = np.concatenate(keys)
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self._codes = np.concatenate(codes)[order]
-
-    def _hits(self, T: ImageSet) -> np.ndarray:
-        """Every (e, M) with M(S^sigma^e) = T, in the order of the search,
-        lex-least (e, i1, i2, i3) first, where T[i1], T[i2], T[i3] are the
-        images of the three smallest points of S^sigma^e."""
-        S = self.S
-        found = [np.empty((0, 8), dtype=np.int64)]
-        if len(T) != len(S):
-            return found[0]
-        ctx = S.ctx
-        s_idx = S.indices()
-        t_idx = T.indices()
-        size = s_idx.size
-        orders = np.array(list(permutations(t_idx[:3])), dtype=np.int64)
-        for e in range(ctx.m):
-            qkeys = _probe_keys(
-                ctx, T.mask, *orders.T, ctx.vfrob(self._probes, e)[None, :]
-            )
-            lo = np.searchsorted(self._keys, qkeys, side="left")
-            hi = np.searchsorted(self._keys, qkeys, side="right")
-            row = np.repeat(np.arange(len(orders)), hi - lo)
-            if not row.size:
-                continue
-            code = self._codes[np.concatenate(
-                [np.arange(a, b) for a, b in zip(lo, hi)]
-            )]
-            src = ctx.vfrob(s_idx[[code // (size * size), code // size % size,
-                                   code % size]], e)
-            dst = orders[row].T
-            ma, mb, mc, md = _carry(
-                ctx, _cross_ratio_matrix(ctx, *src), _cross_ratio_matrix(ctx, *dst)
-            )
-            # full-image check; the three smallest points of S^sigma come first
-            w = np.sort(ctx.vfrob(s_idx, e))
-            block = max(1, _SEARCH_CHUNK // size)
-            for b0 in range(0, ma.size, block):
-                a, b, c, d = (x[b0:b0 + block, None] for x in (ma, mb, mc, md))
-                den = ctx.vadd(a, ctx.vmul(b, w))
-                val = ctx.vmul(ctx.vadd(c, ctx.vmul(d, w)), ctx.vinv(den))
-                ok = ((den != 0) & T.mask[val]).all(axis=1)
-                found.append(np.column_stack((
-                    np.full(ok.sum(), e), np.searchsorted(t_idx, val[ok, :3]),
-                    a[ok], b[ok], c[ok], d[ok],
-                )))
-        hits = np.concatenate(found)
-        return hits[np.lexsort(hits[:, 3::-1].T)]
+        self._probes = _probes(S.ctx)
+        self._keys, self._codes = _keyed_triples(S, self._probes)
 
     def witnesses(self, T: ImageSet) -> list[SemilinearMap]:
         """Every phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
-        canonically scaled, in the order `find_set_equivalence` meets them;
-        a self-query lists the stabilizer of S."""
+        canonically scaled, lex-least first as `find_set_equivalence` ranks
+        them; a self-query lists the stabilizer of S."""
         ctx = self.S.ctx
         return [
             SemilinearMap(ctx, a, b, c, d, e).canonical_scaled()
-            for e, _, _, _, a, b, c, d in self._hits(T).tolist()
+            for e, _, _, _, a, b, c, d in
+            _hits(self.S, self._keys, self._codes, T, self._probes).tolist()
         ]
 
     def find(self, T: ImageSet) -> SemilinearMap | None:
         """The witness `find_set_equivalence(S, T)` returns, or None."""
-        hits = self._hits(T)
-        if not hits.size:
-            return None
-        e, _, _, _, a, b, c, d = hits[0].tolist()
-        return _checked_witness(self.S, T, e, a, b, c, d)
+        hits = _hits(self.S, self._keys, self._codes, T, self._probes)
+        return _first_witness(self.S, T, hits)

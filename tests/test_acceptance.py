@@ -98,7 +98,10 @@ def test_criterion_7_new_linear_set_all_mu():
     assert result["points"] == 121 and result["max_scattered"]
     assert result["mu_count"] == 121
     assert result["all_nonequivalent"]
-    assert result["positive_control"]["witness"] is not None
+    # pinned, like the whole report: the search returns the lex-least witness
+    assert result["positive_control"] == {
+        "mu": "g^1", "lambda": "g^1", "witness": "[[g^0,0],[0,g^0]];sigma=3^0",
+    }
     _report(7, "new-max-scattered-linset", result)
 
 

@@ -98,6 +98,20 @@ def test_classify_error_exit(tmp_path):
     assert load(out)["error"]["type"] == "NotStrictlyLinear"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["image", "--field", "2,1,30", "--poly", "0,g^0"], "--field"),
+    (["classify", "--field", "2,1,5", "--modulus", "1,1,0,0,0,1",
+      "--f", "0,g^0,0,0,0", "--g", "0,g^0,0,0,0"], "--modulus"),
+    (["image", "--field", "2,1,5", "--poly", "0,1,0,0,x"], "--poly"),
+    (["image", "--field", "2,1,5", "--poly", "0,1,0"], "--poly"),
+    (["verify", "--suite", "new-linset", "--delta", "x"], "--delta"),
+], ids=["field-too-large", "modulus-not-primitive", "poly-element", "poly-length", "delta"])
+def test_unusable_option_exits_2_naming_it(argv, flag, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"qlinset {argv[0]}: {flag}: "), err
+
+
 def test_verify_suite_reports_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     rc = run_cli(["verify", "--suite", "thm-n4", "--samples", "2", "--seed", "5",

@@ -32,6 +32,15 @@ def test_inf_is_never_a_member(f32):
     assert f32.size not in im
 
 
+def test_from_indices_rejects_indices_outside_the_field(f32):
+    # INF = -1 would otherwise land in the last slot, g^30
+    for bad in ([INF, 1], [1, f32.size], [-f32.size]):
+        with pytest.raises(ValueError):
+            ims.ImageSet.from_indices(f32, bad)
+    assert ims.ImageSet.from_indices(f32, [0, 31]).indices().tolist() == [0, 31]
+    assert len(ims.ImageSet.from_indices(f32, [])) == 0
+
+
 def test_image_zero_map_is_zero_singleton(f32):
     assert ims.image_of_ratio(zero_poly(f32)).indices().tolist() == [0]
 

@@ -236,6 +236,15 @@ def test_new_linset_oversampled_run_is_labelled_by_the_mu_that_ran():
     assert suite_new_linset(samples=2)["mu_mode"] == "sampled(2)"
 
 
+def test_new_linset_positive_control_witness_is_pinned():
+    # reports stay byte-identical: the search returns the lex-least witness
+    from qlinset.suites import suite_new_linset
+
+    assert suite_new_linset(samples=2, seed=0)["positive_control"] == {
+        "mu": "g^217", "lambda": "g^1", "witness": "[[g^0,0],[0,g^0]];sigma=3^0",
+    }
+
+
 def test_delta_precondition_n_delta_5th_power():
     # q = 4: N(delta)^5 = N(delta)^2 in F_4*, which is 1 only for N(delta) = 1,
     # so every delta with nontrivial norm qualifies

@@ -9,11 +9,14 @@ import pytest
 
 from qlinset import imageset as ims
 from qlinset.errors import DegenerateSet, NotAdmissible, SingularMatrix
+from qlinset.gf import build_field
 from qlinset.linset import _sample_mus, family_g
 from qlinset.moebius import (
     INF,
     SemilinearMap,
     SetEquivalenceIndex,
+    _carry,
+    _checked_witness,
     _cross_ratio_matrix,
     _probes,
     find_set_equivalence,
@@ -392,15 +395,72 @@ def test_serialization(f32):
 
 # ------------------------------------------------ the set-equivalence index
 
+WALK_CHUNK = 1 << 18
+
+
+def search_by_walk(S, T):
+    """The lex-least witness by walking the ordered triples of T: anchor the
+    three smallest points of S^sigma, send them to each ordered distinct
+    triple of T in lex order, automorphism by automorphism, and keep the
+    first map that carries all of S^sigma into T."""
+    if len(S) < 3:
+        raise DegenerateSet(f"need at least 3 points, got {len(S)}")
+    if len(S) != len(T):
+        return None
+    ctx = S.ctx
+    t_idx = T.indices()
+    t_mask = T.mask
+    mlen = t_idx.size
+    total = mlen**3
+
+    for e in range(ctx.m):
+        s_sig = np.sort(ctx.vfrob(S.indices(), e))
+        rest = s_sig[3:]
+        P = _cross_ratio_matrix(ctx, *s_sig[:3])
+
+        for lo in range(0, total, WALK_CHUNK):
+            G = np.arange(lo, min(lo + WALK_CHUNK, total), dtype=np.int64)
+            i1 = G // (mlen * mlen)
+            i2 = (G // mlen) % mlen
+            i3 = G % mlen
+            distinct = (i1 != i2) & (i1 != i3) & (i2 != i3)
+            if not distinct.any():
+                continue
+            Q = _cross_ratio_matrix(
+                ctx, t_idx[i1[distinct]], t_idx[i2[distinct]], t_idx[i3[distinct]]
+            )
+            ma, mb, mc, md = _carry(ctx, P, Q)  # s-anchors to (t1, t2, t3)
+            det = ctx.vadd(ctx.vmul(ma, md), ctx.vneg(ctx.vmul(mb, mc)))
+            alive = det != 0
+
+            for w in rest:
+                if not alive.any():
+                    break
+                keep = np.flatnonzero(alive)
+                if keep.size * 4 < alive.size:
+                    ma, mb, mc, md = (arr[keep] for arr in (ma, mb, mc, md))
+                    alive = np.ones(keep.size, dtype=bool)
+                w = int(w)
+                den = ctx.vadd(ma, ctx.vmul(mb, w))
+                num = ctx.vadd(mc, ctx.vmul(md, w))
+                val = ctx.vmul(num, ctx.vinv(den))
+                alive &= (den != 0) & t_mask[val]
+
+            if alive.any():
+                k = int(np.flatnonzero(alive)[0])  # triples ascend: first = lex-least
+                return _checked_witness(S, T, e, ma[k], mb[k], mc[k], md[k])
+    return None
+
+
 def agrees(S, T, index=None):
-    """The index's answer is find_set_equivalence's, witness included."""
-    want = find_set_equivalence(S, T)
-    got = (index or SetEquivalenceIndex(S)).find(T)
-    assert (got is None) == (want is None), (got, want)
-    if want is not None:
-        assert got.serialize() == want.serialize()
-        assert moebius_image(S, got) == T
-    return got
+    """The walk, the streamed search and the index give one answer, witness
+    included."""
+    answers = [search_by_walk(S, T), find_set_equivalence(S, T),
+               (index or SetEquivalenceIndex(S)).find(T)]
+    assert len({w.serialize() if w else None for w in answers}) == 1, answers
+    if answers[0] is not None:
+        assert moebius_image(S, answers[0]) == T
+    return answers[0]
 
 
 def new_example_set(ctx):
@@ -462,6 +522,59 @@ def test_index_matches_search_on_nonequivalent_pairs(f32, f243):
         S, T = (ims.ImageSet.from_indices(f32, r.sample(range(32), k)) for _ in "ST")
         nones += agrees(S, T) is None
     assert nones >= 10
+
+
+def random_pair(ctx, r, kind):
+    """A seeded pair of sets of one size: S moved by a random map, S moved
+    with one point swapped for a point outside, two random strict linear
+    sets, or two random subsets."""
+    if kind in ("moved", "swapped"):
+        k = r.randrange(4, min(ctx.size, 13))
+        S = (ims.image_of_ratio(rand_strict(ctx, r)) if ctx.size < 200 and r.random() < 0.5
+             else ims.ImageSet.from_indices(ctx, r.sample(range(ctx.size), k)))
+        T = None
+        while T is None:
+            T = moebius_image(S, rand_phi(ctx, r))
+        if kind == "swapped":
+            pts = T.indices().tolist()
+            out = r.choice([z for z in range(ctx.size) if z not in T])
+            T = ims.ImageSet.from_indices(ctx, set(pts) - {r.choice(pts)} | {out})
+        return S, T
+    if kind == "linear":
+        S = ims.image_of_ratio(rand_strict(ctx, r))
+        while True:
+            T = ims.image_of_ratio(rand_strict(ctx, r))
+            if len(T) == len(S):
+                return S, T
+    k = r.randrange(3, min(ctx.size, 16))
+    return tuple(ims.ImageSet.from_indices(ctx, r.sample(range(ctx.size), k)) for _ in "ST")
+
+
+def rand_strict(ctx, r):
+    while True:
+        f = rand_poly(ctx, r)
+        if f.is_strictly_linear():
+            return f
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3),
+                                  (3, 1, 5), (2, 2, 5), (5, 1, 2), (3, 2, 2)],
+                         ids=lambda spec: ",".join(map(str, spec)))
+def test_walk_search_and_index_agree_on_seeded_pairs(spec):
+    # F_243 and F_1024 (m = 10: 60 anchor keys) draw transported pairs of at
+    # most 12 points only, where the walk stays cheap
+    ctx = build_field(*spec)
+    r = random.Random(f"agree/{spec}")
+    kinds = ["moved", "swapped"]
+    if ctx.size < 200:
+        kinds += ["linear", "subset"]
+    outcomes = Counter()
+    for kind in kinds * 4:
+        S, T = random_pair(ctx, r, kind)
+        outcomes[agrees(S, T) is not None] += 1
+    assert outcomes[True]
+    # PGammaL(2,8) is transitive on the k-subsets of F_8 for every k
+    assert outcomes[False] if ctx.size > 8 else not outcomes[False], outcomes
 
 
 def test_index_rejects_a_key_match_that_is_no_witness(f243):
