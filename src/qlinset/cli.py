@@ -34,6 +34,16 @@ def _parse_field(spec: str):
     return tuple(parts)
 
 
+def _parse_samples(spec: str) -> int:
+    try:
+        value = int(spec)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, not {spec!r}")
+    return value
+
+
 def _parse_modulus(spec: str):
     return [int(v) for v in spec.split(",")]
 
@@ -252,7 +262,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp, field_required=False)  # --field/--modulus: new-linset only
     sp.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-    sp.add_argument("--samples", type=int, default=None,
+    sp.add_argument("--samples", type=_parse_samples, default=None,
                     help="sample/pair count override where a suite samples")
     sp.add_argument("--all-mu", action="store_true", dest="all_mu",
                     help="new-linset: test every admissible mu")

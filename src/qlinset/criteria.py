@@ -23,7 +23,6 @@ from .errors import (
     NotMonomial,
     NotStrictlyLinear,
     PreconditionViolated,
-    TooLargeForExhaustive,
     WrongDegree,
 )
 from .gf import FieldCtx
@@ -37,7 +36,6 @@ from .imageset import (
 from .moebius import SemilinearMap, find_set_equivalence, transform_poly
 from .qpoly import QPoly, monomial, trace_poly
 
-_SAME_IMAGE_GUARD = 2**26
 _POWER_SUM_BLOCK = 1 << 20
 
 
@@ -458,12 +456,9 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
 
 def exhaustive_same_image(f: QPoly, masks: np.ndarray | None = None) -> list[QPoly]:
     """All strictly F_q-linear g with Im(g(x)/x) = Im(f(x)/x), by enumeration
-    of every coefficient tuple; guarded at 2^26 tuples."""
+    of every coefficient tuple; `equal_image_tuples` raises
+    TooLargeForExhaustive above 2^26 tuples."""
     ctx = f.ctx
-    if ctx.size**ctx.n > _SAME_IMAGE_GUARD:
-        raise TooLargeForExhaustive(
-            f"{ctx.size**ctx.n} coefficient tuples exceed 2^26"
-        )
     if not f.is_strictly_linear():
         raise NotStrictlyLinear("f must be strictly F_q-linear")
     hits = equal_image_tuples(ctx, f, masks=masks)

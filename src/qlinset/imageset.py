@@ -6,20 +6,22 @@ zero element).  Tuple index t encodes (a_0, ..., a_{n-1}) with a_0 most
 significant, so ascending t is lexicographic order on tuples and "lex-least
 representative" is simply the smallest surviving t.
 
-The exhaustive enumerators walk the coefficient-tuple space N^n one scalar
-orbit at a time.  Scaling every coefficient by c = g^k gives Im(c f) =
-c Im(f), so in a bitmask (bit e = element index e, bit e >= 1 = g^(e-1))
-the image of g^k f is the image of f with bits 1..q^n-1 rotated by k and
-bit 0 kept.  Each nonzero orbit has exactly q^n - 1 members and one
+The tuple-space enumerators key every image, on every field, by one image
+row: W = ceil(q^n / 32) little-endian uint32 words, where bit e of the row
+(bit e % 32 of word e // 32) is element index e, and element index e >= 1
+is g^(e-1).  Sizes are popcounts of rows, and equal images are equal rows.
+The enumerators walk the coefficient-tuple space N^n one scalar orbit at a
+time.  Scaling every coefficient by c = g^k gives Im(c f) = c Im(f), so
+the image of g^k f is the image of f with elements 1..q^n-1 rotated by k
+and element 0 kept.  Each nonzero orbit has exactly q^n - 1 members and one
 representative, the tuple whose first nonzero coefficient is 1 = g^0; it is
 also the orbit's lex-least member.  Only representatives are evaluated
-((32^5 - 1)/31 of them at q = 2, n = 5); every other mask is a rotation,
+((32^5 - 1)/31 of them at q = 2, n = 5); every other image is a rotation,
 and the zero tuple's image is {0}.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +32,8 @@ from .qpoly import QPoly, ratio_exponents, ratio_values_at
 
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
-_CHUNK = 1 << 20  # tuples per block in the sampled survey and the subset filter
-_REP_BLOCK = 1 << 18  # representatives per block of the orbit walk
+_CHUNK = 1 << 20  # words of image rows per block of the sampled survey
+_REP_BLOCK = 1 << 18  # words of image rows per block of the orbit walk
 
 
 class ImageSet:
@@ -180,63 +182,44 @@ def strict_linear_mask(ctx: FieldCtx, digits: list[np.ndarray]) -> np.ndarray:
 
 # ------------------------------------------------ exhaustive mask enumeration
 
-def _mask_dtype(N: int):
-    if N <= 16:
-        return np.uint16
-    if N <= 32:
-        return np.uint32
-    if N <= 64:
-        return np.uint64
-    return None
+def _words(ctx: FieldCtx) -> int:
+    """W, the number of 32-bit words in one image row."""
+    return -(-ctx.size // 32)
 
 
-_TERM_TABLE_CACHE: "weakref.WeakKeyDictionary[FieldCtx, list]" = weakref.WeakKeyDictionary()
-
-
-def _packed_term_tables(ctx: FieldCtx):
-    # tabs[i][k][a] = packed value of a * g^(k*(q^i-1)) for element index a
-    tabs = _TERM_TABLE_CACHE.get(ctx)
-    if tabs is None:
-        ordr = ctx.order
-        ks = np.arange(ordr, dtype=np.int64)
-        tabs = []
-        for e in ratio_exponents(ctx):
-            per_i = []
-            for k in range(ordr):
-                arr = np.zeros(ctx.size, dtype=np.int64)
-                arr[1:] = ctx._pck[1 + (ks + k * e) % ordr]
-                per_i.append(arr)
-            tabs.append(per_i)
-        _TERM_TABLE_CACHE[ctx] = tabs
-    return tabs
+def _pack_rows(members: np.ndarray) -> np.ndarray:
+    """(R, q^n) membership arrays as (R, W) image rows."""
+    members = np.pad(members, ((0, 0), (0, -members.shape[1] % 32)))
+    return np.packbits(members, axis=1, bitorder="little").view("<u4")
 
 
 def _chunk_ratio_masks(ctx: FieldCtx, T: np.ndarray, bit_table: np.ndarray) -> np.ndarray:
-    """Image-set bitmask (bit position = element index) for each tuple in T."""
+    """Image row (bit e of the row = element index e) of each tuple in T."""
     digits = _tuple_digits(ctx, T)
-    mask = np.zeros(T.size, dtype=bit_table.dtype)
-    ordr, n = ctx.order, ctx.n
+    mask = np.zeros((T.size, bit_table.shape[1]), dtype=bit_table.dtype)
     if ctx.p == 2:
-        tabs = _packed_term_tables(ctx)
-        idx_of = ctx._idx
-        for k in range(ordr):
-            acc = tabs[0][k][digits[0]]
-            for i in range(1, n):
-                acc ^= tabs[i][k][digits[i]]
-            mask |= bit_table[idx_of[acc]]
+        # addition is XOR of packed values: term i at x = g^k is the packed
+        # a_i * g^(k e_i), read off a table over the q^n elements a, built
+        # one k at a time (tables for every k would hold n (q^n-1) q^n ints)
+        pck, idx_of, es = ctx._pck, ctx._idx, ratio_exponents(ctx)
+        for k in range(ctx.order):
+            tabs = [pck[_scale_row(ctx, k * e)] for e in es]
+            acc = tabs[0][digits[0]]
+            for tab, d in zip(tabs[1:], digits[1:]):
+                acc ^= tab[d]
+            mask |= np.take(bit_table, idx_of[acc], axis=0)
     else:
-        for k in range(ordr):
-            mask |= bit_table[ratio_values_at(ctx, digits, k)]
+        for k in range(ctx.order):
+            mask |= np.take(bit_table, ratio_values_at(ctx, digits, k), axis=0)
     return mask
 
 
 def _bit_table(ctx: FieldCtx) -> np.ndarray:
-    dt = _mask_dtype(ctx.size)
-    if dt is None:
-        raise TooLargeForExhaustive(
-            f"field of size {ctx.size} too large for bitmask image enumeration"
-        )
-    return (1 << np.arange(ctx.size, dtype=np.uint64)).astype(dt)
+    """One-hot (q^n, W) table: row e is the image row of {e}."""
+    e = np.arange(ctx.size)
+    bit = np.zeros((ctx.size, _words(ctx)), dtype="<u4")
+    bit[e, e >> 5] = 1 << (e & 31)
+    return bit
 
 
 def _representative_blocks(ctx: FieldCtx):
@@ -245,25 +228,26 @@ def _representative_blocks(ctx: FieldCtx):
 
     With the leading coefficient at position j, the representatives are
     1 * N^(n-1-j) plus a free tail, the contiguous range [N^(n-1-j),
-    2 N^(n-1-j)); later leading positions give smaller indices.
+    2 N^(n-1-j)); later leading positions give smaller indices.  A block
+    holds at most _REP_BLOCK words of image rows.
     """
     N, n = ctx.size, ctx.n
+    step = max(1, _REP_BLOCK // _words(ctx))
     for j in reversed(range(n)):
         lo = N ** (n - 1 - j)
-        for start in range(lo, 2 * lo, _REP_BLOCK):
-            yield np.arange(start, min(start + _REP_BLOCK, 2 * lo), dtype=np.int64)
+        for start in range(lo, 2 * lo, step):
+            yield np.arange(start, min(start + step, 2 * lo), dtype=np.int64)
 
 
-def _scale_table(ctx: FieldCtx) -> np.ndarray:
-    """scale[k, d] = element index of g^k * d."""
-    scale = np.zeros((ctx.order, ctx.size), dtype=np.int64)
-    ks = np.arange(ctx.order, dtype=np.int64)[:, None]
-    scale[:, 1:] = (np.arange(ctx.order, dtype=np.int64) + ks) % ctx.order + 1
-    return scale
+def _scale_row(ctx: FieldCtx, k: int) -> np.ndarray:
+    """row[d] = element index of g^k * d."""
+    row = np.zeros(ctx.size, dtype=np.int64)
+    row[1:] = (np.arange(ctx.order, dtype=np.int64) + k) % ctx.order + 1
+    return row
 
 
 def _scaled_tuples(ctx: FieldCtx, digits: list[np.ndarray], row: np.ndarray) -> np.ndarray:
-    """Tuple index of c times each tuple, with row = scale[k] for c = g^k."""
+    """Tuple index of c times each tuple, with row = _scale_row(ctx, k) for c = g^k."""
     out = row[digits[0]]
     for d in digits[1:]:
         out *= ctx.size
@@ -282,98 +266,82 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     """Image-set bitmask of every coefficient tuple, indexed by tuple index.
 
     Feasible only for fields of at most 64 elements and at most 2^26 tuples.
-    One mask per scalar orbit is evaluated and the rest are rotations of it;
-    the q=2, n=5 space (32^5 tuples, (32^5 - 1)/31 nonzero orbits) takes 1-2 s.
+    The image row of each tuple (one or two words) is read as one `<u4` or
+    `<u8` integer, bit e = element index e.  One row per scalar orbit is
+    evaluated and the rest are rotations of it; the q=2, n=5 space (32^5
+    tuples, (32^5 - 1)/31 nonzero orbits) takes 1-2 s.
     """
     total = ctx.size**ctx.n
+    if ctx.size > 64:
+        raise TooLargeForExhaustive(f"field of size {ctx.size} has no 64-bit image mask")
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
     bit = _bit_table(ctx)
-    scale = _scale_table(ctx)
-    out = np.empty(total, dtype=bit.dtype)
-    out[0] = bit[0]
+    as_int = np.dtype(f"<u{4 * bit.shape[1]}")
+    out = np.empty(total, dtype=as_int)
+    out[0] = 1
     for T in _representative_blocks(ctx):
-        masks = _chunk_ratio_masks(ctx, T, bit)
+        masks = _chunk_ratio_masks(ctx, T, bit).view(as_int)[:, 0]
         digits = _tuple_digits(ctx, T)
         for k in range(ctx.order):
-            out[_scaled_tuples(ctx, digits, scale[k])] = _rotate(masks, k, ctx.order)
+            out[_scaled_tuples(ctx, digits, _scale_row(ctx, k))] = _rotate(masks, k, ctx.order)
     return out
 
 
 def mask_of_imageset(S: ImageSet) -> int:
     """The same bitmask encoding used by all_ratio_masks, for one set."""
-    bit = _bit_table(S.ctx)
-    acc = bit.dtype.type(0)
-    for i in S.indices():
-        acc |= bit[i]
-    return int(acc)
+    return int.from_bytes(np.packbits(S.mask, bitorder="little").tobytes(), "little")
 
 
 def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None) -> np.ndarray:
     """Tuple indices of every g (any linearity) with Im(g(x)/x) = Im(f(x)/x).
 
-    With `masks` (a cached all_ratio_masks array) this is a single vector
-    compare.  Otherwise fields of <= 64 elements walk the orbit
-    representatives: g^k r matches when the mask of r equals the target
-    rotated by -k.  Larger fields run a subset filter over the tuple space
-    followed by exact per-survivor verification.
+    With `masks` (a cached all_ratio_masks array of this field) this is a
+    single vector compare.  Otherwise it walks the orbit representatives,
+    guarded at 2^26 tuples: g^k r matches when the image row of r equals
+    that of g^(-k) Im(f).
     """
     total = ctx.size**ctx.n
     target = image_of_ratio(f)
     if masks is not None:
+        if masks.shape != (total,) or 8 * masks.dtype.itemsize < ctx.size:
+            raise ValueError(
+                f"masks of shape {masks.shape} and dtype {masks.dtype} are not "
+                f"one mask for each of the {total} tuples of this field"
+            )
         return np.flatnonzero(masks == masks.dtype.type(mask_of_imageset(target)))
-    if _mask_dtype(ctx.size) is not None and total <= _MASK_TUPLE_GUARD:
-        return _equal_image_tuples_by_orbit(ctx, target)
-    if total > _EXHAUSTIVE_GUARD:
-        raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
-    return _equal_image_tuples_filtered(ctx, target)
-
-
-def _equal_image_tuples_by_orbit(ctx: FieldCtx, target: ImageSet) -> np.ndarray:
+    if total > _MASK_TUPLE_GUARD:
+        raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
     bit = _bit_table(ctx)
-    tmask = mask_of_imageset(target)
-    order = ctx.order
-    wants = np.array([_rotate(tmask, -k % order, order) for k in range(order)], dtype=bit.dtype)
-    scale = _scale_table(ctx)
+    wants = _scaled_image_rows(target)
     # the zero tuple is the one tuple whose image is {0}
-    hits = [np.zeros(int(tmask == bit[0]), dtype=np.int64)]
+    hits = [np.zeros(int(target.size == 1 and target.mask[0]), dtype=np.int64)]
     for T in _representative_blocks(ctx):
-        masks = _chunk_ratio_masks(ctx, T, bit)
-        keep = np.isin(masks, wants)
+        rows = _chunk_ratio_masks(ctx, T, bit)
+        keep = np.isin(rows[:, 0], wants[:, 0])
         if not keep.any():
             continue
-        masks = masks[keep]
+        rows = rows[keep]
         digits = _tuple_digits(ctx, T[keep])
-        for k in range(order):
-            sel = masks == wants[k]
+        for k in range(ctx.order):
+            sel = (rows == wants[k]).all(axis=1)
             if sel.any():
-                hits.append(_scaled_tuples(ctx, [d[sel] for d in digits], scale[k]))
+                hits.append(_scaled_tuples(ctx, [d[sel] for d in digits], _scale_row(ctx, k)))
     return np.sort(np.concatenate(hits))
 
 
-def _equal_image_tuples_filtered(ctx: FieldCtx, target: ImageSet) -> np.ndarray:
-    """Subset-filter scan: keep tuples all of whose ratio values lie in the
-    target, then verify exact set equality per survivor."""
-    total = ctx.size**ctx.n
-    tmask = target.mask
-    hits = []
-    for lo in range(0, total, _CHUNK):
-        T = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = _tuple_digits(ctx, T)
-        alive = np.ones(T.size, dtype=bool)
-        for k in range(ctx.order):
-            alive &= tmask[ratio_values_at(ctx, digits, k)]
-            if alive.mean() < 0.25 and alive.size > 1024:
-                keep = np.flatnonzero(alive)
-                T = T[keep]
-                digits = [d[keep] for d in digits]
-                alive = np.ones(T.size, dtype=bool)
-        hits.extend(
-            int(t)
-            for t in T[alive]
-            if image_of_ratio(poly_from_tuple(ctx, int(t))) == target
-        )
-    return np.asarray(sorted(hits), dtype=np.int64)
+def _scaled_image_rows(S: ImageSet) -> np.ndarray:
+    """(q^n - 1, W) rows: row k is the image row of g^(-k) S."""
+    ctx = S.ctx
+    e = np.arange(ctx.size, dtype=np.int64)
+    step = max(1, _REP_BLOCK // ctx.size)
+    blocks = []
+    for lo in range(0, ctx.order, step):
+        ks = np.arange(lo, min(lo + step, ctx.order), dtype=np.int64)[:, None]
+        # g^(-k) g^(e-1) is in g^(-k) S exactly when g^(e-1+k) is in S
+        src = np.where(e > 0, (e - 1 + ks) % ctx.order + 1, 0)
+        blocks.append(_pack_rows(S.mask[src]))
+    return np.concatenate(blocks)
 
 
 def adjoint_tuple_perm(ctx: FieldCtx, T: np.ndarray) -> np.ndarray:
@@ -421,11 +389,12 @@ def survey_image_sizes(
             raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
         blocks, weight = _representative_blocks(ctx), ctx.order
     elif mode == "sample":
-        if not samples:
+        if samples is None or samples < 1:
             raise ValueError("sample mode needs a positive sample count")
         rng = np.random.default_rng(seed)
         draw = rng.integers(0, total, size=samples, dtype=np.int64)
-        blocks = (draw[lo : lo + _CHUNK] for lo in range(0, samples, _CHUNK))
+        step = max(1, _CHUNK // _words(ctx))
+        blocks = (draw[lo : lo + step] for lo in range(0, samples, step))
         weight = 1
     else:
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -452,13 +421,5 @@ def survey_image_sizes(
 
 
 def _sizes_for_tuples(ctx: FieldCtx, T: np.ndarray) -> np.ndarray:
-    if _mask_dtype(ctx.size) is not None:
-        bit = _bit_table(ctx)
-        return np.bitwise_count(_chunk_ratio_masks(ctx, T, bit)).astype(np.int64)
-    # wide fields: materialize the value lists and count distinct per row
-    digits = _tuple_digits(ctx, T)
-    vals = np.empty((T.size, ctx.order), dtype=np.int64)
-    for k in range(ctx.order):
-        vals[:, k] = ratio_values_at(ctx, digits, k)
-    vals.sort(axis=1)
-    return 1 + np.count_nonzero(vals[:, 1:] != vals[:, :-1], axis=1)
+    rows = _chunk_ratio_masks(ctx, T, _bit_table(ctx))
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)

@@ -197,6 +197,15 @@ def test_seed_is_a_verify_option_only(command, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "two"])
+@pytest.mark.parametrize("suite", ["trace5", "thm-n4", "adjoint", "new-linset", "bounds"])
+def test_verify_samples_must_be_positive(suite, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", suite, "--samples", value])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         run_cli(["verify", "--suite", "nonsense"])

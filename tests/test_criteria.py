@@ -360,6 +360,23 @@ def test_classify_n4_exhaustive_sample(small_fields):
                 assert f.adjoint().scale_conjugate(out.lam) == g
 
 
+@pytest.mark.parametrize("spec", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (2, 4, 2)],
+                         ids=["F27", "F125", "F81-tower", "F256-tower"])
+def test_n_le_4_partners_are_the_conjugates_beyond_q2(spec):
+    # the n <= 4 theorem at q > 2: the exhaustive partners of a strict f are
+    # exactly the scalar conjugates of f and of its adjoint, and at n = 2
+    # those of f alone
+    ctx = build_field(*spec)
+    r = random.Random(72 + ctx.size)
+    for _ in range(3):
+        f = rand_strict(ctx, r)
+        scalar = {f.scale_conjugate(lam) for lam in ctx.nonzero()}
+        adjoint = {f.adjoint().scale_conjugate(lam) for lam in ctx.nonzero()}
+        assert set(cr.exhaustive_same_image(f)) == scalar | adjoint
+        if ctx.n == 2:
+            assert adjoint <= scalar
+
+
 def test_classify_n5_scalar_branch(f32):
     tr = trace_poly(f32)
     out = cr.classify_n5(tr, tr.scale_conjugate(9))
@@ -426,6 +443,17 @@ def test_exhaustive_same_image_guards(f32, f243):
         cr.exhaustive_same_image(QPoly(f32, [3, 0, 0, 0, 0]))
     with pytest.raises(TooLargeForExhaustive):
         cr.exhaustive_same_image(trace_poly(f243))
+
+
+def test_exhaustive_same_image_rejects_masks_of_another_field(q2_masks):
+    f16 = build_field(2, 1, 4)
+    tr = trace_poly(f16)
+    with pytest.raises(ValueError):
+        cr.exhaustive_same_image(tr, masks=q2_masks)
+    assert len(cr.exhaustive_same_image(tr)) == 15
+    # F_256 with n = 2 has as many tuples as F_16 with n = 4, 2^16
+    with pytest.raises(ValueError):
+        cr.exhaustive_same_image(trace_poly(build_field(2, 4, 2)), masks=ims.all_ratio_masks(f16))
 
 
 def test_field_of_linearity_agreement_on_same_image_pairs(f32):

@@ -107,6 +107,17 @@ def _packed_powers_by_recurrence(p, modulus):
     return out
 
 
+def _times_x(p, modulus, packed):
+    # packed x * v mod modulus for each packed v, on unpacked digits
+    m = len(modulus) - 1
+    digits = [(packed // p**i) % p for i in range(m)]
+    top = digits[-1]
+    out = (-top * modulus[0]) % p
+    for i in range(1, m):
+        out += (digits[i - 1] - top * modulus[i]) % p * p**i
+    return out
+
+
 @pytest.mark.parametrize(
     "p,m,modulus",
     [(2, m, None) for m in range(1, 11)]
@@ -115,10 +126,16 @@ def _packed_powers_by_recurrence(p, modulus):
     + [(7, 2, None), (3, 10, None), (2, 20, None), (2, 5, [1, 0, 1, 0, 0, 1])],
 )
 def test_alog_table_against_recurrence(p, m, modulus):
+    # entry k of _pck[1:] is x^k: entry 0 is 1 and each entry is x times the
+    # one before it, the last wrapping back to entry 0, checked independently
+    # of the doubling build; small tables also against the sequential walk
     ctx = build_field(p, 1, m, modulus)
-    want = np.array(_packed_powers_by_recurrence(p, ctx.modulus), dtype=np.int64)
-    assert ctx._pck[0] == 0
-    assert np.array_equal(ctx._pck[1:], want)
+    powers = ctx._pck[1:]
+    assert ctx._pck[0] == 0 and powers[0] == 1
+    assert np.array_equal(_times_x(p, ctx.modulus, powers), np.roll(powers, -1))
+    if powers.size <= 2**12:
+        want = np.array(_packed_powers_by_recurrence(p, ctx.modulus), dtype=np.int64)
+        assert np.array_equal(powers, want)
     assert np.array_equal(ctx._idx[ctx._pck], np.arange(ctx.size))
 
 

@@ -89,10 +89,16 @@ def test_adjoint_image_invariance_exhaustive_q2_n5(f32, q2_masks):
     assert np.array_equal(q2_masks, q2_masks[perm])
 
 
+def _kernel_masks(ctx, T):
+    # the row kernel on the tuples T, each row of one or two words read as
+    # one integer, the encoding all_ratio_masks returns
+    rows = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    return rows.view(f"<u{4 * rows.shape[1]}")[:, 0]
+
+
 def _masks_of_every_tuple(ctx):
     # the reference: the mask kernel run on the whole tuple space
-    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
-    return ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    return _kernel_masks(ctx, np.arange(ctx.size**ctx.n, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -111,8 +117,8 @@ def test_orbit_walk_masks_match_every_tuple(spec):
 
 def test_orbit_walk_masks_on_random_tuples_q2_n5(f32, q2_masks):
     T = np.random.default_rng(40).integers(0, f32.size**f32.n, size=2**16)
-    expected = ims._chunk_ratio_masks(f32, T, ims._bit_table(f32))
-    assert q2_masks.dtype == expected.dtype
+    expected = _kernel_masks(f32, T)
+    assert q2_masks.dtype == expected.dtype == np.uint32
     assert np.array_equal(q2_masks[T], expected)
 
 
@@ -333,45 +339,39 @@ def test_survey_guard():
         ims.survey_image_sizes(build_field(3, 1, 5))  # 3^25 tuples > 2^32
 
 
-def test_equal_image_tuples_generic_path_agrees_with_mask_path():
-    # q=3, n=2: both the bitmask path (N=9<=64) and the filtered path exist;
-    # force the filtered path and compare
-    ctx = build_field(3, 1, 2)
-    r = random.Random(35)
-    for _ in range(5):
-        f = rand_poly(ctx, r)
-        while not f.is_strictly_linear():
-            f = rand_poly(ctx, r)
-        via_mask = ims.equal_image_tuples(ctx, f)
-        via_filter = ims._equal_image_tuples_filtered(ctx, ims.image_of_ratio(f))
-        assert sorted(via_mask.tolist()) == sorted(via_filter.tolist())
-
-
 def _naive_image(ctx, t):
     f = ims.poly_from_tuple(ctx, t)
     return frozenset(ctx.div(f.eval(x), x) for x in ctx.nonzero())
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_tuple_kernels_against_naive_oracle(n):
-    # F_9 and F_27: odd characteristic, small enough for bitmask images
-    ctx = build_field(3, 1, n)
-    T = np.arange(ctx.size**n, dtype=np.int64)
+@pytest.mark.parametrize(
+    "spec, words",
+    [((3, 1, 2), 1), ((3, 1, 3), 1), ((7, 1, 2), 2), ((3, 2, 2), 3)],
+    ids=["F9", "F27", "F49", "F81-tower"],
+)
+def test_tuple_kernels_against_naive_oracle(spec, words):
+    # odd characteristic, image rows of one to three words
+    ctx = build_field(*spec)
+    assert ims._words(ctx) == words
+    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
     naive = [_naive_image(ctx, int(t)) for t in T]
-    masks = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
-    assert [int(m) for m in masks] == [sum(1 << e for e in im) for im in naive]
+    rows = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    assert rows.shape == (T.size, words)
+    assert [int.from_bytes(row.tobytes(), "little") for row in rows] == [
+        sum(1 << e for e in im) for im in naive
+    ]
     assert ims._sizes_for_tuples(ctx, T).tolist() == [len(im) for im in naive]
-    r = random.Random(36 + n)
+    r = random.Random(36 + ctx.size)
     for t in r.sample(range(T.size), 3):
-        target = ims.ImageSet.from_indices(ctx, naive[t])
         expected = [u for u, im in enumerate(naive) if im == naive[t]]
-        assert ims._equal_image_tuples_filtered(ctx, target).tolist() == expected
+        got = ims.equal_image_tuples(ctx, ims.poly_from_tuple(ctx, t))
+        assert got.tolist() == expected
 
 
 def test_wide_field_sizes_against_naive_oracle():
-    # F_81 has too many elements for a bitmask: sizes come from value lists
+    # F_81 needs three words per image row
     ctx = build_field(3, 1, 4)
-    assert ims._mask_dtype(ctx.size) is None
+    assert ims._words(ctx) == 3
     r = random.Random(38)
     T = np.asarray(r.sample(range(ctx.size**ctx.n), 200), dtype=np.int64)
     sizes = ims._sizes_for_tuples(ctx, T)
