@@ -89,17 +89,17 @@ def _write_survey_csv(rows: list[dict], out_path: str):
     return csv_path
 
 
-def _build_ctx(args):
-    p, h, n = args.field
+def _build_ctx(field, modulus):
+    p, h, n = field
     try:
-        return build_field(p, h, n, args.modulus)
+        return build_field(p, h, n, modulus)
     except QlinsetError as exc:
-        bad_modulus = isinstance(exc, InvalidModulus) and args.modulus is not None
+        bad_modulus = isinstance(exc, InvalidModulus) and modulus is not None
         raise OptionError(f"{'--modulus' if bad_modulus else '--field'}: {exc}") from exc
 
 
 def cmd_image(args) -> int:
-    ctx = _build_ctx(args)
+    ctx = _build_ctx(args.field, args.modulus)
     f = _option("--poly", QPoly.from_string, ctx, args.poly)
     im = ims.image_of_ratio(f)
     lo, hi = ims.direction_bounds(ctx)
@@ -123,7 +123,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ctx = _build_ctx(args)
+    ctx = _build_ctx(args.field, args.modulus)
     if not 2 <= ctx.n <= 5:
         print(f"classification covers 2 <= n <= 5, got n = {ctx.n}", file=sys.stderr)
         return 2
@@ -156,10 +156,6 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    if suite not in suites.SUITES:
-        print(f"unknown suite {suite!r}; choose from {sorted(suites.SUITES)}",
-              file=sys.stderr)
-        return 2
     if suite != "new-linset":
         given = [flag for flag, dest in NEW_LINSET_OPTIONS.items() if getattr(args, dest)]
         if given:
@@ -195,19 +191,23 @@ def cmd_verify(args) -> int:
     return 0 if result["passed"] else 1
 
 
+def _given_samples(keyword: str):
+    """The suite's keyword arguments: the seed, and --samples under
+    `keyword` when it is given; otherwise the suite keeps its own default."""
+    return lambda a: {"seed": a.seed, **({keyword: a.samples} if a.samples else {})}
+
+
 def _new_linset_args(args) -> dict:
-    p, h, n = args.field if args.field else (3, 1, 5)
-    delta = None
-    if args.delta:
-        delta = _option("--delta", build_field(p, h, n, args.modulus).parse, args.delta)
+    field = args.field or (3, 1, 5)
+    ctx = _build_ctx(field, args.modulus)
+    delta = _option("--delta", ctx.parse, args.delta) if args.delta else None
+    p, h, n = field
     return {
         "p": p, "h": h, "n": n,
         "delta": delta,
         "all_mu": args.all_mu,
-        "samples": args.samples or 8,
-        "seed": args.seed,
         "modulus": args.modulus,
-    }
+    } | _given_samples("samples")(args)
 
 
 # `verify` options that only new-linset reads; other suites reject them
@@ -215,17 +215,17 @@ NEW_LINSET_OPTIONS = {"--field": "field", "--modulus": "modulus",
                       "--delta": "delta", "--all-mu": "all_mu"}
 
 # keyword arguments of each suite in suites.SUITES from the parsed `verify`
-# options, with the suite's own default where --samples is not given
+# options
 SUITE_ARGS = {
-    "bounds": lambda a: {"seed": a.seed, "samples": a.samples or 10_000},
+    "bounds": _given_samples("samples"),
     "survey-n4": lambda a: {},
-    "thm-n4": lambda a: {"seed": a.seed, "per_n": a.samples or 20},
+    "thm-n4": _given_samples("per_n"),
     "thm-main-q2": lambda a: {"seed": a.seed},
-    "trace5": lambda a: {"seed": a.seed, "count": a.samples or 100},
-    "pseudoalg": lambda a: {"seed": a.seed, "count": a.samples or 100},
-    "erelations": lambda a: {"seed": a.seed, "pairs": a.samples or 1000},
+    "trace5": _given_samples("count"),
+    "pseudoalg": _given_samples("count"),
+    "erelations": _given_samples("pairs"),
     "new-linset": _new_linset_args,
-    "adjoint": lambda a: {"seed": a.seed, "count": a.samples or 1000},
+    "adjoint": _given_samples("count"),
 }
 
 

@@ -29,11 +29,11 @@ from .gf import FieldCtx
 from .imageset import (
     _power_sums_from_values,
     equal_image_tuples,
-    image_of_ratio,
     images_equal,
     poly_from_tuple,
 )
-from .moebius import SemilinearMap, find_set_equivalence, transform_poly
+from .linset import is_pseudoregulus_type
+from .moebius import SemilinearMap, transform_poly
 from .qpoly import QPoly, monomial, trace_poly
 
 _POWER_SUM_BLOCK = 1 << 20
@@ -210,6 +210,22 @@ class PseudoregResult:
     monomial_exp: int | None = None  # transform_poly(f, phi) = x^{q^monomial_exp}
 
 
+def _normalizer(f: QPoly, j: int) -> SemilinearMap:
+    """(x, y) -> (x, (y - a0 x) / a_j), which takes f to (f(x) - a0 x) / a_j."""
+    ctx = f.ctx
+    a0, aj = f.coeffs[0], f.coeffs[j]
+    return SemilinearMap(ctx, 1, 0, ctx.neg(ctx.div(a0, aj)), ctx.inv(aj))
+
+
+def _monomial_witness(f: QPoly, m1: tuple, j: int, cond: int) -> PseudoregResult:
+    """Condition `cond` carries f to x^{q^cond} by m1 after normalizing by a_j."""
+    ctx = f.ctx
+    phi = SemilinearMap(ctx, *m1).compose(_normalizer(f, j))
+    if transform_poly(f, phi) != monomial(ctx, cond):
+        raise InconsistentStructure(f"condition-{cond} witness failed reconstruction")
+    return PseudoregResult(f"cond{cond}", phi, cond)
+
+
 def pseudoalg_test(f: QPoly) -> PseudoregResult:
     """Decide GammaL-equivalence of f's image to Im(x^{q-1}) over F_{q^5},
     for f with a1 a2 a3 a4 != 0.
@@ -231,16 +247,10 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
     if _trace5_ratio_conditions(ctx, a):
         if ctx.norm_rel(a[1], 1) == ctx.norm_rel(a[2], 1):
             return PseudoregResult("trace_fallback")
-        # alpha_j = a_j / a1; matrix product from the constructive proof
-        al0 = ctx.div(a[0], a[1])
+        # matrix product from the constructive proof, with alpha_2 = a2 / a1
         al2 = ctx.div(a[2], a[1])
         m1 = (1, ctx.pow_int(al2, q**4), ctx.pow_int(al2, 1 + q + q**2 + q**3), 1)
-        m2 = (1, 0, ctx.neg(al0), ctx.inv(a[1]))
-        phi = SemilinearMap(ctx, *m1).compose(SemilinearMap(ctx, *m2))
-        target = monomial(ctx, 1)
-        if transform_poly(f, phi) != target:
-            raise InconsistentStructure("condition-1 witness failed reconstruction")
-        return PseudoregResult("cond1", phi, 1)
+        return _monomial_witness(f, m1, j=1, cond=1)
 
     r41 = ctx.div(a[4], a[1])
     r13 = ctx.div(a[1], a[3])
@@ -249,15 +259,9 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
     if ctx.frobenius(r41, (2 * h) % ctx.m) == r13 and ctx.frobenius(r12, (2 * h) % ctx.m) == r34:
         if ctx.norm_rel(a[1], 1) == ctx.norm_rel(a[3], 1):
             return PseudoregResult("trace_fallback")
-        al0 = ctx.div(a[0], a[3])
         al1 = ctx.div(a[1], a[3])
         m1 = (ctx.pow_int(al1, 1 + q + q**3 + q**4), 1, 1, ctx.pow_int(al1, q**2))
-        m2 = (1, 0, ctx.neg(al0), ctx.inv(a[3]))
-        phi = SemilinearMap(ctx, *m1).compose(SemilinearMap(ctx, *m2))
-        target = monomial(ctx, 2)
-        if transform_poly(f, phi) != target:
-            raise InconsistentStructure("condition-2 witness failed reconstruction")
-        return PseudoregResult("cond2", phi, 2)
+        return _monomial_witness(f, m1, j=3, cond=2)
     return PseudoregResult("none")
 
 
@@ -312,22 +316,6 @@ class ClassifyOutcome:
     beta: int | None = None
     diagnostic: str | None = None
 
-    @classmethod
-    def scalar_conjugate(cls, lam):
-        return cls("scalar_conjugate", lam=lam)
-
-    @classmethod
-    def adjoint_scalar_conjugate(cls, lam):
-        return cls("adjoint_scalar_conjugate", lam=lam)
-
-    @classmethod
-    def monomial_pair(cls, phi, i, j, alpha, beta):
-        return cls("monomial_pair", phi=phi, i=i, j=j, alpha=alpha, beta=beta)
-
-    @classmethod
-    def inconsistent(cls, diagnostic):
-        return cls("inconsistent", diagnostic=diagnostic)
-
     def to_dict(self, ctx: FieldCtx) -> dict:
         out = {"kind": self.kind}
         if self.lam is not None:
@@ -355,9 +343,21 @@ def _scan_scalar_conjugate(f: QPoly, g: QPoly) -> int | None:
     return None
 
 
-def _require_same_image(f: QPoly, g: QPoly):
+def _conjugate_outcome(f: QPoly, g: QPoly) -> ClassifyOutcome | None:
+    """The start every classifier shares: require strictly linear f, g with
+    equal ratio images, then match g as a scalar conjugate of f or of its
+    adjoint; None when neither matches."""
+    if not (f.is_strictly_linear() and g.is_strictly_linear()):
+        raise NotStrictlyLinear("both polynomials must be strictly F_q-linear")
     if not images_equal(f, g):
         raise ImagesDiffer("ratio image sets differ")
+    lam = _scan_scalar_conjugate(f, g)
+    if lam is not None:
+        return ClassifyOutcome("scalar_conjugate", lam=lam)
+    lam = _scan_scalar_conjugate(f.adjoint(), g)
+    if lam is not None:
+        return ClassifyOutcome("adjoint_scalar_conjugate", lam=lam)
+    return None
 
 
 def classify_n_le_4(f: QPoly, g: QPoly) -> ClassifyOutcome:
@@ -368,17 +368,8 @@ def classify_n_le_4(f: QPoly, g: QPoly) -> ClassifyOutcome:
     ctx = f.ctx
     if not 2 <= ctx.n <= 4:
         raise WrongDegree(f"classifier covers 2 <= n <= 4, got n = {ctx.n}")
-    if not (f.is_strictly_linear() and g.is_strictly_linear()):
-        raise NotStrictlyLinear("both polynomials must be strictly F_q-linear")
-    _require_same_image(f, g)
-    lam = _scan_scalar_conjugate(f, g)
-    if lam is not None:
-        return ClassifyOutcome.scalar_conjugate(lam)
-    lam = _scan_scalar_conjugate(f.adjoint(), g)
-    if lam is not None:
-        return ClassifyOutcome.adjoint_scalar_conjugate(lam)
-    return ClassifyOutcome.inconsistent(
-        "no scalar or adjoint-scalar conjugation matches"
+    return _conjugate_outcome(f, g) or ClassifyOutcome(
+        "inconsistent", diagnostic="no scalar or adjoint-scalar conjugation matches"
     )
 
 
@@ -394,64 +385,49 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
     ctx = f.ctx
     if ctx.n != 5:
         raise WrongDegree(f"classifier covers n = 5, got n = {ctx.n}")
-    if not (f.is_strictly_linear() and g.is_strictly_linear()):
-        raise NotStrictlyLinear("both polynomials must be strictly F_q-linear")
-    _require_same_image(f, g)
+    outcome = _conjugate_outcome(f, g)
+    if outcome is not None:
+        return outcome
 
-    lam = _scan_scalar_conjugate(f, g)
-    if lam is not None:
-        return ClassifyOutcome.scalar_conjugate(lam)
-    lam = _scan_scalar_conjugate(f.adjoint(), g)
-    if lam is not None:
-        return ClassifyOutcome.adjoint_scalar_conjugate(lam)
-
-    a = f.coeffs
-    nz_high = [i for i in range(1, 5) if a[i]]
+    nz_high = [i for i in range(1, 5) if f.coeffs[i]]
     phi = None
-    trace_like = False
     if len(nz_high) == 1:
         # f = a0 x + a_i x^{q^i}: normalize to the bare monomial
-        i = nz_high[0]
-        phi = SemilinearMap(
-            ctx, 1, 0, ctx.neg(ctx.div(a[0], a[i])), ctx.inv(a[i]), 0
-        )
+        phi = _normalizer(f, nz_high[0])
     elif len(nz_high) == 4:
         res = pseudoalg_test(f)
-        if res.kind in ("cond1", "cond2"):
-            phi = res.phi
-        elif res.kind == "trace_fallback":
-            trace_like = True
-    if phi is None:
-        if trace_like:
-            return ClassifyOutcome.inconsistent(
-                "trace-equivalent polynomial with no scalar-conjugate partner"
+        if res.kind == "trace_fallback":
+            return ClassifyOutcome(
+                "inconsistent",
+                diagnostic="trace-equivalent polynomial with no scalar-conjugate partner",
             )
-        target = image_of_ratio(monomial(ctx, 1))
-        phi = find_set_equivalence(image_of_ratio(f), target)
+        phi = res.phi
+    if phi is None:
+        phi = is_pseudoregulus_type(f)
         if phi is None:
-            return ClassifyOutcome.inconsistent(
-                "no conjugation matches and the image is not "
-                "pseudoregulus-equivalent"
+            return ClassifyOutcome(
+                "inconsistent",
+                diagnostic="no conjugation matches and the image is not "
+                "pseudoregulus-equivalent",
             )
 
     try:
         f_phi = transform_poly(f, phi, verify=True)
     except NotAdmissible:
-        return ClassifyOutcome.inconsistent("produced map is not admissible for f")
+        return ClassifyOutcome("inconsistent", diagnostic="produced map is not admissible for f")
     g_phi = transform_poly(g, phi, verify=True)
     fshape = _monomial_shape(f_phi)
     if fshape is None:
-        return ClassifyOutcome.inconsistent(
-            f"transported f is not a monomial: {f_phi.to_string()}"
+        return ClassifyOutcome(
+            "inconsistent", diagnostic=f"transported f is not a monomial: {f_phi.to_string()}"
         )
     i, alpha = fshape
     try:
+        # at n = 5 every k has gcd(k, 5) = 1, so this also compares N(alpha), N(beta)
         beta, j = monomial_classify(f_phi, g_phi)
     except (InconsistentStructure, ImagesDiffer) as exc:
-        return ClassifyOutcome.inconsistent(f"transported pair fails: {exc}")
-    if ctx.norm_rel(alpha, 1) != ctx.norm_rel(beta, 1):
-        return ClassifyOutcome.inconsistent("monomial coefficients have unequal norms")
-    return ClassifyOutcome.monomial_pair(phi, i, j, alpha, beta)
+        return ClassifyOutcome("inconsistent", diagnostic=f"transported pair fails: {exc}")
+    return ClassifyOutcome("monomial_pair", phi=phi, i=i, j=j, alpha=alpha, beta=beta)
 
 
 def exhaustive_same_image(f: QPoly, masks: np.ndarray | None = None) -> list[QPoly]:

@@ -550,12 +550,6 @@ class FieldCtx:
     def _frob_ix(self, A, e: int):
         return np.where(A == 0, 0, (A - 1) * self._pe[e] % self.order + 1)
 
-    def vpow(self, A, e: int):
-        A = np.asarray(A, dtype=np.int64)
-        if e <= 0:
-            raise ValueError("vpow needs a positive exponent")
-        return np.where(A == 0, 0, (A - 1) * (e % self.order) % self.order + 1)
-
     def vfold_add(self, A):
         """Field sum of A along its last axis (tree reduction); a 1-D A
         gives one element."""

@@ -304,12 +304,15 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     total = ctx.size**ctx.n
     target = image_of_ratio(f)
     if masks is not None:
-        if masks.shape != (total,) or 8 * masks.dtype.itemsize < ctx.size:
+        want = mask_of_imageset(target)
+        # f is its own partner, so masks of another field or modulus show
+        # themselves at f's own tuple
+        if masks.shape != (total,) or int(masks[coeffs_to_tuple(ctx, f.coeffs)]) != want:
             raise ValueError(
                 f"masks of shape {masks.shape} and dtype {masks.dtype} are not "
-                f"one mask for each of the {total} tuples of this field"
+                f"the ratio masks of the {total} tuples of this field"
             )
-        return np.flatnonzero(masks == masks.dtype.type(mask_of_imageset(target)))
+        return np.flatnonzero(masks == masks.dtype.type(want))
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
     bit = _bit_table(ctx)

@@ -22,13 +22,13 @@ from .errors import (
     PreconditionViolated,
 )
 from .gf import FieldCtx
-from .imageset import image_of_ratio
+from .imageset import direction_bounds, image_of_ratio
 from .moebius import SemilinearMap, SetEquivalenceIndex, find_set_equivalence
-from .qpoly import QPoly
+from .qpoly import QPoly, monomial
 
 
 def max_scattered_size(ctx: FieldCtx) -> int:
-    return (ctx.size - 1) // (ctx.q - 1)
+    return direction_bounds(ctx)[1]
 
 
 def is_max_scattered(f: QPoly) -> bool:
@@ -125,8 +125,7 @@ def _require_strict(f: QPoly):
 def is_pseudoregulus_type(f: QPoly) -> SemilinearMap | None:
     """Witness that L_f is equivalent to L_{x^q}, or None."""
     _require_strict(f)
-    ctx = f.ctx
-    target = image_of_ratio(QPoly(ctx, [0, 1] + [0] * (ctx.n - 2)))
+    target = image_of_ratio(monomial(f.ctx, 1))
     return find_set_equivalence(image_of_ratio(f), target)
 
 

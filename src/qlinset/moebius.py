@@ -70,10 +70,6 @@ class SemilinearMap:
     def identity(cls, ctx: FieldCtx) -> "SemilinearMap":
         return cls(ctx, 1, 0, 0, 1, 0)
 
-    @property
-    def matrix(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def det(self) -> int:
         ctx = self.ctx
         return ctx.sub(ctx.mul(self.a, self.d), ctx.mul(self.b, self.c))

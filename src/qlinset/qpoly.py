@@ -2,8 +2,8 @@
 
 A QPoly stores exactly n coefficients (index i belongs to x^{q^i}) and
 represents an F_q-linear map of the big field.  Everything here is pure;
-QPoly values are immutable and hashable so they can flow through
-exhaustive-search workers and be collected into sets.
+QPoly values are immutable and hashable, so partner lists can be compared
+as sets and polynomials can key dictionaries.
 
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the

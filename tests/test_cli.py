@@ -1,10 +1,12 @@
-"""CLI surface: report schema, determinism, exit codes, CSV side outputs."""
+"""CLI surface: report schema, determinism, exit codes, CSV side outputs;
+and the library calls that the benchmark under perfbench/ makes."""
 
 import inspect
 import json
 
 import pytest
 
+import qlinset as ql
 from qlinset import suites
 from qlinset.cli import SUITE_ARGS, main, make_parser
 
@@ -105,7 +107,10 @@ def test_classify_error_exit(tmp_path):
     (["image", "--field", "2,1,5", "--poly", "0,1,0,0,x"], "--poly"),
     (["image", "--field", "2,1,5", "--poly", "0,1,0"], "--poly"),
     (["verify", "--suite", "new-linset", "--delta", "x"], "--delta"),
-], ids=["field-too-large", "modulus-not-primitive", "poly-element", "poly-length", "delta"])
+    (["verify", "--suite", "new-linset", "--field", "2,1,30"], "--field"),
+    (["verify", "--suite", "new-linset", "--modulus", "1,1,0,0,0,1"], "--modulus"),
+], ids=["field-too-large", "modulus-not-primitive", "poly-element", "poly-length", "delta",
+        "verify-field", "verify-modulus"])
 def test_unusable_option_exits_2_naming_it(argv, flag, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
@@ -164,10 +169,45 @@ def test_verify_arguments_fit_every_suite():
     args = make_parser().parse_args(["verify", "--suite", "bounds", "--seed", "3"])
     for name, fn in suites.SUITES.items():
         inspect.signature(fn).bind(**SUITE_ARGS[name](args))
-    assert SUITE_ARGS["bounds"](args) == {"seed": 3, "samples": 10_000}
-    assert SUITE_ARGS["adjoint"](args) == {"seed": 3, "count": 1000}
+    # without --samples each suite keeps the default in its own signature
+    assert SUITE_ARGS["bounds"](args) == {"seed": 3}
+    assert SUITE_ARGS["adjoint"](args) == {"seed": 3}
     nl = SUITE_ARGS["new-linset"](args)
-    assert (nl["p"], nl["h"], nl["n"], nl["samples"], nl["delta"]) == (3, 1, 5, 8, None)
+    assert (nl["p"], nl["h"], nl["n"], nl["delta"]) == (3, 1, 5, None)
+    assert "samples" not in nl
+    args = make_parser().parse_args(["verify", "--suite", "bounds", "--samples", "7"])
+    assert SUITE_ARGS["bounds"](args) == {"seed": 0, "samples": 7}
+    assert SUITE_ARGS["adjoint"](args) == {"seed": 0, "count": 7}
+    assert SUITE_ARGS["new-linset"](args)["samples"] == 7
+
+
+# Every call perfbench/workloads.py makes into qlinset, as (function,
+# positional argument count, keywords).  The benchmark's files stay fixed
+# between its runs, so a signature change that would break them fails here.
+BENCHMARK_CALLS = [
+    (ql.imageset.all_ratio_masks, 1, []),
+    (ql.suites.suite_thm_main_q2, 0, ["seed", "masks", "return_pairs"]),
+    (ql.suites.suite_thm_n4, 0, ["seed", "per_n"]),
+    (ql.suites.suite_survey_n4, 0, []),
+    (ql.suites.suite_new_linset, 0, ["samples", "seed", "threads"]),
+    (ql.suites.suite_trace5, 0, ["seed", "count"]),
+    (ql.suites.suite_pseudoalg, 0, ["seed", "count"]),
+    (ql.suites.suite_properties, 0, ["seed", "count"]),
+    (ql.criteria.power_sums_all_equal, 2, []),
+    (ql.criteria.check_e_relations, 2, []),
+    (ql.moebius.SemilinearMap, 6, []),
+    (ql.moebius.transform_poly, 2, []),
+    (ql.linset.pgammal_equivalent, 2, []),
+    (ql.imageset.image_of_ratio, 1, []),
+    (ql.qpoly.QPoly, 2, []),
+    (ql.gf.build_field, 3, []),
+]
+
+
+@pytest.mark.parametrize("fn, positional, keywords", BENCHMARK_CALLS,
+                         ids=[c[0].__name__ for c in BENCHMARK_CALLS])
+def test_benchmark_calls_still_bind(fn, positional, keywords):
+    inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
 @pytest.mark.parametrize("opts", [

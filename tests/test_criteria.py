@@ -419,6 +419,44 @@ def test_classify_n5_guards(f32, f243):
         cr.classify_n5(trace_poly(ctx), trace_poly(ctx))
 
 
+# One same-image pair per classifier branch, with the outcome recorded before
+# the two classifiers came to share their conjugacy scans.  The n = 5 pairs
+# transport alpha x^{q^s} and beta x^{q^t}, N(alpha) = N(beta), by one map.
+PINNED_OUTCOMES = [
+    ("n3-scalar", (3, 1, 3), "g^24,0,g^15", "g^24,0,g^1",
+     {"kind": "scalar_conjugate", "lambda": "g^8"}),
+    ("n3-adjoint", (3, 1, 3), "g^24,0,g^15", "g^24,g^1,0",
+     {"kind": "adjoint_scalar_conjugate", "lambda": "g^4"}),
+    ("n5-scalar", (3, 1, 5), "g^99,g^83,g^3,g^126,g^132", "g^99,g^209,g^23,g^70,g^90",
+     {"kind": "scalar_conjugate", "lambda": "g^63"}),
+    ("n5-adjoint", (3, 1, 5), "g^217,g^164,g^204,g^203,g^79", "g^217,g^5,g^173,g^72,g^132",
+     {"kind": "adjoint_scalar_conjugate", "lambda": "g^5"}),
+    ("n5-binomial", (3, 1, 5), "g^179,0,0,0,g^210", "g^179,0,0,g^154,0",
+     {"kind": "monomial_pair", "phi": "[[g^0,0],[g^90,g^32]];sigma=3^0",
+      "i": 4, "j": 3, "alpha": "g^0", "beta": "g^186"}),
+    ("n5-cond1", (3, 1, 5), "g^224,g^24,g^187,g^192,g^207", "g^224,g^200,g^44,g^181,g^229",
+     {"kind": "monomial_pair", "phi": "[[g^165,g^111],[g^153,g^218]];sigma=3^0",
+      "i": 1, "j": 2, "alpha": "g^0", "beta": "g^20"}),
+    ("n5-cond2", (3, 1, 5), "g^35,g^207,g^191,g^22,g^120", "g^35,g^66,g^111,g^4,g^167",
+     {"kind": "monomial_pair", "phi": "[[g^20,g^220],[g^197,g^191]];sigma=3^0",
+      "i": 2, "j": 4, "alpha": "g^0", "beta": "g^66"}),
+]
+
+
+@pytest.mark.parametrize("branch, spec, f, g, expected", PINNED_OUTCOMES,
+                         ids=[p[0] for p in PINNED_OUTCOMES])
+def test_classifier_branches_are_pinned(branch, spec, f, g, expected):
+    ctx = build_field(*spec)
+    f, g = QPoly.from_string(ctx, f), QPoly.from_string(ctx, g)
+    classify = cr.classify_n5 if ctx.n == 5 else cr.classify_n_le_4
+    assert classify(f, g).to_dict(ctx) == expected
+    # the n = 5 monomial pairs reach the branch they are named after
+    if branch == "n5-binomial":
+        assert sum(1 for c in f.coeffs[1:] if c) == 1
+    elif branch.startswith("n5-cond"):
+        assert cr.pseudoalg_test(f).kind == branch[3:]
+
+
 def test_exhaustive_same_image_trace(f32, q2_masks):
     tr = trace_poly(f32)
     partners = cr.exhaustive_same_image(tr, masks=q2_masks)
@@ -454,6 +492,11 @@ def test_exhaustive_same_image_rejects_masks_of_another_field(q2_masks):
     # F_256 with n = 2 has as many tuples as F_16 with n = 4, 2^16
     with pytest.raises(ValueError):
         cr.exhaustive_same_image(trace_poly(build_field(2, 4, 2)), masks=ims.all_ratio_masks(f16))
+    # F_32 under another modulus: same shape and dtype, other images
+    other = QPoly(build_field(2, 1, 5, [1, 0, 1, 0, 0, 1]), [0, 1, 1, 0, 0])
+    with pytest.raises(ValueError):
+        cr.exhaustive_same_image(other, masks=q2_masks)
+    assert len(cr.exhaustive_same_image(other)) == 62
 
 
 def test_field_of_linearity_agreement_on_same_image_pairs(f32):
