@@ -18,6 +18,7 @@ import time
 
 from . import criteria as cr
 from . import imageset as ims
+from . import linset as ls
 from . import suites
 from .errors import ImagesDiffer, InvalidModulus, QlinsetError
 from .gf import build_field
@@ -125,8 +126,7 @@ def cmd_image(args) -> int:
 def cmd_classify(args) -> int:
     ctx = _build_ctx(args.field, args.modulus)
     if not 2 <= ctx.n <= 5:
-        print(f"classification covers 2 <= n <= 5, got n = {ctx.n}", file=sys.stderr)
-        return 2
+        raise OptionError(f"--field: classification covers 2 <= n <= 5, got n = {ctx.n}")
     f = _option("--f", QPoly.from_string, ctx, args.f)
     g = _option("--g", QPoly.from_string, ctx, args.g)
     report = {
@@ -198,16 +198,16 @@ def _given_samples(keyword: str):
 
 
 def _new_linset_args(args) -> dict:
-    field = args.field or (3, 1, 5)
-    ctx = _build_ctx(field, args.modulus)
-    delta = _option("--delta", ctx.parse, args.delta) if args.delta else None
-    p, h, n = field
-    return {
-        "p": p, "h": h, "n": n,
-        "delta": delta,
-        "all_mu": args.all_mu,
-        "modulus": args.modulus,
-    } | _given_samples("samples")(args)
+    """The field and delta for new-linset, with the example's guards run
+    here so that an unusable value is an option error."""
+    ctx = _build_ctx(args.field or (3, 1, 5), args.modulus)
+    _option("--field", ls._require_example_field, ctx)
+    delta = None
+    if args.delta:
+        delta = _option("--delta", ctx.parse, args.delta)
+        _option("--delta", ls._require_example_delta, ctx, delta)
+    return ({"ctx": ctx, "delta": delta, "all_mu": args.all_mu}
+            | _given_samples("samples")(args))
 
 
 # `verify` options that only new-linset reads; other suites reject them

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from .errors import (
     InvalidParameters,
@@ -138,73 +137,6 @@ def pgammal_equivalent(f: QPoly, g: QPoly) -> SemilinearMap | None:
 
 # ----------------------------------------------- the new-example verification
 
-@dataclass
-class MuVerdict:
-    mu: int
-    norm: int
-    witness: SemilinearMap | None
-    elapsed: float
-
-    def to_dict(self, ctx: FieldCtx) -> dict:
-        return {
-            "mu": ctx.fmt(self.mu),
-            "norm": ctx.fmt(self.norm),
-            "equivalent": self.witness is not None,
-            "witness": None if self.witness is None else self.witness.serialize(),
-            "elapsed_s": round(self.elapsed, 3),
-        }
-
-
-@dataclass
-class NewExampleReport:
-    field_spec: str
-    delta: int
-    delta_norm: int
-    points: int
-    expected_points: int
-    max_scattered: bool
-    mu_mode: str
-    verdicts: list[MuVerdict]
-    control_mu: int
-    control_lambda: int
-    control_witness: SemilinearMap | None
-    elapsed_total: float = 0.0
-
-    @property
-    def all_nonequivalent(self) -> bool:
-        return all(v.witness is None for v in self.verdicts)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_scattered
-            and self.all_nonequivalent
-            and self.control_witness is not None
-        )
-
-    def to_dict(self, ctx: FieldCtx) -> dict:
-        return {
-            "field": self.field_spec,
-            "delta": ctx.fmt(self.delta),
-            "delta_norm": ctx.fmt(self.delta_norm),
-            "points": self.points,
-            "expected_points": self.expected_points,
-            "max_scattered": self.max_scattered,
-            "mu_mode": self.mu_mode,
-            "mu_count": len(self.verdicts),
-            "verdicts": [v.to_dict(ctx) for v in self.verdicts],
-            "positive_control": {
-                "mu": ctx.fmt(self.control_mu),
-                "lambda": ctx.fmt(self.control_lambda),
-                "witness": None
-                if self.control_witness is None
-                else self.control_witness.serialize(),
-            },
-            "all_nonequivalent": self.all_nonequivalent,
-            "passed": self.passed,
-        }
-
-
 def mus_with_nontrivial_norm(ctx: FieldCtx) -> list[int]:
     """All mu with N(mu) not in {0, 1}; empty at q = 2.
 
@@ -232,26 +164,16 @@ def _sample_mus(ctx: FieldCtx, count: int, seed: int) -> list[int]:
     return out
 
 
-def verify_new_example(
-    ctx: FieldCtx,
-    delta: int,
-    all_mu: bool = False,
-    sample_count: int = 8,
-    seed: int = 0,
-) -> NewExampleReport:
-    """Check that L of delta x^{q^2} + x^{q^3} is maximum scattered and not
-    equivalent to any L of mu x^q + x^{q^4}, over sampled or all admissible mu.
-
-    Preconditions: n = 5, q > 2, N(delta) not in {0, 1} and N(delta)^5 != 1.
-    L is indexed once (SetEquivalenceIndex) and each mu is one query with
-    the verdict and witness of `pgammal_equivalent`.  A positive control
-    (two scalings of the same degree-one family member) must produce a
-    verified witness through `pgammal_equivalent`.
-    """
+def _require_example_field(ctx: FieldCtx) -> None:
+    """The new example's field: n = 5 and q > 2."""
     if ctx.n != 5:
         raise PreconditionViolated(f"the example lives over F_{{q^5}}; got n = {ctx.n}")
     if ctx.q == 2:
         raise PreconditionViolated("q > 2 required: no delta has N(delta) outside {0,1}")
+
+
+def _require_example_delta(ctx: FieldCtx, delta: int) -> int:
+    """N(delta), after checking N(delta) not in {0, 1} and N(delta)^5 != 1."""
     nd = ctx.norm_rel(delta, 1)
     if nd in (0, 1):
         raise PreconditionViolated(f"N(delta) = {ctx.fmt(nd)} must avoid {{0, 1}}")
@@ -260,19 +182,55 @@ def verify_new_example(
             f"N(delta)^5 = 1 (N(delta) = {ctx.fmt(nd)}); the non-equivalence "
             "argument needs N(delta)^5 != 1"
         )
+    return nd
 
+
+def default_new_example_delta(ctx: FieldCtx) -> int:
+    """Least delta (element order) meeting the new-example preconditions."""
+    for k in range(ctx.order):
+        d = ctx.from_exp(k)
+        nd = ctx.norm_rel(d, 1)
+        if nd not in (0, 1) and ctx.pow_int(nd, 5) != 1:
+            return d
+    raise PreconditionViolated(f"no admissible delta exists at q = {ctx.q}")
+
+
+def verify_new_example(
+    ctx: FieldCtx,
+    delta: int | None = None,
+    all_mu: bool = False,
+    samples: int = 8,
+    seed: int = 0,
+) -> dict:
+    """The `new-linset` report: is L of delta x^{q^2} + x^{q^3} maximum
+    scattered and not equivalent to any L of mu x^q + x^{q^4}, over
+    `samples` seeded mu or, with `all_mu`, every admissible mu?
+
+    Preconditions: n = 5, q > 2, N(delta) not in {0, 1} and N(delta)^5 != 1;
+    delta defaults to `default_new_example_delta`.  L is indexed once
+    (SetEquivalenceIndex) and each mu is one query with the verdict and
+    witness of `pgammal_equivalent`.  A positive control (two scalings of
+    the same degree-one family member) must produce a verified witness
+    through `pgammal_equivalent`.  Wall-clock seconds sit under the
+    "elapsed_s" keys, per mu and for the whole check.
+    """
     t_start = time.perf_counter()
+    _require_example_field(ctx)
+    if delta is None:
+        delta = default_new_example_delta(ctx)
+    nd = _require_example_delta(ctx, delta)
+
     g2d = family_g(ctx, 2, delta)
     _require_strict(g2d)
     L = image_of_ratio(g2d)
-    points = len(L)
     expected = max_scattered_size(ctx)
+    max_scattered = len(L) == expected
 
     if all_mu:
         mus = mus_with_nontrivial_norm(ctx)
         mode = "all"
     else:
-        mus = _sample_mus(ctx, sample_count, seed)
+        mus = _sample_mus(ctx, samples, seed)
         mode = f"sampled({len(mus)})"
 
     index = SetEquivalenceIndex(L)
@@ -282,26 +240,36 @@ def verify_new_example(
         g1m = family_g(ctx, 1, mu)
         _require_strict(g1m)
         w = index.find(image_of_ratio(g1m))
-        verdicts.append(MuVerdict(mu, ctx.norm_rel(mu, 1), w, time.perf_counter() - t0))
+        verdicts.append({
+            "mu": ctx.fmt(mu),
+            "norm": ctx.fmt(ctx.norm_rel(mu, 1)),
+            "equivalent": w is not None,
+            "witness": None if w is None else w.serialize(),
+            "elapsed_s": round(time.perf_counter() - t0, 3),
+        })
 
     # positive control: two scalings of g_{1,mu} must be found equivalent
     control_mu = mus[0] if mus else ctx.gen
-    control_lambda = ctx.gen
     base = family_g(ctx, 1, control_mu)
-    moved = base.scale_conjugate(control_lambda)
-    control = pgammal_equivalent(base, moved)
+    control = pgammal_equivalent(base, base.scale_conjugate(ctx.gen))
+    all_nonequivalent = not any(v["equivalent"] for v in verdicts)
 
-    return NewExampleReport(
-        field_spec=ctx.spec_string,
-        delta=delta,
-        delta_norm=nd,
-        points=points,
-        expected_points=expected,
-        max_scattered=points == expected,
-        mu_mode=mode,
-        verdicts=verdicts,
-        control_mu=control_mu,
-        control_lambda=control_lambda,
-        control_witness=control,
-        elapsed_total=time.perf_counter() - t_start,
-    )
+    return {
+        "field": ctx.spec_string,
+        "delta": ctx.fmt(delta),
+        "delta_norm": ctx.fmt(nd),
+        "points": len(L),
+        "expected_points": expected,
+        "max_scattered": max_scattered,
+        "mu_mode": mode,
+        "mu_count": len(verdicts),
+        "verdicts": verdicts,
+        "positive_control": {
+            "mu": ctx.fmt(control_mu),
+            "lambda": ctx.fmt(ctx.gen),
+            "witness": None if control is None else control.serialize(),
+        },
+        "all_nonequivalent": all_nonequivalent,
+        "passed": max_scattered and all_nonequivalent and control is not None,
+        "elapsed_s": round(time.perf_counter() - t_start, 3),
+    }

@@ -347,39 +347,24 @@ def suite_erelations(
 
 # ----------------------------------------------------------------- suite 7
 
-def default_new_example_delta(ctx: FieldCtx) -> int:
-    """Least delta (element order) meeting the new-example preconditions."""
-    for k in range(ctx.order):
-        d = ctx.from_exp(k)
-        nd = ctx.norm_rel(d, 1)
-        if nd not in (0, 1) and ctx.pow_int(nd, 5) != 1:
-            return d
-    raise ValueError(f"no admissible delta exists at q = {ctx.q}")
-
-
 def suite_new_linset(
-    p: int = 3,
-    h: int = 1,
-    n: int = 5,
+    ctx: FieldCtx | None = None,
     delta: int | None = None,
     all_mu: bool = False,
     samples: int = 8,
     seed: int = 0,
     threads: int = 1,
-    modulus: list[int] | None = None,
 ) -> dict:
     """The two-coefficient example delta x^{q^2} + x^{q^3} with N(delta)^5 != 1
-    is maximum scattered and inequivalent to every mu x^q + x^{q^4}.
+    is maximum scattered and inequivalent to every mu x^q + x^{q^4}: the
+    report of `linset.verify_new_example` on `ctx`, F_{3^5} by default.
 
     `threads` is accepted and ignored: the mu run in one process against one
     set-equivalence index."""
-    ctx = build_field(p, h, n, modulus)
-    if delta is None:
-        delta = default_new_example_delta(ctx)
-    report = ls.verify_new_example(ctx, delta, all_mu=all_mu, sample_count=samples, seed=seed)
-    out = report.to_dict(ctx)
-    out["elapsed_s"] = round(report.elapsed_total, 3)
-    return out
+    return ls.verify_new_example(
+        build_field(3, 1, 5) if ctx is None else ctx,
+        delta, all_mu=all_mu, samples=samples, seed=seed,
+    )
 
 
 # ----------------------------------------------------------------- suite 8

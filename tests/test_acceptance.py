@@ -6,8 +6,6 @@ arithmetic (no numerical tolerance anywhere).  The heavy q = 2 enumeration
 is shared between criteria 4 and 6 through session fixtures.
 """
 
-import os
-
 import pytest
 
 from qlinset import suites
@@ -93,8 +91,7 @@ def test_criterion_7_new_linear_set_all_mu():
     # q=3, delta with N(delta)=2: the linear set has 121 points and is
     # inequivalent to every mu-family member (all 121 admissible mu);
     # positive control produces a verified witness
-    threads = min(os.cpu_count() or 1, 4)
-    result = suites.suite_new_linset(all_mu=True, seed=0, threads=threads)
+    result = suites.suite_new_linset(all_mu=True, seed=0)
     assert result["points"] == 121 and result["max_scattered"]
     assert result["mu_count"] == 121
     assert result["all_nonequivalent"]

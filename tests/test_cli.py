@@ -1,14 +1,18 @@
 """CLI surface: report schema, determinism, exit codes, CSV side outputs;
 and the library calls that the benchmark under perfbench/ makes."""
 
+import importlib
 import inspect
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 import qlinset as ql
 from qlinset import suites
 from qlinset.cli import SUITE_ARGS, main, make_parser
+from qlinset.gf import build_field
 
 
 def run_cli(args):
@@ -109,8 +113,14 @@ def test_classify_error_exit(tmp_path):
     (["verify", "--suite", "new-linset", "--delta", "x"], "--delta"),
     (["verify", "--suite", "new-linset", "--field", "2,1,30"], "--field"),
     (["verify", "--suite", "new-linset", "--modulus", "1,1,0,0,0,1"], "--modulus"),
+    (["verify", "--suite", "new-linset", "--field", "2,1,5"], "--field"),
+    (["verify", "--suite", "new-linset", "--field", "3,1,4"], "--field"),
+    (["verify", "--suite", "new-linset", "--delta", "g^2"], "--delta"),
+    (["classify", "--field", "2,1,6", "--f", "0,g^0,0,0,0,0", "--g", "0,g^0,0,0,0,0"],
+     "--field"),
 ], ids=["field-too-large", "modulus-not-primitive", "poly-element", "poly-length", "delta",
-        "verify-field", "verify-modulus"])
+        "verify-field", "verify-modulus", "new-linset-q2", "new-linset-n4",
+        "new-linset-delta-norm-1", "classify-n6"])
 def test_unusable_option_exits_2_naming_it(argv, flag, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
@@ -173,7 +183,7 @@ def test_verify_arguments_fit_every_suite():
     assert SUITE_ARGS["bounds"](args) == {"seed": 3}
     assert SUITE_ARGS["adjoint"](args) == {"seed": 3}
     nl = SUITE_ARGS["new-linset"](args)
-    assert (nl["p"], nl["h"], nl["n"], nl["delta"]) == (3, 1, 5, None)
+    assert (nl["ctx"].spec_string, nl["delta"]) == (build_field(3, 1, 5).spec_string, None)
     assert "samples" not in nl
     args = make_parser().parse_args(["verify", "--suite", "bounds", "--samples", "7"])
     assert SUITE_ARGS["bounds"](args) == {"seed": 0, "samples": 7}
@@ -208,6 +218,39 @@ BENCHMARK_CALLS = [
                          ids=[c[0].__name__ for c in BENCHMARK_CALLS])
 def test_benchmark_calls_still_bind(fn, positional, keywords):
     inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench/spans.py and perfbench/workloads.py, imported as modules."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("spans"), importlib.import_module("workloads")
+    for name in ("spans", "workloads", "oracle"):
+        sys.modules.pop(name, None)
+
+
+def test_benchmark_trace_names_resolve(perfbench):
+    # a traced benchmark run wraps these names: a span a workload expects
+    # must have something to wrap, and the scalar counters and suite spans
+    # look their functions up without a fallback
+    spans, workloads = perfbench
+    owners = {f"{layer}.{key}": (owner, attrs) for layer, key, owner, attrs in spans.SPANS}
+    for name, workload in workloads.WORKLOADS.items():
+        for key in workload.expected:
+            layer, _, fn = key.partition(".")
+            if layer == "suites":
+                assert fn in spans.SUITE_FUNCTIONS, (name, key)
+                continue
+            owner, attrs = owners[key]
+            found = vars(spans._resolve(ql, owner))
+            assert any(callable(found.get(attr)) for attr in attrs), (name, key)
+    for fn in spans.SUITE_FUNCTIONS:
+        assert callable(getattr(ql.suites, fn, None)), fn
+    for op in spans.SCALAR_OPS:
+        assert callable(vars(ql.gf.FieldCtx).get(op)), op
 
 
 @pytest.mark.parametrize("opts", [

@@ -189,18 +189,18 @@ def test_new_example_single_mu(f243):
 
 
 def test_verify_new_example_sampled(f243):
-    rep = ls.verify_new_example(f243, f243.gen, sample_count=2, seed=3)
-    assert rep.max_scattered and rep.points == 121
-    assert rep.all_nonequivalent
-    assert rep.control_witness is not None
-    assert rep.passed
-    d = rep.to_dict(f243)
-    assert d["passed"] and len(d["verdicts"]) == 2
+    rep = ls.verify_new_example(f243, f243.gen, samples=2, seed=3)
+    assert rep["max_scattered"] and rep["points"] == 121
+    assert rep["all_nonequivalent"]
+    assert rep["positive_control"]["witness"] is not None
+    assert rep["passed"] and len(rep["verdicts"]) == 2
 
 
 def test_verify_new_example_preconditions(f32, f243):
     with pytest.raises(PreconditionViolated):
         ls.verify_new_example(f32, 3)  # q = 2
+    with pytest.raises(PreconditionViolated):
+        ls.verify_new_example(f32)  # q = 2, caught before a default delta is sought
     with pytest.raises(PreconditionViolated):
         ls.verify_new_example(f243, f243.from_exp(2))  # N(delta) = 1
     with pytest.raises(PreconditionViolated):
@@ -237,11 +237,35 @@ def test_new_linset_oversampled_run_is_labelled_by_the_mu_that_ran():
 
 
 def test_new_linset_positive_control_witness_is_pinned():
-    # reports stay byte-identical: the search returns the lex-least witness
+    # reports stay byte-identical: the search returns the lex-least witness,
+    # and the whole sampled report apart from its wall-clock seconds is fixed
     from qlinset.suites import suite_new_linset
 
-    assert suite_new_linset(samples=2, seed=0)["positive_control"] == {
+    out = suite_new_linset(samples=2, seed=0)
+    assert out["positive_control"] == {
         "mu": "g^217", "lambda": "g^1", "witness": "[[g^0,0],[0,g^0]];sigma=3^0",
+    }
+    assert isinstance(out.pop("elapsed_s"), float)
+    for v in out["verdicts"]:
+        assert isinstance(v.pop("elapsed_s"), float)
+    assert out == {
+        "field": "3^1^5/1,0,0,0,2,1",
+        "delta": "g^1",
+        "delta_norm": "g^121",
+        "points": 121,
+        "expected_points": 121,
+        "max_scattered": True,
+        "mu_mode": "sampled(2)",
+        "mu_count": 2,
+        "verdicts": [
+            {"mu": "g^217", "norm": "g^121", "equivalent": False, "witness": None},
+            {"mu": "g^99", "norm": "g^121", "equivalent": False, "witness": None},
+        ],
+        "positive_control": {
+            "mu": "g^217", "lambda": "g^1", "witness": "[[g^0,0],[0,g^0]];sigma=3^0",
+        },
+        "all_nonequivalent": True,
+        "passed": True,
     }
 
 
@@ -249,9 +273,7 @@ def test_delta_precondition_n_delta_5th_power():
     # q = 4: N(delta)^5 = N(delta)^2 in F_4*, which is 1 only for N(delta) = 1,
     # so every delta with nontrivial norm qualifies
     ctx = build_field(2, 2, 5)
-    from qlinset.suites import default_new_example_delta
-
-    d = default_new_example_delta(ctx)
+    d = ls.default_new_example_delta(ctx)
     nd = ctx.norm_rel(d, 1)
     assert nd not in (0, 1)
     assert ctx.pow_int(nd, 5) != 1

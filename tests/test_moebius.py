@@ -10,7 +10,7 @@ import pytest
 from qlinset import imageset as ims
 from qlinset.errors import DegenerateSet, NotAdmissible, SingularMatrix
 from qlinset.gf import build_field
-from qlinset.linset import _sample_mus, family_g
+from qlinset.linset import _sample_mus, default_new_example_delta, family_g
 from qlinset.moebius import (
     INF,
     SemilinearMap,
@@ -25,7 +25,6 @@ from qlinset.moebius import (
     transform_poly,
 )
 from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly
-from qlinset.suites import default_new_example_delta
 
 
 def rand_poly(ctx, r):
