@@ -15,10 +15,10 @@ from .imageset import (
 from .moebius import (
     INF,
     SemilinearMap,
-    SetEquivalenceIndex,
     find_set_equivalence,
     is_admissible,
     moebius_image,
+    set_equivalence_witnesses,
     transform_poly,
 )
 from .criteria import (
@@ -59,10 +59,10 @@ __all__ = [
     "survey_image_sizes",
     "INF",
     "SemilinearMap",
-    "SetEquivalenceIndex",
     "find_set_equivalence",
     "is_admissible",
     "moebius_image",
+    "set_equivalence_witnesses",
     "transform_poly",
     "ClassifyOutcome",
     "ERelationReport",

@@ -65,21 +65,6 @@ MAX_FIELD_SIZE = 2**24
 MAX_TABLE_SIZE = 2**12
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -91,11 +76,6 @@ def _prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
     return out
 
 
@@ -262,7 +242,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, h: int, n: int, modulus: list[int] | None = None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"p = {p} is not prime")
         if h < 1 or n < 1:
             raise InvalidModulus("h and n must be positive")
@@ -447,10 +427,8 @@ class FieldCtx:
 
     def subfield_degree(self, a: int) -> int:
         """Smallest d | h*n with a^(p^d) = a."""
-        for d in _divisors(self.m):
-            if self.frobenius(a, d % self.m) == a:
-                return d
-        return self.m
+        # the least such d is the degree of F_p(a), so it divides h*n
+        return next(d for d in range(1, self.m + 1) if self.frobenius(a, d % self.m) == a)
 
     def in_subfield(self, a: int, s: int) -> bool:
         """True iff a lies in F_{q^s} (s | n), the fixed field of x -> x^{q^s}."""

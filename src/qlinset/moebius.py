@@ -23,14 +23,16 @@ N(S;s) = M_s(S) minus {0, 1, INF}.  Cross-ratios are PGL-invariant and
 commute with Frobenius, so phi works exactly when N(T;phi(s)) =
 sigma^e(N(S;s)), and phi sends the sorted triple phi^-1(t0) of S to one of
 the six orderings of the three smallest points t0 of T.  Each triple
-i < j < k of S is keyed by 64 probes y_j outside {0, 1} (bit j: y_j in
+i < j < k of S is keyed by probes y_j outside {0, 1} (bit j: y_j in
 N(S;s)), and the orderings of t0 by every sigma^e(y_j), 6m anchor keys.  A
-key match is kept once its map carries all of S onto T; the answer is the
-lex-least witness, canonically scaled and re-checked, or None once the group
-is exhausted.  `SetEquivalenceIndex` stores the keys of S for many queries
-(`linset.verify_new_example`, one set against every mu), and
-`find_set_equivalence` streams them for one pair, on the first 16 probes,
-keeping only the triples whose keys match.
+key match is kept once its map carries all of S onto T, so a key never
+decides an answer.  One scan of the triples of S serves any number of sets
+T: it keeps only the triples whose first 16 key bits match an anchor key of
+some T.  `set_equivalence_witnesses` lists, for each T, every witness,
+lex-least first, canonically scaled and re-checked (S against [S] lists the
+stabilizer; `linset.verify_new_example` checks one set against every mu), and
+`find_set_equivalence` returns the lex-least witness of one pair, or None
+once the group is exhausted.
 """
 
 from __future__ import annotations
@@ -227,22 +229,22 @@ def _carry(ctx: FieldCtx, P, Q):
 # ------------------------------------------------------------ set equivalence
 
 _BLOCK = 1 << 16  # array elements per vector pass
-_PROBES = 64  # key bits: one per probe point
-_STREAM_BITS = 16  # key bits of a streamed search; a false match fails the image check
+_STREAM_BITS = 16  # key bits a scan prunes on; a false match fails the image check
 _NO_HITS = np.empty((0, 8), dtype=np.int64)
 
 
-def _probes(ctx: FieldCtx) -> np.ndarray:
-    # g^1 .. g^64, which avoid 0 and 1; all of F minus {0, 1} up to 66 elements
-    return np.arange(2, min(ctx.size, _PROBES + 2), dtype=np.int64)
+def _probes(ctx: FieldCtx, bits: int) -> np.ndarray:
+    # g^1 .. g^bits, which avoid 0 and 1; all of F minus {0, 1} in small fields
+    return np.arange(2, min(ctx.size, bits + 2), dtype=np.int64)
 
 
 def _triple_keys(ctx: FieldCtx, mask, z1, z2, z3, probes, want=None):
     """Positions and keys of the triples (z1[i], z2[i], z3[i]) of the set
     `mask`; bit j of a key is [probes[..., j] in N(set; triple)], with one
     row of probes for every triple or, without `want`, one row each.  With
-    `want`, a triple is dropped once its bits so far match no wanted key,
-    checked by table after each bit once the prefixes outnumber the keys."""
+    `want`, a triple is dropped once its first _STREAM_BITS bits so far match
+    no wanted key, checked by table after each bit once the prefixes
+    outnumber the keys."""
     # M(z) = r (z - z1)/(z - z3) with r = (z2 - z3)/(z2 - z1), so
     # M^-1(y) = z3 + K/(y - r) with K = r (z3 - z1); y = r goes to INF
     r = ctx.vmul(ctx.vadd(z2, ctx.vneg(z3)), ctx.vinv(ctx.vadd(z2, ctx.vneg(z1))))
@@ -253,7 +255,7 @@ def _triple_keys(ctx: FieldCtx, mask, z1, z2, z3, probes, want=None):
         den = ctx.vadd(probes[..., b], nr)
         bit = mask[ctx.vadd(z3, ctx.vmul(k, ctx.vinv(den)))] & (den != 0)
         keys |= np.left_shift(bit, b, dtype=np.int64)
-        if want is not None and want.size < 2 << b:
+        if want is not None and want.size < 2 << b and b < _STREAM_BITS:
             table = np.zeros(2 << b, dtype=bool)
             table[want & ((2 << b) - 1)] = True
             keep = np.flatnonzero(table[keys])
@@ -271,11 +273,10 @@ def _anchor_keys(T: ImageSet, probes):
     return orders, keys.reshape(ctx.m, len(orders))
 
 
-def _keyed_triples(S: ImageSet, probes, want=None):
+def _keyed_triples(S: ImageSet, probes, want):
     """Keys and codes (i |S| + j) |S| + k of the unordered triples i < j < k
-    of S, sorted by key.  With `want`, a triple is dropped once a key bit
-    computed so far differs from every wanted key, so every triple whose key
-    is wanted is kept."""
+    of S, sorted by key, less those `_triple_keys` drops for `want`; every
+    triple whose key is wanted is kept."""
     ctx = S.ctx
     s_idx = S.indices()
     size = s_idx.size
@@ -295,19 +296,17 @@ def _keyed_triples(S: ImageSet, probes, want=None):
     return keys[order], np.concatenate(codes)[order]
 
 
-def _hits(S: ImageSet, keys, codes, T: ImageSet, probes) -> np.ndarray:
+def _hits(S: ImageSet, keys, codes, T: ImageSet, orders, anchors) -> np.ndarray:
     """Every (e, i1, i2, i3, a, b, c, d) whose M = (a, b, c, d) carries
     S^sigma^e onto T, sending its three smallest points to T[i1], T[i2],
-    T[i3], among the triples of S with sorted `keys` and their `codes`; by
+    T[i3], among the triples of S with sorted `keys` and their `codes`, for
+    T of the size of S with the `orders` and `anchors` of `_anchor_keys`; by
     (e, i1, i2, i3), the order in which sending those points to each ordered
     triple of T, e by e, would meet them."""
-    if len(T) != len(S):
-        return _NO_HITS
     ctx = S.ctx
     s_idx = S.indices()
     t_idx = T.indices()
     size = s_idx.size
-    orders, anchors = _anchor_keys(T, probes)
     found = [_NO_HITS]
     for e, qkeys in enumerate(anchors):
         lo = np.searchsorted(keys, qkeys, side="left")
@@ -337,61 +336,55 @@ def _hits(S: ImageSet, keys, codes, T: ImageSet, probes) -> np.ndarray:
     return hits[np.lexsort(hits[:, 3::-1].T)]
 
 
-def _first_witness(S: ImageSet, T: ImageSet, hits: np.ndarray):
-    if not hits.size:
-        return None
-    e, _, _, _, a, b, c, d = hits[0].tolist()
-    return _checked_witness(S, T, e, a, b, c, d)
+def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
+    """The `_hits` of S against each T in Ts, from one scan of the triples
+    of S pruned against the union of the anchor keys of the Ts of its size.
+
+    Keys carry _STREAM_BITS bits, and one more per doubling of the number of
+    targets, so that each target's lookups stay as selective as one
+    target's."""
+    if len(S) < 3:
+        raise DegenerateSet(f"need at least 3 points, got {len(S)}")
+    probes = _probes(S.ctx, _STREAM_BITS + max(len(Ts) - 1, 0).bit_length())
+    anchors = [_anchor_keys(T, probes) if len(T) == len(S) else None for T in Ts]
+    want = [a[1].ravel() for a in anchors if a is not None]
+    if not want:
+        return [_NO_HITS] * len(Ts)
+    keys, codes = _keyed_triples(S, probes, np.unique(np.concatenate(want)))
+    return [_NO_HITS if a is None else _hits(S, keys, codes, T, *a)
+            for T, a in zip(Ts, anchors)]
 
 
 def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
     """The lex-least phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
     canonically scaled and re-checked, or None.
 
-    Keys the triples of S on the first _STREAM_BITS probes only, dropping a
-    triple once its bits so far match none of the 6m anchor keys of T, and
-    stores nothing but the survivors; a false match costs one image check.
-    Every pair costs one scan of the triples of S, equivalent or not: about
-    0.05 s for 121-point sets at F_243, and 2.3 s at a peak RSS of 45 MB for
-    341-point sets at F_{4^5} (2-core box).
+    The one-target case of `set_equivalence_witnesses`, on 16-bit keys, with
+    only the first hit built and checked.  Every pair costs one scan of the
+    triples of S, equivalent or not: about 0.05 s for 121-point sets at
+    F_243, and 2.3 s at a peak RSS of 45 MB for 341-point sets at F_{4^5}
+    (2-core box).
     """
-    if len(S) < 3:
-        raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-    if len(S) != len(T):
+    hits = _scan(S, [T])[0]
+    if not hits.size:
         return None
-    probes = _probes(S.ctx)[:_STREAM_BITS]
-    keys, codes = _keyed_triples(S, probes, np.unique(_anchor_keys(T, probes)[1]))
-    return _first_witness(S, T, _hits(S, keys, codes, T, probes))
+    e, _, _, _, a, b, c, d = hits[0].tolist()
+    return _checked_witness(S, T, e, a, b, c, d)
 
 
-class SetEquivalenceIndex:
-    """One set S, indexed once, tested against many sets T of its size.
+def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
+    """For each T in Ts, every phi in PGammaL(2,q^n) with moebius_image(S,
+    phi) = T, lex-least first as `find_set_equivalence` ranks them, each
+    canonically scaled and re-checked; S against [S] lists the stabilizer
+    of S.
 
-    Stores the sorted 64-bit keys of all the triples of S; a query looks up
-    the 6m anchor keys of T.  At F_243 a 121-point set has 287,980 triples,
-    its index takes about 0.3 s to build, and a query about a millisecond
-    (2-core box), against 0.05 s for `find_set_equivalence`.
+    One scan of the triples of S serves every target, so a target's list is
+    the same alone or in any batch.  All 121 mu sets of the new example at
+    F_243 take about 0.2 s against its set L, and all 682 at F_{4^5} about
+    7.5 s at a peak RSS of 230 MB; the stabilizer of L takes about 0.06 s at
+    F_243 and 1.5 s at F_{4^5} (2-core box).
     """
-
-    def __init__(self, S: ImageSet):
-        if len(S) < 3:
-            raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-        self.S = S
-        self._probes = _probes(S.ctx)
-        self._keys, self._codes = _keyed_triples(S, self._probes)
-
-    def witnesses(self, T: ImageSet) -> list[SemilinearMap]:
-        """Every phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
-        canonically scaled, lex-least first as `find_set_equivalence` ranks
-        them; a self-query lists the stabilizer of S."""
-        ctx = self.S.ctx
-        return [
-            SemilinearMap(ctx, a, b, c, d, e).canonical_scaled()
-            for e, _, _, _, a, b, c, d in
-            _hits(self.S, self._keys, self._codes, T, self._probes).tolist()
-        ]
-
-    def find(self, T: ImageSet) -> SemilinearMap | None:
-        """The witness `find_set_equivalence(S, T)` returns, or None."""
-        hits = _hits(self.S, self._keys, self._codes, T, self._probes)
-        return _first_witness(self.S, T, hits)
+    return [
+        [_checked_witness(S, T, e, a, b, c, d) for e, _, _, _, a, b, c, d in hits.tolist()]
+        for T, hits in zip(Ts, _scan(S, Ts))
+    ]

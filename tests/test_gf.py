@@ -151,8 +151,10 @@ def test_search_skips_an_irreducible_non_primitive_candidate():
 
 
 def test_construction_guards():
-    with pytest.raises(NotPrime):
-        build_field(4, 1, 3)
+    for p in (0, 1, 4, 9, 15):
+        with pytest.raises(NotPrime):
+            build_field(p, 1, 3)
+    assert build_field(13, 1, 2).p == 13
     with pytest.raises(TooLarge):
         build_field(2, 1, 25)
 

@@ -1,7 +1,11 @@
 """Linear sets of PG(1,q^n): construction, families, scatteredness,
 equivalence, and the new-example verification."""
 
+import contextlib
+import io
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,16 @@ def test_delta_precondition_n_delta_5th_power():
     nd = ctx.norm_rel(d, 1)
     assert nd not in (0, 1)
     assert ctx.pow_int(nd, 5) != 1
+
+
+def test_readme_library_example_prints_what_it_says():
+    # the README's "Library example" block runs, and each print gives the
+    # value its comment names (`# 121: ...`, `# None: ...`)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*\)\s*#\s*([^:\s]+)", block, re.M)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert expected == ["121", "None"]
+    assert out.getvalue().splitlines() == expected

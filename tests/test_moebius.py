@@ -1,5 +1,6 @@
 """Semilinear maps: group laws, admissibility, transport, the slope action,
-the three-point set-equivalence search, and the set-equivalence index."""
+and the set-equivalence scan, for one target (`find_set_equivalence`) or
+many (`set_equivalence_witnesses`), against the ordered-triple walk."""
 
 import random
 from collections import Counter
@@ -10,11 +11,15 @@ import pytest
 from qlinset import imageset as ims
 from qlinset.errors import DegenerateSet, NotAdmissible, SingularMatrix
 from qlinset.gf import build_field
-from qlinset.linset import _sample_mus, default_new_example_delta, family_g
+from qlinset.linset import (
+    _sample_mus,
+    default_new_example_delta,
+    family_g,
+    mus_with_nontrivial_norm,
+)
 from qlinset.moebius import (
     INF,
     SemilinearMap,
-    SetEquivalenceIndex,
     _carry,
     _checked_witness,
     _cross_ratio_matrix,
@@ -22,6 +27,7 @@ from qlinset.moebius import (
     find_set_equivalence,
     is_admissible,
     moebius_image,
+    set_equivalence_witnesses,
     transform_poly,
 )
 from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly
@@ -392,7 +398,7 @@ def test_serialization(f32):
     assert phi.serialize() == "[[g^0,0],[g^3,g^7]];sigma=2^3"
 
 
-# ------------------------------------------------ the set-equivalence index
+# --------------------------------- the set-equivalence scan, one T or many
 
 WALK_CHUNK = 1 << 18
 
@@ -451,14 +457,16 @@ def search_by_walk(S, T):
     return None
 
 
-def agrees(S, T, index=None):
-    """The walk, the streamed search and the index give one answer, witness
-    included."""
+def agrees(S, T, found=None):
+    """The walk, the one-off search and the head of T's witness list give one
+    answer, witness included; `found` is that list from a batch, or else from
+    a batch of T alone."""
+    if found is None:
+        found = set_equivalence_witnesses(S, [T])[0]
     answers = [search_by_walk(S, T), find_set_equivalence(S, T),
-               (index or SetEquivalenceIndex(S)).find(T)]
+               found[0] if found else None]
     assert len({w.serialize() if w else None for w in answers}) == 1, answers
-    if answers[0] is not None:
-        assert moebius_image(S, answers[0]) == T
+    assert all(moebius_image(S, w) == T for w in found)
     return answers[0]
 
 
@@ -476,11 +484,9 @@ def test_index_matches_search_on_known_cases(f32, f243):
     # the moved trace images of test_three_point_solver_reproduces_known_map
     r = random.Random(50)
     S = ims.image_of_ratio(trace_poly(f243))
-    index = SetEquivalenceIndex(S)
-    for _ in range(5):
-        moved = moebius_image(S, rand_phi(f243, r))
-        if moved is not None:
-            assert agrees(S, moved, index)
+    moved = [T for T in (moebius_image(S, rand_phi(f243, r)) for _ in range(5)) if T is not None]
+    for T, found in zip(moved, set_equivalence_witnesses(S, moved)):
+        assert agrees(S, T, found)
 
 
 @pytest.mark.parametrize("field", ["f32", "f243"])
@@ -497,22 +503,21 @@ def test_index_matches_search_on_transported_pairs(field, request):
         if f.is_strictly_linear():
             cases.append((ims.image_of_ratio(f), range(1, 2 if ctx.q > 2 else ctx.m)))
     for S, sigmas in cases:
-        index = SetEquivalenceIndex(S)
-        done = 0
-        while done < 3:
-            moved = moebius_image(S, rand_phi(ctx, r, sigma=r.choice(sigmas)))
-            if moved is None:
-                continue
-            done += 1
-            assert agrees(S, moved, index)
+        moved = []
+        while len(moved) < 3:
+            T = moebius_image(S, rand_phi(ctx, r, sigma=r.choice(sigmas)))
+            if T is not None:
+                moved.append(T)
+        for T, found in zip(moved, set_equivalence_witnesses(S, moved)):
+            assert agrees(S, T, found)
 
 
 def test_index_matches_search_on_nonequivalent_pairs(f32, f243):
     # L of delta x^(q^2) + x^(q^3) against sampled L of mu x^q + x^(q^4)
     S = new_example_set(f243)
-    index = SetEquivalenceIndex(S)
-    for mu in _sample_mus(f243, 3, seed=0):
-        assert agrees(S, ims.image_of_ratio(family_g(f243, 1, mu)), index) is None
+    Ts = [ims.image_of_ratio(family_g(f243, 1, mu)) for mu in _sample_mus(f243, 3, seed=0)]
+    for T, found in zip(Ts, set_equivalence_witnesses(S, Ts)):
+        assert agrees(S, T, found) is None
     # random sets of one size at F_32 that no semilinear map relates
     r = random.Random(55)
     nones = 0
@@ -583,22 +588,25 @@ def test_index_rejects_a_key_match_that_is_no_witness(f243):
     S = new_example_set(f243)
     pts = S.indices().tolist()
     M = SemilinearMap(f243, *(int(v) for v in _cross_ratio_matrix(f243, *pts[:3])))
-    probes = set(_probes(f243).tolist())
+    probes = set(_probes(f243, 64).tolist())
     x = next(z for z in pts[3:] if M.apply_slope(z) not in probes)
     y = next(z for z in range(pts[2] + 1, f243.size)
              if z not in S and M.apply_slope(z) not in probes)
     T = ims.ImageSet.from_indices(f243, set(pts) - {x} | {y})
-    index = SetEquivalenceIndex(S)
-    assert agrees(S, T, index) is None
-    assert index.witnesses(T) == []
+    assert agrees(S, T) is None
+    assert set_equivalence_witnesses(S, [T]) == [[]]
 
 
 def test_index_size_mismatch_and_degenerate(f32):
-    index = SetEquivalenceIndex(ims.image_of_ratio(monomial(f32, 1)))
-    assert index.find(ims.image_of_ratio(trace_poly(f32))) is None
-    assert index.witnesses(ims.image_of_ratio(trace_poly(f32))) == []
-    with pytest.raises(DegenerateSet):
-        SetEquivalenceIndex(ims.ImageSet.from_indices(f32, [1, 2]))
+    S = ims.image_of_ratio(monomial(f32, 1))
+    T = ims.image_of_ratio(trace_poly(f32))
+    assert find_set_equivalence(S, T) is None
+    assert set_equivalence_witnesses(S, [T]) == [[]]
+    assert set_equivalence_witnesses(S, []) == []
+    degenerate = ims.ImageSet.from_indices(f32, [1, 2])
+    for Ts in ([], [degenerate], [S]):
+        with pytest.raises(DegenerateSet):
+            set_equivalence_witnesses(degenerate, Ts)
 
 
 def stabilizer_order_by_walk(S):
@@ -648,13 +656,35 @@ def test_index_counts_the_stabilizer(f32, f243):
     orders = []
     for f in polys:
         S = ims.image_of_ratio(f)
-        found = SetEquivalenceIndex(S).witnesses(S)
+        [found] = set_equivalence_witnesses(S, [S])
         assert all(moebius_image(S, w) == S for w in found)
         assert len({w.serialize() for w in found}) == len(found)
         assert len(found) == stabilizer_order_by_walk(S)
         orders.append(len(found))
     assert orders[0] == 2 * 31 * 5 and len(set(orders)) >= 3
     S = new_example_set(f243)
-    found = SetEquivalenceIndex(S).witnesses(S)
+    [found] = set_equivalence_witnesses(S, [S])
     assert len(found) == stabilizer_order_by_walk(S) == 10
     assert found[0] == SemilinearMap.identity(f243)
+
+
+def test_batching_changes_no_answer(f243):
+    # a target's witness list alone, in a batch of two, and among all 121 mu
+    # sets with S itself, a moved copy of S and a set of another size
+    S = new_example_set(f243)
+    r = random.Random(59)
+    moved = None
+    while moved is None:
+        moved = moebius_image(S, rand_phi(f243, r, sigma=1))
+    other = ims.image_of_ratio(trace_poly(f243))
+    assert len(other) != len(S)
+    mu_sets = [ims.image_of_ratio(family_g(f243, 1, mu)) for mu in mus_with_nontrivial_norm(f243)]
+    targets = [S, moved, mu_sets[0], other]
+    alone = [set_equivalence_witnesses(S, [T])[0] for T in targets]
+    assert [len(found) for found in alone] == [10, 10, 0, 0]
+    assert alone[0][0] == SemilinearMap.identity(f243)
+    assert set_equivalence_witnesses(S, [S, moved]) == alone[:2]
+    assert set_equivalence_witnesses(S, [mu_sets[0], other]) == alone[2:]
+    batch = set_equivalence_witnesses(S, mu_sets + [S, moved, other])
+    assert len(mu_sets) == 121 and batch[0] == alone[2] and not any(batch[:121])
+    assert batch[121:] == [alone[0], alone[1], alone[3]]
