@@ -22,13 +22,14 @@ and the zero tuple's image is {0}.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TooLargeForExhaustive
 from .gf import FieldCtx, _prime_factors
-from .qpoly import QPoly, ratio_exponents, ratio_values_at
+from .qpoly import QPoly, ratio_exponents
 
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
@@ -97,7 +98,11 @@ class ImageSet:
 
 
 def image_of_ratio(f: QPoly) -> ImageSet:
-    """Exact image set of f(x)/x over nonzero x (the zero map yields {0})."""
+    """Exact image set of f(x)/x over nonzero x (the zero map yields {0}).
+
+    The values come from `QPoly.ratio_values`, f's whole-field table
+    divided by x.
+    """
     ctx = f.ctx
     values = f.ratio_values()
     mask = np.zeros(ctx.size, dtype=bool)
@@ -210,8 +215,18 @@ def _chunk_ratio_masks(ctx: FieldCtx, T: np.ndarray, bit_table: np.ndarray) -> n
             mask |= np.take(bit_table, idx_of[acc], axis=0)
     else:
         for k in range(ctx.order):
-            mask |= np.take(bit_table, ratio_values_at(ctx, digits, k), axis=0)
+            mask |= np.take(bit_table, _ratio_values_at(ctx, digits, k), axis=0)
     return mask
+
+
+def _ratio_values_at(ctx: FieldCtx, digits: list[np.ndarray], k: int) -> np.ndarray:
+    """f(x)/x at x = g^k for every tuple, digits[i] holding the a_i."""
+    # a * g^(k e) = g^(log a + k e)
+    terms = (
+        np.where(a == 0, 0, (a - 1 + k * e) % ctx.order + 1)
+        for a, e in zip(digits, ratio_exponents(ctx))
+    )
+    return functools.reduce(ctx.vadd, terms)
 
 
 def _bit_table(ctx: FieldCtx) -> np.ndarray:

@@ -12,8 +12,9 @@ with the value INF when the denominator vanishes.  Slope values use the
 field's int encoding plus the INF marker below.
 
 Both actions run on field-wide arrays.  `transform_poly` tabulates the
-graph map over all of F_{q^n}, inverts it by scatter and interpolates
-(`qpoly.interpolate_through_inverse`, which `QPoly.inverse` shares);
+graph map over all of F_{q^n} from `QPoly.table`, inverts it by scatter
+and interpolates (`qpoly.interpolate_through_inverse`, which
+`QPoly.inverse` shares);
 `moebius_image` returns the image of a slope set as an ImageSet, or None
 when a point goes to INF, so every witness check is an ImageSet compare.
 
@@ -157,27 +158,27 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     """The transported q-polynomial f_phi with graph M * (graph f)^sigma.
 
     Tabulates k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s over
-    all of F_{q^n} and returns h_f o k_f^{-1} through the table inversion
-    `interpolate_through_inverse` (k_f inverted by scatter, interpolated at
-    the basis g^t, t < n, through its trace-dual basis, cached per field).  Time and
-    memory are O(q^n): a handful of vector passes and tables of q^n int64
-    entries.  Raises NotAdmissible when k_f is not a bijection, which is
-    exactly when is_admissible(f, phi) is False.  With verify=True the
-    graph identity f_phi(k_f(x)) = h_f(x) is re-checked on every field
-    element, reusing the tables.
+    all of F_{q^n}, f from its `QPoly.table`, and returns h_f o k_f^{-1}
+    through the table inversion `interpolate_through_inverse` (k_f inverted
+    by scatter, interpolated at the basis g^t, t < n, through its trace-dual
+    basis, cached per field).  Time and memory are O(q^n): a handful of
+    vector passes and tables of q^n int64 entries.  Raises NotAdmissible
+    when k_f is not a bijection, which is exactly when is_admissible(f, phi)
+    is False.  With verify=True the graph identity f_phi(k_f(x)) = h_f(x)
+    is re-checked on every field element, reading f_phi's own table at k_f.
     """
     ctx = f.ctx
     e = phi.sigma_exp
     X = np.arange(ctx.size, dtype=np.int64)
     xs = ctx.vfrob(X, e)
-    fs = ctx.vfrob(f.eval_on(X), e)
+    fs = ctx.vfrob(f.table(), e)
     kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
     hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
     coeffs = interpolate_through_inverse(ctx, kv, hv)
     if coeffs is None:
         raise NotAdmissible("k_f is singular for this map (footnote condition fails)")
     g = QPoly(ctx, coeffs)
-    if verify and not np.array_equal(g.eval_on(kv), hv):
+    if verify and not np.array_equal(g.table()[kv], hv):
         raise InconsistentStructure("transported polynomial fails graph identity")
     return g
 

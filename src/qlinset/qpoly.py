@@ -5,6 +5,13 @@ represents an F_q-linear map of the big field.  Everything here is pure;
 QPoly values are immutable and hashable, so partner lists can be compared
 as sets and polynomials can key dictionaries.
 
+Every evaluation over the whole field goes through `QPoly.table`: f is
+F_p-linear, so its q^n values follow from its values at the h*n elements
+g^j of the polynomial basis, for about one vector addition per element.
+`ratio_values` divides that table by x, and `QPoly.inverse` and graph
+transport (`moebius.transform_poly`) invert it by scatter.  `eval_on` stays
+for point sets smaller than the field.
+
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the
 matrix W[t][k] = beta_t^(q^k); no linear system is solved.  The one
@@ -29,6 +36,9 @@ class QPoly:
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != ctx.n:
             raise ValueError(f"need exactly n = {ctx.n} coefficients, got {len(coeffs)}")
+        for i, c in enumerate(coeffs):
+            if not 0 <= c < ctx.size:
+                raise ValueError(f"coefficient {i} = {c} is no element index in [0, {ctx.size})")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -71,7 +81,8 @@ class QPoly:
     __call__ = eval
 
     def eval_on(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of element indices."""
+        """Vectorized evaluation on an array of element indices; `table`
+        covers the whole field."""
         ctx = self.ctx
         acc = np.zeros_like(np.asarray(xs, dtype=np.int64))
         for i, a in enumerate(self.coeffs):
@@ -79,10 +90,30 @@ class QPoly:
                 acc = ctx.vadd(acc, ctx.vmul(a, ctx.vfrob(xs, (ctx.h * i) % ctx.m)))
         return acc
 
+    def table(self) -> np.ndarray:
+        """f(x) for every element x, indexed by element index.
+
+        f is F_p-linear, and the element with packed encoding sum_j c_j p^j
+        is sum_j c_j g^j, g the root of the modulus.  So the table in packed
+        order grows one base-p digit at a time from the m values f(g^j):
+        out[c L + v] = out[(c - 1) L + v] + f(g^j) for L = p^j and c = 1..p-1,
+        one vadd each, about q^n element additions in all.  The m values are
+        taken by scalar `eval`, which costs least on small fields.
+        """
+        ctx = self.ctx
+        out = np.zeros(ctx.size, dtype=np.int64)
+        L = 1
+        for j in range(ctx.m):
+            fj = self.eval(ctx.from_exp(j))
+            for c in range(1, ctx.p):
+                out[c * L:(c + 1) * L] = ctx.vadd(out[(c - 1) * L:c * L], fj)
+            L *= ctx.p
+        return out[ctx._pck]
+
     def ratio_values(self) -> np.ndarray:
         """f(x)/x over all nonzero x, ordered by discrete log of x."""
         ctx = self.ctx
-        return ratio_values_at(ctx, self.coeffs, np.arange(ctx.order, dtype=np.int64))
+        return ctx.vmul(self.table()[1:], ctx.vinv(np.arange(1, ctx.size, dtype=np.int64)))
 
     # --------------------------------------------------------------- algebra
 
@@ -164,11 +195,11 @@ class QPoly:
     def inverse(self) -> "QPoly":
         """Compositional inverse: compose(f, inverse(f)) is the identity.
 
-        Tabulates f over the whole field and inverts the table by scatter,
-        as graph transport does (`interpolate_through_inverse`).
+        Inverts the whole-field `table` of f by scatter, as graph transport
+        does (`interpolate_through_inverse`).
         """
         X = np.arange(self.ctx.size, dtype=np.int64)
-        coeffs = interpolate_through_inverse(self.ctx, self.eval_on(X), X)
+        coeffs = interpolate_through_inverse(self.ctx, self.table(), X)
         if coeffs is None:
             raise NotInvertible("kernel is nontrivial")
         return QPoly(self.ctx, coeffs)
@@ -196,34 +227,11 @@ def trace_poly(ctx: FieldCtx) -> QPoly:
     return QPoly(ctx, [1] * ctx.n)
 
 
-# ------------------------------------------------------------ ratio kernel
+# --------------------------------------------------------- ratio exponents
 
 def ratio_exponents(ctx: FieldCtx) -> list[int]:
     """(q^i - 1) mod (q^n - 1) for i < n: a x^{q^i} / x = a x^(q^i - 1)."""
     return [(ctx.q**i - 1) % ctx.order for i in range(ctx.n)]
-
-
-def ratio_values_at(ctx: FieldCtx, coeffs, k):
-    """f(x)/x at x = g^k for f with the given coefficients.
-
-    Coefficients are element indices, each a scalar or an array (one entry
-    per coefficient tuple); k is a scalar or an array of discrete logs.
-    All of them broadcast together.
-    """
-    ordr = ctx.order
-    acc = None
-    for a, e in zip(coeffs, ratio_exponents(ctx)):
-        # a * g^(k e) = g^(log a + k e)
-        if np.ndim(a) == 0:
-            if a == 0:
-                continue
-            term = (a - 1 + k * e) % ordr + 1
-        else:
-            term = np.where(a == 0, 0, (a - 1 + k * e) % ordr + 1)
-        acc = term if acc is None else ctx.vadd(acc, term)
-    if acc is None:
-        return np.zeros(np.broadcast_shapes(np.shape(k), *map(np.shape, coeffs)), np.int64)
-    return acc
 
 
 # ------------------------------------------------- linear algebra over F_q^n

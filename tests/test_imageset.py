@@ -376,3 +376,18 @@ def test_wide_field_sizes_against_naive_oracle():
     T = np.asarray(r.sample(range(ctx.size**ctx.n), 200), dtype=np.int64)
     sizes = ims._sizes_for_tuples(ctx, T)
     assert sizes.tolist() == [len(_naive_image(ctx, int(t))) for t in T]
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 10), (2, 2, 10)], ids=["3^10", "4^10"])
+def test_image_of_ratio_on_wide_fields(spec):
+    # 59049 and 2^20 elements, far above MAX_TABLE_SIZE: the whole-field
+    # table runs on index and Zech arithmetic
+    ctx = build_field(*spec)
+    r = random.Random(40)
+    f = QPoly(ctx, [r.randrange(1, ctx.size) for _ in range(ctx.n)])
+    assert f.is_strictly_linear()
+    im = ims.image_of_ratio(f)
+    lo, hi = ims.direction_bounds(ctx)
+    assert lo <= len(im) <= hi
+    for x in r.sample(range(1, ctx.size), 16):
+        assert ctx.div(f.eval(x), x) in im

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qlinset.errors import NotInvertible, ZeroPolynomial, ZeroScalar
-from qlinset.gf import build_field
+from qlinset.gf import MAX_TABLE_SIZE, build_field
+from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import (
     QPoly,
     _coords_in_gen_basis,
@@ -53,14 +55,77 @@ def test_eval_matches_repeated_squaring_oracle(f243):
 
 
 def test_eval_on_matches_scalar(f243):
-    import numpy as np
-
     r = random.Random(11)
     f = rand_poly(f243, r)
     X = np.arange(f243.size)
     vals = f.eval_on(X)
     for x in range(0, f243.size, 7):
         assert vals[x] == f.eval(x)
+
+
+def test_coefficients_outside_the_field_are_rejected(f32):
+    # the scalar eval would wrap them mod q^n - 1 and eval_on index past the field
+    for coeffs, bad in (([40, 3, 0, 0, 0], "40"), ([0, 0, -1, 0, 0], "-1"), ([0] * 4 + [32], "32")):
+        with pytest.raises(ValueError, match=f"= {bad} "):
+            QPoly(f32, coeffs)
+    assert QPoly(f32, [31, 0, 0, 0, 0]).coeffs == (31, 0, 0, 0, 0)
+
+
+def _ratio_by_terms(f):
+    """f(x)/x at x = g^k, k < q^n - 1, summed term by term: a_i x^(q^i - 1)."""
+    ctx = f.ctx
+    k = np.arange(ctx.order, dtype=np.int64)
+    acc = np.zeros(ctx.order, dtype=np.int64)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            e = (ctx.q**i - 1) % ctx.order
+            acc = ctx.vadd(acc, ctx.vmul(a, k * e % ctx.order + 1))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (3, 1, 8), (2, 1, 13)],
+    ids=["f32", "f243", "f1024", "f6561", "f8192"],
+)
+def test_table_and_ratio_values_against_oracles(spec):
+    # 6561 and 8192 elements lie above MAX_TABLE_SIZE: index and Zech arithmetic
+    ctx = build_field(*spec)
+    r = random.Random(24)
+    X = np.arange(ctx.size, dtype=np.int64)
+    sample = r.sample(range(ctx.size), 32)
+    polys = [zero_poly(ctx), trace_poly(ctx)]
+    polys += [monomial(ctx, i, r.randrange(1, ctx.size)) for i in range(ctx.n)]
+    polys += [QPoly(ctx, [r.randrange(1, ctx.size) for _ in range(ctx.n)]) for _ in range(4)]
+    for f in polys:
+        tab = f.table()
+        assert np.array_equal(tab, f.eval_on(X)), f
+        assert [int(tab[x]) for x in sample] == [f.eval(x) for x in sample], f
+        assert np.array_equal(f.ratio_values(), _ratio_by_terms(f)), f
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 8), (2, 1, 13)], ids=["f6561", "f8192"])
+def test_inverse_and_transport_above_the_table_limit(spec):
+    ctx = build_field(*spec)
+    assert ctx.size > MAX_TABLE_SIZE
+    r = random.Random(25)
+    f = rand_poly(ctx, r)
+    while not f.is_invertible():
+        f = rand_poly(ctx, r)
+    assert f.compose(f.inverse()) == identity_poly(ctx)
+    while True:
+        a, b, c, d = (r.randrange(1, ctx.size) for _ in range(4))
+        if ctx.mul(a, d) == ctx.mul(b, c):
+            continue
+        phi = SemilinearMap(ctx, a, b, c, d, r.randrange(1, ctx.m))
+        if is_admissible(f, phi):
+            break
+    g = transform_poly(f, phi, verify=True)
+    # the graph identity g(a x^s + b f(x)^s) = c x^s + d f(x)^s, by scalar arithmetic
+    s = phi.sigma_exp
+    for x in r.sample(range(ctx.size), 16):
+        xs, fs = ctx.frobenius(x, s), ctx.frobenius(f.eval(x), s)
+        k = ctx.add(ctx.mul(a, xs), ctx.mul(b, fs))
+        assert g.eval(k) == ctx.add(ctx.mul(c, xs), ctx.mul(d, fs))
 
 
 def test_compose(f32):
