@@ -18,6 +18,15 @@ representative, the tuple whose first nonzero coefficient is 1 = g^0; it is
 also the orbit's lex-least member.  Only representatives are evaluated
 ((32^5 - 1)/31 of them at q = 2, n = 5); every other image is a rotation,
 and the zero tuple's image is {0}.
+
+One kernel, `_chunk_ratio_masks`, computes image rows on every field: f(x)/x
+at x = g^k is the field sum of the gathers a_i g^(k e_i), one `vadd` chain
+per k.  The representatives come in blocks that are open digit grids (a
+leading 1, fixed digits, a range, then free digits on broadcast axes), so
+the chain is an outer sum and only its last `vadd` is as long as the block;
+flat tuple arrays pass their digits to the same kernel.  `all_ratio_masks`
+fills every other orbit member by axis gathers on the tuple space viewed as
+an (N,)*n cube.
 """
 
 from __future__ import annotations
@@ -165,22 +174,24 @@ def _tuple_digits(ctx: FieldCtx, T: np.ndarray) -> list[np.ndarray]:
     return [(T // N ** (n - 1 - i)) % N for i in range(n)]
 
 
-def strict_linear_mask(ctx: FieldCtx, digits: list[np.ndarray]) -> np.ndarray:
-    """Boolean mask of tuples whose polynomial is strictly F_q-linear.
+def strict_linear_mask(ctx: FieldCtx, digits: list) -> np.ndarray:
+    """Boolean mask of tuples whose polynomial is strictly F_q-linear, in the
+    shape the digit arrays (or ints) broadcast to.
 
     Strict linearity means gcd(n, {i > 0 : a_i != 0}) = 1: for every prime
     divisor l of n some coefficient with index not divisible by l is nonzero.
     """
     n = ctx.n
-    some_high = np.zeros(digits[0].shape, dtype=bool)
+    shape = np.broadcast_shapes(*map(np.shape, digits))
+    nonzero = [np.not_equal(d, 0) for d in digits]
+    strict = np.zeros(shape, dtype=bool)
     for i in range(1, n):
-        some_high |= digits[i] != 0
-    strict = some_high.copy()
+        strict |= nonzero[i]
     for ell in _prime_factors(n):
-        hit = np.zeros(digits[0].shape, dtype=bool)
+        hit = np.zeros(shape, dtype=bool)
         for i in range(1, n):
             if i % ell:
-                hit |= digits[i] != 0
+                hit |= nonzero[i]
         strict &= hit
     return strict
 
@@ -198,35 +209,23 @@ def _pack_rows(members: np.ndarray) -> np.ndarray:
     return np.packbits(members, axis=1, bitorder="little").view("<u4")
 
 
-def _chunk_ratio_masks(ctx: FieldCtx, T: np.ndarray, bit_table: np.ndarray) -> np.ndarray:
-    """Image row (bit e of the row = element index e) of each tuple in T."""
-    digits = _tuple_digits(ctx, T)
-    mask = np.zeros((T.size, bit_table.shape[1]), dtype=bit_table.dtype)
-    if ctx.p == 2:
-        # addition is XOR of packed values: term i at x = g^k is the packed
-        # a_i * g^(k e_i), read off a table over the q^n elements a, built
-        # one k at a time (tables for every k would hold n (q^n-1) q^n ints)
-        pck, idx_of, es = ctx._pck, ctx._idx, ratio_exponents(ctx)
-        for k in range(ctx.order):
-            tabs = [pck[_scale_row(ctx, k * e)] for e in es]
-            acc = tabs[0][digits[0]]
-            for tab, d in zip(tabs[1:], digits[1:]):
-                acc ^= tab[d]
-            mask |= np.take(bit_table, idx_of[acc], axis=0)
-    else:
-        for k in range(ctx.order):
-            mask |= np.take(bit_table, _ratio_values_at(ctx, digits, k), axis=0)
-    return mask
+def _chunk_ratio_masks(ctx: FieldCtx, digits: list, bit_table: np.ndarray) -> np.ndarray:
+    """Image rows (bit e of a row = element index e) of the tuples whose
+    coefficients a_i are digits[i], in the shape the digits broadcast to.
 
-
-def _ratio_values_at(ctx: FieldCtx, digits: list[np.ndarray], k: int) -> np.ndarray:
-    """f(x)/x at x = g^k for every tuple, digits[i] holding the a_i."""
-    # a * g^(k e) = g^(log a + k e)
-    terms = (
-        np.where(a == 0, 0, (a - 1 + k * e) % ctx.order + 1)
-        for a, e in zip(digits, ratio_exponents(ctx))
-    )
-    return functools.reduce(ctx.vadd, terms)
+    The digits are flat arrays of one length (`_tuple_digits`) or an open
+    grid (`_representative_blocks`).  f(x)/x at x = g^k is the field sum of
+    the terms a_i g^(k e_i), each a gather from `_scale_row(ctx, k e_i)`;
+    on an open grid the sum is an outer sum, and only its last vadd is as
+    long as the block.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, digits))
+    rows = np.zeros(shape + bit_table.shape[1:], dtype=bit_table.dtype)
+    es = ratio_exponents(ctx)
+    for k in range(ctx.order):
+        terms = (_scale_row(ctx, k * e)[d] for e, d in zip(es, digits))
+        rows |= np.take(bit_table, functools.reduce(ctx.vadd, terms), axis=0)
+    return rows
 
 
 def _bit_table(ctx: FieldCtx) -> np.ndarray:
@@ -238,20 +237,35 @@ def _bit_table(ctx: FieldCtx) -> np.ndarray:
 
 
 def _representative_blocks(ctx: FieldCtx):
-    """Ascending blocks of orbit representatives: the nonzero tuples whose
-    first nonzero coefficient is 1 = g^0.
+    """Ascending blocks (T, grid) of orbit representatives: the nonzero
+    tuples whose first nonzero coefficient is 1 = g^0.
 
-    With the leading coefficient at position j, the representatives are
-    1 * N^(n-1-j) plus a free tail, the contiguous range [N^(n-1-j),
-    2 N^(n-1-j)); later leading positions give smaller indices.  A block
-    holds at most _REP_BLOCK words of image rows.
+    With the leading 1 at position j, the representatives are the contiguous
+    range [N^(n-1-j), 2 N^(n-1-j)); later leading positions give smaller
+    indices.  In a block the last f digits are free, the digit before them
+    runs over a range and the digits before that are fixed.  grid[i] is
+    digit i: an int, or an arange on its own broadcast axis, so the grid is
+    open and T lists its tuple indices in C order.  f is the largest with
+    N^f image rows in _REP_BLOCK words, and a block holds at most
+    _REP_BLOCK words.
     """
     N, n = ctx.size, ctx.n
     step = max(1, _REP_BLOCK // _words(ctx))
+    most = 0
+    while N ** (most + 1) <= step:
+        most += 1
     for j in reversed(range(n)):
-        lo = N ** (n - 1 - j)
-        for start in range(lo, 2 * lo, step):
-            yield np.arange(start, min(start + step, 2 * lo), dtype=np.int64)
+        free = min(n - 1 - j, most)
+        span = N**free
+        axes = [np.arange(N).reshape((N,) + (1,) * (free - 1 - a)) for a in range(free)]
+        # h is the tuple index of the digits before the free ones
+        lo = h = N ** (n - 1 - j - free)
+        while h < 2 * lo:
+            end = min(h + step // span, 2 * lo, (h // N + 1) * N)
+            fixed = [h // N ** (n - free - 1 - i) % N for i in range(n - free - 1)]
+            run = np.arange(h % N, h % N + end - h).reshape((end - h,) + (1,) * free)
+            yield np.arange(h * span, end * span, dtype=np.int64), fixed + [run] + axes
+            h = end
 
 
 def _scale_row(ctx: FieldCtx, k: int) -> np.ndarray:
@@ -283,23 +297,38 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     Feasible only for fields of at most 64 elements and at most 2^26 tuples.
     The image row of each tuple (one or two words) is read as one `<u4` or
     `<u8` integer, bit e = element index e.  One row per scalar orbit is
-    evaluated and the rest are rotations of it; the q=2, n=5 space (32^5
-    tuples, (32^5 - 1)/31 nonzero orbits) takes 1-2 s.
+    evaluated, block by block of `_representative_blocks`.  The rest are
+    rotations, filled by axis gathers on the tuple space viewed as an
+    (N,)*n cube: the tuples whose first nonzero digit sits at j and is
+    g^k are g^k times the representatives, so their slab is the slab of the
+    representatives, rotated by k and read at `_scale_row(ctx, -k)` along
+    every later axis.  The q = 2, n = 5 space (32^5 tuples, (32^5 - 1)/31
+    nonzero orbits) takes about 1 s on a 2-core box.
     """
-    total = ctx.size**ctx.n
-    if ctx.size > 64:
-        raise TooLargeForExhaustive(f"field of size {ctx.size} has no 64-bit image mask")
+    N, n = ctx.size, ctx.n
+    total = N**n
+    if N > 64:
+        raise TooLargeForExhaustive(f"field of size {N} has no 64-bit image mask")
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
     bit = _bit_table(ctx)
     as_int = np.dtype(f"<u{4 * bit.shape[1]}")
     out = np.empty(total, dtype=as_int)
     out[0] = 1
-    for T in _representative_blocks(ctx):
-        masks = _chunk_ratio_masks(ctx, T, bit).view(as_int)[:, 0]
-        digits = _tuple_digits(ctx, T)
-        for k in range(ctx.order):
-            out[_scaled_tuples(ctx, digits, _scale_row(ctx, k))] = _rotate(masks, k, ctx.order)
+    for T, grid in _representative_blocks(ctx):
+        rows = _chunk_ratio_masks(ctx, grid, bit).reshape(T.size, -1)
+        out[T[0] : T[-1] + 1] = rows.view(as_int)[:, 0]
+    cube = out.reshape((N,) * n)
+    for j in range(n):
+        slab = cube[(0,) * j]
+        reps = slab[1, ...]
+        bufs = np.empty_like(reps), np.empty_like(reps)
+        for k in range(1, ctx.order):
+            row, src = _scale_row(ctx, -k), _rotate(reps, k, ctx.order)
+            for ax in range(reps.ndim):
+                dst = slab[k + 1] if ax == reps.ndim - 1 else bufs[ax % 2]
+                src = np.take(src, row, axis=ax, out=dst, mode="clip")
+            slab[k + 1] = src  # already in place unless the slab is 0-d
     return out
 
 
@@ -314,8 +343,10 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     With `masks` (a cached all_ratio_masks array of this field) this is a
     single vector compare.  Otherwise it walks the orbit representatives,
     guarded at 2^26 tuples: g^k r matches when the image row of r equals
-    that of g^(-k) Im(f).
+    that of g^(-k) Im(f).  ValueError when f lives in another context.
     """
+    if f.ctx is not ctx:
+        raise ValueError("polynomials live in different field contexts")
     total = ctx.size**ctx.n
     target = image_of_ratio(f)
     if masks is not None:
@@ -334,8 +365,8 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     wants = _scaled_image_rows(target)
     # the zero tuple is the one tuple whose image is {0}
     hits = [np.zeros(int(target.size == 1 and target.mask[0]), dtype=np.int64)]
-    for T in _representative_blocks(ctx):
-        rows = _chunk_ratio_masks(ctx, T, bit)
+    for T, grid in _representative_blocks(ctx):
+        rows = _chunk_ratio_masks(ctx, grid, bit).reshape(T.size, -1)
         keep = np.isin(rows[:, 0], wants[:, 0])
         if not keep.any():
             continue
@@ -412,20 +443,22 @@ def survey_image_sizes(
         rng = np.random.default_rng(seed)
         draw = rng.integers(0, total, size=samples, dtype=np.int64)
         step = max(1, _CHUNK // _words(ctx))
-        blocks = (draw[lo : lo + step] for lo in range(0, samples, step))
+        blocks = (
+            (T, _tuple_digits(ctx, T))
+            for T in (draw[lo : lo + step] for lo in range(0, samples, step))
+        )
         weight = 1
     else:
         raise ValueError(f"unknown survey mode {mode!r}")
 
     counts: dict[int, int] = {}
     reps: dict[int, int] = {}
-    for T in blocks:
-        digits = _tuple_digits(ctx, T)
-        strict = strict_linear_mask(ctx, digits)
+    for T, digits in blocks:
+        strict = strict_linear_mask(ctx, digits).ravel()
         if not strict.any():
             continue
         T = T[strict]
-        sizes = _sizes_for_tuples(ctx, T)
+        sizes = _sizes_for_tuples(ctx, digits).ravel()[strict]
         for s in np.unique(sizes):
             sel = sizes == s
             s = int(s)
@@ -438,6 +471,7 @@ def survey_image_sizes(
     ]
 
 
-def _sizes_for_tuples(ctx: FieldCtx, T: np.ndarray) -> np.ndarray:
-    rows = _chunk_ratio_masks(ctx, T, _bit_table(ctx))
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+def _sizes_for_tuples(ctx: FieldCtx, digits: list) -> np.ndarray:
+    """|Im(f(x)/x)| of the tuples with these digits, as `_chunk_ratio_masks`."""
+    rows = _chunk_ratio_masks(ctx, digits, _bit_table(ctx))
+    return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)

@@ -359,8 +359,8 @@ def suite_new_linset(
     is maximum scattered and inequivalent to every mu x^q + x^{q^4}: the
     report of `linset.verify_new_example` on `ctx`, F_{3^5} by default.
 
-    `threads` is accepted and ignored: the mu run in one process against one
-    set-equivalence index."""
+    `threads` is accepted and ignored: every mu set is checked in one process,
+    by one `set_equivalence_witnesses` scan."""
     return ls.verify_new_example(
         build_field(3, 1, 5) if ctx is None else ctx,
         delta, all_mu=all_mu, samples=samples, seed=seed,

@@ -92,7 +92,7 @@ def test_adjoint_image_invariance_exhaustive_q2_n5(f32, q2_masks):
 def _kernel_masks(ctx, T):
     # the row kernel on the tuples T, each row of one or two words read as
     # one integer, the encoding all_ratio_masks returns
-    rows = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    rows = ims._chunk_ratio_masks(ctx, ims._tuple_digits(ctx, T), ims._bit_table(ctx))
     return rows.view(f"<u{4 * rows.shape[1]}")[:, 0]
 
 
@@ -150,7 +150,7 @@ def test_survey_by_orbit_matches_every_tuple(spec):
     ctx = build_field(*spec)
     T = np.arange(ctx.size**ctx.n, dtype=np.int64)
     T = T[ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))]
-    sizes = ims._sizes_for_tuples(ctx, T)
+    sizes = ims._sizes_for_tuples(ctx, ims._tuple_digits(ctx, T))
     expected = [
         (int(s), int((sizes == s).sum()), ims.tuple_to_coeffs(ctx, int(T[sizes == s].min())))
         for s in np.unique(sizes)
@@ -312,7 +312,7 @@ def _bounds_by_direct_count(seed, samples):
         batch = batch[ims.strict_linear_mask(ctx3, ims._tuple_digits(ctx3, batch))]
         if batch.size == 0:
             continue
-        sz = ims._sizes_for_tuples(ctx3, batch)
+        sz = ims._sizes_for_tuples(ctx3, ims._tuple_digits(ctx3, batch))
         drawn += batch.size
         s_min, s_max = min(s_min, int(sz.min())), max(s_max, int(sz.max()))
         ok3 &= bool((sz >= lo3).all() and (sz <= hi3).all())
@@ -355,17 +355,96 @@ def test_tuple_kernels_against_naive_oracle(spec, words):
     assert ims._words(ctx) == words
     T = np.arange(ctx.size**ctx.n, dtype=np.int64)
     naive = [_naive_image(ctx, int(t)) for t in T]
-    rows = ims._chunk_ratio_masks(ctx, T, ims._bit_table(ctx))
+    digits = ims._tuple_digits(ctx, T)
+    rows = ims._chunk_ratio_masks(ctx, digits, ims._bit_table(ctx))
     assert rows.shape == (T.size, words)
     assert [int.from_bytes(row.tobytes(), "little") for row in rows] == [
         sum(1 << e for e in im) for im in naive
     ]
-    assert ims._sizes_for_tuples(ctx, T).tolist() == [len(im) for im in naive]
+    assert ims._sizes_for_tuples(ctx, digits).tolist() == [len(im) for im in naive]
     r = random.Random(36 + ctx.size)
     for t in r.sample(range(T.size), 3):
         expected = [u for u, im in enumerate(naive) if im == naive[t]]
         got = ims.equal_image_tuples(ctx, ims.poly_from_tuple(ctx, t))
         assert got.tolist() == expected
+
+
+def _xor_rows(ctx, T):
+    # characteristic 2: f(x)/x is the sum of the terms a_i x^(q^i - 1), each
+    # a scalar product, summed as XOR of packed coefficient vectors; the
+    # image row of each tuple, bit e for element index e
+    xs = np.arange(1, ctx.size)
+    acc = np.zeros((T.size, xs.size), dtype=np.int64)
+    for i, d in enumerate(ims._tuple_digits(ctx, T)):
+        terms = [[ctx.mul(a, ctx.pow_int(int(x), ctx.q**i - 1)) for x in xs] for a in range(ctx.size)]
+        acc ^= ctx.packed(terms)[d]
+    members = np.zeros((T.size, 32 * ims._words(ctx)), dtype=bool)
+    members[np.arange(T.size)[:, None], ctx.unpacked(acc)] = True
+    return np.packbits(members, axis=1, bitorder="little").view("<u4")
+
+
+def _row_set(row):
+    value = int.from_bytes(row.tobytes(), "little")
+    return frozenset(e for e in range(value.bit_length()) if value >> e & 1)
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2)],
+    ids=["F4", "F8", "F16", "F16-tower"],
+)
+def test_tuple_kernels_against_naive_oracle_char2(spec):
+    # every tuple, against sums that use neither vadd nor _scale_row; the
+    # XOR sums themselves against scalar evaluation on a seeded sample
+    ctx = build_field(*spec)
+    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
+    expected = _xor_rows(ctx, T)
+    rows = ims._chunk_ratio_masks(ctx, ims._tuple_digits(ctx, T), ims._bit_table(ctx))
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(ims.all_ratio_masks(ctx), expected[:, 0])
+    for t in random.Random(42).sample(range(T.size), min(T.size, 256)):
+        assert _row_set(expected[t]) == _naive_image(ctx, t)
+
+
+def test_tuple_kernels_against_naive_oracle_q2_n5(f32, q2_masks):
+    T = np.random.default_rng(42).integers(0, f32.size**f32.n, size=2**10)
+    rows = ims._chunk_ratio_masks(f32, ims._tuple_digits(f32, T), ims._bit_table(f32))
+    naive = [_naive_image(f32, int(t)) for t in T]
+    assert [_row_set(row) for row in rows] == naive
+    assert [_row_set(m) for m in q2_masks[T]] == naive
+
+
+@pytest.mark.parametrize("rep_block", [ims._REP_BLOCK, 200])
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (7, 1, 2)],
+    ids=["F8", "F27", "F16-tower", "F49"],
+)
+def test_representative_blocks_are_open_grids(spec, rep_block, monkeypatch):
+    # at 200 words the blocks fix leading digits and split a digit's range
+    monkeypatch.setattr(ims, "_REP_BLOCK", rep_block)
+    ctx = build_field(*spec)
+    every = np.arange(ctx.size**ctx.n, dtype=np.int64)
+    digits = np.stack(ims._tuple_digits(ctx, every))
+    first = digits[(digits != 0).argmax(axis=0), every]
+    blocks = list(ims._representative_blocks(ctx))
+    assert np.array_equal(np.concatenate([T for T, _ in blocks]), every[first == 1])
+    for T, grid in blocks:
+        assert T.size * ims._words(ctx) <= rep_block
+        shape = np.broadcast_shapes(*map(np.shape, grid))
+        for g, d in zip(grid, ims._tuple_digits(ctx, T), strict=True):
+            assert np.array_equal(np.broadcast_to(g, shape).ravel(), d)
+    assert np.array_equal(ims.all_ratio_masks(ctx), _masks_of_every_tuple(ctx))
+
+
+def test_equal_image_tuples_rejects_a_polynomial_of_another_context(f32, q2_masks):
+    other = build_field(2, 1, 5, modulus=[1, 1, 1, 0, 1, 1])
+    assert other is not f32
+    f = QPoly(other, [15, 19, 18, 5, 12])
+    for masks in (None, q2_masks):
+        with pytest.raises(ValueError, match="different field contexts"):
+            ims.equal_image_tuples(f32, f, masks=masks)
+    got = ims.equal_image_tuples(other, f)
+    assert got.size == 62
+    assert ims.coeffs_to_tuple(other, f.coeffs) in got
 
 
 def test_wide_field_sizes_against_naive_oracle():
@@ -374,7 +453,7 @@ def test_wide_field_sizes_against_naive_oracle():
     assert ims._words(ctx) == 3
     r = random.Random(38)
     T = np.asarray(r.sample(range(ctx.size**ctx.n), 200), dtype=np.int64)
-    sizes = ims._sizes_for_tuples(ctx, T)
+    sizes = ims._sizes_for_tuples(ctx, ims._tuple_digits(ctx, T))
     assert sizes.tolist() == [len(_naive_image(ctx, int(t))) for t in T]
 
 
