@@ -242,12 +242,12 @@ def _representative_blocks(ctx: FieldCtx):
 
     With the leading 1 at position j, the representatives are the contiguous
     range [N^(n-1-j), 2 N^(n-1-j)); later leading positions give smaller
-    indices.  In a block the last f digits are free, the digit before them
-    runs over a range and the digits before that are fixed.  grid[i] is
-    digit i: an int, or an arange on its own broadcast axis, so the grid is
-    open and T lists its tuple indices in C order.  f is the largest with
-    N^f image rows in _REP_BLOCK words, and a block holds at most
-    _REP_BLOCK words.
+    indices.  In a block the last `free` digits are free, the digit before
+    them runs over a range and the digits before that are fixed; `free` is
+    n-1-j, or `most` if fewer, the most digits whose N^most image rows fit
+    in _REP_BLOCK words.  grid[i] is digit i: an int, or an arange on its
+    own broadcast axis, so the grid is open and T lists its tuple indices in
+    C order.  A block holds at most _REP_BLOCK words.
     """
     N, n = ctx.size, ctx.n
     step = max(1, _REP_BLOCK // _words(ctx))
@@ -303,7 +303,7 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     g^k are g^k times the representatives, so their slab is the slab of the
     representatives, rotated by k and read at `_scale_row(ctx, -k)` along
     every later axis.  The q = 2, n = 5 space (32^5 tuples, (32^5 - 1)/31
-    nonzero orbits) takes about 1 s on a 2-core box.
+    nonzero orbits) takes about 0.8 s on a 2-core box.
     """
     N, n = ctx.size, ctx.n
     total = N**n
