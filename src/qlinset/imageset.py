@@ -4,7 +4,9 @@ The dominant cost in every search is set comparison, so images are stored
 as dense boolean membership arrays keyed by element index (slot 0 is the
 zero element).  Tuple index t encodes (a_0, ..., a_{n-1}) with a_0 most
 significant, so ascending t is lexicographic order on tuples and "lex-least
-representative" is simply the smallest surviving t.
+representative" is simply the smallest surviving t.  One encoder,
+`coeffs_to_tuple`, and one decoder, `_tuple_digits`, convert between the
+two, on ints or on arrays.
 
 The tuple-space enumerators key every image, on every field, by one image
 row: W = ceil(q^n / 32) little-endian uint32 words, where bit e of the row
@@ -24,9 +26,13 @@ at x = g^k is the field sum of the gathers a_i g^(k e_i), one `vadd` chain
 per k.  The representatives come in blocks that are open digit grids (a
 leading 1, fixed digits, a range, then free digits on broadcast axes), so
 the chain is an outer sum and only its last `vadd` is as long as the block;
-flat tuple arrays pass their digits to the same kernel.  `all_ratio_masks`
-fills every other orbit member by axis gathers on the tuple space viewed as
-an (N,)*n cube.
+flat tuple arrays, such as the sampled survey's draws, pass their digits to
+the same kernel.  One loop, `_image_rows`, turns blocks of either kind into
+rows of at most _REP_BLOCK words, for `all_ratio_masks`, the walk of
+`equal_image_tuples` and `survey_image_sizes`.  `all_ratio_masks` fills
+every other orbit member by axis gathers on the tuple space viewed as an
+(N,)*n cube.  Scaling by g^k and Frobenius read the field's own `vmul` and
+`vfrob`.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ from .qpoly import QPoly, ratio_exponents
 
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
-_CHUNK = 1 << 20  # words of image rows per block of the sampled survey
-_REP_BLOCK = 1 << 18  # words of image rows per block of the orbit walk
+_REP_BLOCK = 1 << 18  # words of image rows per block of tuples
 
 
 class ImageSet:
@@ -155,23 +160,23 @@ def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -
 
 # ------------------------------------------------------- tuple-space helpers
 
-def tuple_to_coeffs(ctx: FieldCtx, t: int) -> tuple[int, ...]:
-    N, n = ctx.size, ctx.n
-    return tuple((t // N ** (n - 1 - i)) % N for i in range(n))
+def coeffs_to_tuple(ctx: FieldCtx, coeffs):
+    """Tuple index of (a_0, ..., a_{n-1}), by Horner on N = q^n; the
+    coefficients are ints or arrays of one shape."""
+    t = 0
+    for c in coeffs:
+        t = t * ctx.size + c
+    return t
 
 
-def coeffs_to_tuple(ctx: FieldCtx, coeffs) -> int:
+def _tuple_digits(ctx: FieldCtx, T) -> list:
+    """Coefficients (a_0, ..., a_{n-1}) of tuple index T, an int or an array."""
     N, n = ctx.size, ctx.n
-    return sum(int(c) * N ** (n - 1 - i) for i, c in enumerate(coeffs))
+    return [T // N ** (n - 1 - i) % N for i in range(n)]
 
 
 def poly_from_tuple(ctx: FieldCtx, t: int) -> QPoly:
-    return QPoly(ctx, tuple_to_coeffs(ctx, t))
-
-
-def _tuple_digits(ctx: FieldCtx, T: np.ndarray) -> list[np.ndarray]:
-    N, n = ctx.size, ctx.n
-    return [(T // N ** (n - 1 - i)) % N for i in range(n)]
+    return QPoly(ctx, _tuple_digits(ctx, t))
 
 
 def strict_linear_mask(ctx: FieldCtx, digits: list) -> np.ndarray:
@@ -228,6 +233,15 @@ def _chunk_ratio_masks(ctx: FieldCtx, digits: list, bit_table: np.ndarray) -> np
     return rows
 
 
+def _image_rows(ctx: FieldCtx, blocks):
+    """(T, digits, rows) for each block (T, digits) of tuples, as
+    `_representative_blocks` or `_tuple_digits` give them: rows[i], of W
+    words, is the image row of tuple T[i]."""
+    bit = _bit_table(ctx)
+    for T, digits in blocks:
+        yield T, digits, _chunk_ratio_masks(ctx, digits, bit).reshape(T.size, -1)
+
+
 def _bit_table(ctx: FieldCtx) -> np.ndarray:
     """One-hot (q^n, W) table: row e is the image row of {e}."""
     e = np.arange(ctx.size)
@@ -270,18 +284,7 @@ def _representative_blocks(ctx: FieldCtx):
 
 def _scale_row(ctx: FieldCtx, k: int) -> np.ndarray:
     """row[d] = element index of g^k * d."""
-    row = np.zeros(ctx.size, dtype=np.int64)
-    row[1:] = (np.arange(ctx.order, dtype=np.int64) + k) % ctx.order + 1
-    return row
-
-
-def _scaled_tuples(ctx: FieldCtx, digits: list[np.ndarray], row: np.ndarray) -> np.ndarray:
-    """Tuple index of c times each tuple, with row = _scale_row(ctx, k) for c = g^k."""
-    out = row[digits[0]]
-    for d in digits[1:]:
-        out *= ctx.size
-        out += row[d]
-    return out
+    return ctx.vmul(ctx.from_exp(k), np.arange(ctx.size))
 
 
 def _rotate(masks, k: int, order: int):
@@ -297,13 +300,14 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     Feasible only for fields of at most 64 elements and at most 2^26 tuples.
     The image row of each tuple (one or two words) is read as one `<u4` or
     `<u8` integer, bit e = element index e.  One row per scalar orbit is
-    evaluated, block by block of `_representative_blocks`.  The rest are
-    rotations, filled by axis gathers on the tuple space viewed as an
-    (N,)*n cube: the tuples whose first nonzero digit sits at j and is
-    g^k are g^k times the representatives, so their slab is the slab of the
-    representatives, rotated by k and read at `_scale_row(ctx, -k)` along
-    every later axis.  The q = 2, n = 5 space (32^5 tuples, (32^5 - 1)/31
-    nonzero orbits) takes about 0.8 s on a 2-core box.
+    evaluated, block by block of `_representative_blocks` through
+    `_image_rows`.  The rest are rotations, filled by axis gathers on the
+    tuple space viewed as an (N,)*n cube: the tuples whose first nonzero
+    digit sits at j and is g^k are g^k times the representatives, so their
+    slab is the slab of the representatives, rotated by k and read at
+    `_scale_row(ctx, -k)` along every later axis.  The q = 2, n = 5 space
+    (32^5 tuples, (32^5 - 1)/31 nonzero orbits) takes about 0.8 s on a
+    2-core box.
     """
     N, n = ctx.size, ctx.n
     total = N**n
@@ -311,12 +315,10 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
         raise TooLargeForExhaustive(f"field of size {N} has no 64-bit image mask")
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
-    bit = _bit_table(ctx)
-    as_int = np.dtype(f"<u{4 * bit.shape[1]}")
+    as_int = np.dtype(f"<u{4 * _words(ctx)}")
     out = np.empty(total, dtype=as_int)
     out[0] = 1
-    for T, grid in _representative_blocks(ctx):
-        rows = _chunk_ratio_masks(ctx, grid, bit).reshape(T.size, -1)
+    for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
         out[T[0] : T[-1] + 1] = rows.view(as_int)[:, 0]
     cube = out.reshape((N,) * n)
     for j in range(n):
@@ -332,11 +334,6 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def mask_of_imageset(S: ImageSet) -> int:
-    """The same bitmask encoding used by all_ratio_masks, for one set."""
-    return int.from_bytes(np.packbits(S.mask, bitorder="little").tobytes(), "little")
-
-
 def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None) -> np.ndarray:
     """Tuple indices of every g (any linearity) with Im(g(x)/x) = Im(f(x)/x).
 
@@ -350,7 +347,7 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
     total = ctx.size**ctx.n
     target = image_of_ratio(f)
     if masks is not None:
-        want = mask_of_imageset(target)
+        want = int.from_bytes(_pack_rows(target.mask[None]).tobytes(), "little")
         # f is its own partner, so masks of another field or modulus show
         # themselves at f's own tuple
         if masks.shape != (total,) or int(masks[coeffs_to_tuple(ctx, f.coeffs)]) != want:
@@ -361,12 +358,10 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
         return np.flatnonzero(masks == masks.dtype.type(want))
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
-    bit = _bit_table(ctx)
     wants = _scaled_image_rows(target)
     # the zero tuple is the one tuple whose image is {0}
     hits = [np.zeros(int(target.size == 1 and target.mask[0]), dtype=np.int64)]
-    for T, grid in _representative_blocks(ctx):
-        rows = _chunk_ratio_masks(ctx, grid, bit).reshape(T.size, -1)
+    for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
         keep = np.isin(rows[:, 0], wants[:, 0])
         if not keep.any():
             continue
@@ -375,37 +370,29 @@ def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None)
         for k in range(ctx.order):
             sel = (rows == wants[k]).all(axis=1)
             if sel.any():
-                hits.append(_scaled_tuples(ctx, [d[sel] for d in digits], _scale_row(ctx, k)))
+                row = _scale_row(ctx, k)
+                hits.append(coeffs_to_tuple(ctx, [row[d[sel]] for d in digits]))
     return np.sort(np.concatenate(hits))
 
 
 def _scaled_image_rows(S: ImageSet) -> np.ndarray:
     """(q^n - 1, W) rows: row k is the image row of g^(-k) S."""
     ctx = S.ctx
-    e = np.arange(ctx.size, dtype=np.int64)
+    e = np.arange(ctx.size)
     step = max(1, _REP_BLOCK // ctx.size)
     blocks = []
     for lo in range(0, ctx.order, step):
-        ks = np.arange(lo, min(lo + step, ctx.order), dtype=np.int64)[:, None]
-        # g^(-k) g^(e-1) is in g^(-k) S exactly when g^(e-1+k) is in S
-        src = np.where(e > 0, (e - 1 + ks) % ctx.order + 1, 0)
-        blocks.append(_pack_rows(S.mask[src]))
+        ks = np.arange(lo, min(lo + step, ctx.order))[:, None]
+        # x is in g^(-k) S exactly when g^k x is in S
+        blocks.append(_pack_rows(S.mask[ctx.vmul(ks + 1, e)]))
     return np.concatenate(blocks)
 
 
 def adjoint_tuple_perm(ctx: FieldCtx, T: np.ndarray) -> np.ndarray:
-    """Tuple index of the adjoint polynomial, vectorized over tuple indices."""
-    digits = _tuple_digits(ctx, T)
-    N, n = ctx.size, ctx.n
-    out = np.zeros(T.shape, dtype=np.int64)
-    ks = np.arange(ctx.order, dtype=np.int64)
-    for i in range(n):
-        j = (n - i) % n
-        e = (ctx.h * j) % ctx.m
-        fr = np.zeros(N, dtype=np.int64)
-        fr[1:] = (ks * ctx._pe[e]) % ctx.order + 1
-        out += fr[digits[i]] * N ** (n - 1 - j)
-    return out
+    """Tuple index of the adjoint polynomial, vectorized over tuple indices:
+    as `QPoly.adjoint`, coefficient j of the adjoint is a_{(n-j) mod n}^(q^j)."""
+    a, n = _tuple_digits(ctx, T), ctx.n
+    return coeffs_to_tuple(ctx, (ctx.vfrob(a[(n - j) % n], ctx.h * j) for j in range(n)))
 
 
 # ---------------------------------------------------------------- the survey
@@ -417,48 +404,39 @@ class SurveyRow(NamedTuple):
 
 
 def survey_image_sizes(
-    ctx: FieldCtx,
-    mode: str = "exhaustive",
-    samples: int | None = None,
-    seed: int = 0,
+    ctx: FieldCtx, samples: int | None = None, seed: int = 0
 ) -> list[SurveyRow]:
     """Histogram of |Im(f(x)/x)| over strictly F_q-linear f.
 
-    Exhaustive mode covers every coefficient tuple (guarded at 2^32 tuples)
-    by walking the scalar-orbit representatives: strictness and |Im| are
-    scale-invariant and every nonzero orbit has q^n - 1 members, so each
-    representative counts q^n - 1 times, and as the orbit's lex-least member
-    it is the candidate for the size's representative.  Sample mode draws
-    `samples` tuples from a seeded generator.  One lex-least representative
-    tuple is kept per occurring size.
+    Without `samples` the survey covers every coefficient tuple (guarded at
+    2^32 tuples) by walking the scalar-orbit representatives: strictness and
+    |Im| are scale-invariant and every nonzero orbit has q^n - 1 members, so
+    each representative counts q^n - 1 times, and as the orbit's lex-least
+    member it is the candidate for the size's representative.  With
+    `samples` (ValueError unless positive) it counts that many tuples drawn
+    from a generator seeded by `seed`.  Both read the sizes as popcounts of
+    `_image_rows`, and one lex-least representative tuple is kept per
+    occurring size.
     """
     total = ctx.size**ctx.n
-    if mode == "exhaustive":
+    if samples is None:
         if total > _EXHAUSTIVE_GUARD:
             raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
         blocks, weight = _representative_blocks(ctx), ctx.order
-    elif mode == "sample":
-        if samples is None or samples < 1:
-            raise ValueError("sample mode needs a positive sample count")
-        rng = np.random.default_rng(seed)
-        draw = rng.integers(0, total, size=samples, dtype=np.int64)
-        step = max(1, _CHUNK // _words(ctx))
-        blocks = (
-            (T, _tuple_digits(ctx, T))
-            for T in (draw[lo : lo + step] for lo in range(0, samples, step))
-        )
-        weight = 1
+    elif samples < 1:
+        raise ValueError(f"samples = {samples} is no positive sample count")
     else:
-        raise ValueError(f"unknown survey mode {mode!r}")
+        draw = np.random.default_rng(seed).integers(0, total, size=samples, dtype=np.int64)
+        step = max(1, _REP_BLOCK // _words(ctx))
+        blocks = ((T, _tuple_digits(ctx, T)) for T in np.split(draw, range(step, samples, step)))
+        weight = 1
 
     counts: dict[int, int] = {}
     reps: dict[int, int] = {}
-    for T, digits in blocks:
+    for T, digits, rows in _image_rows(ctx, blocks):
         strict = strict_linear_mask(ctx, digits).ravel()
-        if not strict.any():
-            continue
         T = T[strict]
-        sizes = _sizes_for_tuples(ctx, digits).ravel()[strict]
+        sizes = np.bitwise_count(rows[strict]).sum(axis=1, dtype=np.int64)
         for s in np.unique(sizes):
             sel = sizes == s
             s = int(s)
@@ -467,11 +445,5 @@ def survey_image_sizes(
             if s not in reps or cand < reps[s]:
                 reps[s] = cand
     return [
-        SurveyRow(s, counts[s], tuple_to_coeffs(ctx, reps[s])) for s in sorted(counts)
+        SurveyRow(s, counts[s], tuple(_tuple_digits(ctx, reps[s]))) for s in sorted(counts)
     ]
-
-
-def _sizes_for_tuples(ctx: FieldCtx, digits: list) -> np.ndarray:
-    """|Im(f(x)/x)| of the tuples with these digits, as `_chunk_ratio_masks`."""
-    rows = _chunk_ratio_masks(ctx, digits, _bit_table(ctx))
-    return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)

@@ -65,6 +65,10 @@ class SemilinearMap:
     sigma_exp: int = 0
 
     def __post_init__(self):
+        for name in "abcd":
+            v = getattr(self, name)
+            if not 0 <= v < self.ctx.size:
+                raise ValueError(f"{name} = {v} is no element index in [0, {self.ctx.size})")
         if self.det() == 0:
             raise SingularMatrix("matrix part of a semilinear map must be invertible")
         object.__setattr__(self, "sigma_exp", self.sigma_exp % self.ctx.m)
@@ -80,6 +84,8 @@ class SemilinearMap:
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self o other (apply `other` first)."""
         ctx = self.ctx
+        if other.ctx is not ctx:
+            raise ValueError("maps live in different field contexts")
         e = self.sigma_exp
         oa, ob, oc, od = (ctx.frobenius(v, e) for v in (other.a, other.b, other.c, other.d))
         return SemilinearMap(
@@ -143,6 +149,8 @@ def is_admissible(f: QPoly, phi: SemilinearMap, im: ImageSet | None = None) -> b
     or -(a/b)^(s^-1) avoids Im(f(x)/x).
     """
     ctx = f.ctx
+    if phi.ctx is not ctx or (im is not None and im.ctx is not ctx):
+        raise ValueError("polynomial, map and image live in different field contexts")
     if phi.b == 0:
         return True
     w = ctx.neg(ctx.div(phi.a, phi.b))
@@ -168,6 +176,8 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     is re-checked on every field element, reading f_phi's own table at k_f.
     """
     ctx = f.ctx
+    if phi.ctx is not ctx:
+        raise ValueError("polynomial and map live in different field contexts")
     e = phi.sigma_exp
     X = np.arange(ctx.size, dtype=np.int64)
     xs = ctx.vfrob(X, e)
@@ -188,6 +198,8 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
 def moebius_image(S: ImageSet, phi: SemilinearMap) -> ImageSet | None:
     """{(c + d z^s)/(a + b z^s) : z in S}, or None when some z goes to INF."""
     ctx = S.ctx
+    if phi.ctx is not ctx:
+        raise ValueError("set and map live in different field contexts")
     w = ctx.vfrob(S.indices(), phi.sigma_exp)
     den = ctx.vadd(phi.a, ctx.vmul(phi.b, w))
     if not den.all():
@@ -343,7 +355,9 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
 
     Keys carry _STREAM_BITS bits, and one more per doubling of the number of
     targets, so that each target's lookups stay as selective as one
-    target's."""
+    target's.  ValueError when some T lives in another field context."""
+    if any(T.ctx is not S.ctx for T in Ts):
+        raise ValueError("sets live in different field contexts")
     if len(S) < 3:
         raise DegenerateSet(f"need at least 3 points, got {len(S)}")
     probes = _probes(S.ctx, _STREAM_BITS + max(len(Ts) - 1, 0).bit_length())

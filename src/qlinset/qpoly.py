@@ -153,6 +153,8 @@ class QPoly:
         ctx = self.ctx
         if lam == 0:
             raise ZeroScalar("scaling element must be nonzero")
+        if not 0 < lam < ctx.size:
+            raise ValueError(f"lambda = {lam} is no element index in [0, {ctx.size})")
         out = [
             ctx.mul(a, ctx.pow_int(lam, e)) if a else 0
             for a, e in zip(self.coeffs, ratio_exponents(ctx))

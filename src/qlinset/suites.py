@@ -69,9 +69,7 @@ def suite_bounds(seed: int = 0, samples: int = 10_000) -> dict:
     ctx = build_field(2, 1, 4)
     exhaustive = _bounds_block(ctx, ims.survey_image_sizes(ctx))
     ctx3 = build_field(3, 1, 5)
-    sampled = _bounds_block(
-        ctx3, ims.survey_image_sizes(ctx3, mode="sample", samples=samples, seed=seed)
-    )
+    sampled = _bounds_block(ctx3, ims.survey_image_sizes(ctx3, samples=samples, seed=seed))
     return {
         "passed": exhaustive["ok"] and sampled["ok"],
         "exhaustive": exhaustive,

@@ -89,11 +89,36 @@ def test_adjoint_image_invariance_exhaustive_q2_n5(f32, q2_masks):
     assert np.array_equal(q2_masks, q2_masks[perm])
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [((2, 1, 3), None), ((2, 2, 2), None), ((3, 1, 3), 2000), ((2, 1, 5), 2000),
+     ((3, 1, 5), 2000)],
+    ids=["F8", "F16-tower", "F27", "F32", "F243"],
+)
+def test_adjoint_tuple_perm_matches_qpoly_adjoint(spec, count):
+    # every tuple, or `count` seeded ones, against the polynomial's adjoint
+    ctx = build_field(*spec)
+    total = ctx.size**ctx.n
+    if count is None:
+        T = np.arange(total, dtype=np.int64)
+    else:
+        T = np.random.default_rng(43).integers(0, total, size=count, dtype=np.int64)
+    expected = [ims.coeffs_to_tuple(ctx, ims.poly_from_tuple(ctx, int(t)).adjoint().coeffs)
+                for t in T]
+    assert ims.adjoint_tuple_perm(ctx, T).tolist() == expected
+
+
 def _kernel_masks(ctx, T):
     # the row kernel on the tuples T, each row of one or two words read as
     # one integer, the encoding all_ratio_masks returns
     rows = ims._chunk_ratio_masks(ctx, ims._tuple_digits(ctx, T), ims._bit_table(ctx))
     return rows.view(f"<u{4 * rows.shape[1]}")[:, 0]
+
+
+def _kernel_sizes(ctx, T):
+    # image sizes of the tuples T: popcounts of their kernel rows
+    rows = ims._chunk_ratio_masks(ctx, ims._tuple_digits(ctx, T), ims._bit_table(ctx))
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
 def _masks_of_every_tuple(ctx):
@@ -123,8 +148,8 @@ def test_orbit_walk_masks_on_random_tuples_q2_n5(f32, q2_masks):
 
 
 def _tuples_with_mask(masks, f):
-    target = ims.mask_of_imageset(ims.image_of_ratio(f))
-    return np.flatnonzero(masks == masks.dtype.type(target))
+    target = ims._pack_rows(ims.image_of_ratio(f).mask[None]).view(masks.dtype)[0, 0]
+    return np.flatnonzero(masks == target)
 
 
 def test_equal_image_tuples_by_orbit_q2_n5(f32, q2_masks):
@@ -150,9 +175,9 @@ def test_survey_by_orbit_matches_every_tuple(spec):
     ctx = build_field(*spec)
     T = np.arange(ctx.size**ctx.n, dtype=np.int64)
     T = T[ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))]
-    sizes = ims._sizes_for_tuples(ctx, ims._tuple_digits(ctx, T))
+    sizes = _kernel_sizes(ctx, T)
     expected = [
-        (int(s), int((sizes == s).sum()), ims.tuple_to_coeffs(ctx, int(T[sizes == s].min())))
+        (int(s), int((sizes == s).sum()), tuple(ims._tuple_digits(ctx, int(T[sizes == s].min()))))
         for s in np.unique(sizes)
     ]
     assert [tuple(row) for row in ims.survey_image_sizes(ctx)] == expected
@@ -279,8 +304,8 @@ def test_survey_representatives_are_lex_least():
 
 def test_survey_sample_mode_deterministic():
     ctx = build_field(3, 1, 4)
-    a = ims.survey_image_sizes(ctx, mode="sample", samples=2000, seed=7)
-    b = ims.survey_image_sizes(ctx, mode="sample", samples=2000, seed=7)
+    a = ims.survey_image_sizes(ctx, samples=2000, seed=7)
+    b = ims.survey_image_sizes(ctx, samples=2000, seed=7)
     assert a == b
     lo, hi = ims.direction_bounds(ctx)
     assert all(lo <= r.size <= hi for r in a)
@@ -312,7 +337,7 @@ def _bounds_by_direct_count(seed, samples):
         batch = batch[ims.strict_linear_mask(ctx3, ims._tuple_digits(ctx3, batch))]
         if batch.size == 0:
             continue
-        sz = ims._sizes_for_tuples(ctx3, ims._tuple_digits(ctx3, batch))
+        sz = _kernel_sizes(ctx3, batch)
         drawn += batch.size
         s_min, s_max = min(s_min, int(sz.min())), max(s_max, int(sz.max()))
         ok3 &= bool((sz >= lo3).all() and (sz <= hi3).all())
@@ -334,9 +359,17 @@ def test_suite_bounds_matches_direct_count(seed, samples):
     assert got == _bounds_by_direct_count(seed, samples)
 
 
+def test_suite_bounds_matches_direct_count_over_two_sampled_blocks():
+    # 40,000 draws at F_243 span two blocks of _REP_BLOCK words
+    test_suite_bounds_matches_direct_count(0, 40_000)
+
+
 def test_survey_guard():
     with pytest.raises(TooLargeForExhaustive):
         ims.survey_image_sizes(build_field(3, 1, 5))  # 3^25 tuples > 2^32
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=f"samples = {samples}"):
+            ims.survey_image_sizes(build_field(3, 1, 5), samples=samples)
 
 
 def _naive_image(ctx, t):
@@ -361,7 +394,7 @@ def test_tuple_kernels_against_naive_oracle(spec, words):
     assert [int.from_bytes(row.tobytes(), "little") for row in rows] == [
         sum(1 << e for e in im) for im in naive
     ]
-    assert ims._sizes_for_tuples(ctx, digits).tolist() == [len(im) for im in naive]
+    assert _kernel_sizes(ctx, T).tolist() == [len(im) for im in naive]
     r = random.Random(36 + ctx.size)
     for t in r.sample(range(T.size), 3):
         expected = [u for u, im in enumerate(naive) if im == naive[t]]
@@ -453,7 +486,7 @@ def test_wide_field_sizes_against_naive_oracle():
     assert ims._words(ctx) == 3
     r = random.Random(38)
     T = np.asarray(r.sample(range(ctx.size**ctx.n), 200), dtype=np.int64)
-    sizes = ims._sizes_for_tuples(ctx, ims._tuple_digits(ctx, T))
+    sizes = _kernel_sizes(ctx, T)
     assert sizes.tolist() == [len(_naive_image(ctx, int(t))) for t in T]
 
 

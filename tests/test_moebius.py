@@ -16,6 +16,7 @@ from qlinset.linset import (
     default_new_example_delta,
     family_g,
     mus_with_nontrivial_norm,
+    pgammal_equivalent,
 )
 from qlinset.moebius import (
     INF,
@@ -57,6 +58,44 @@ def test_singular_matrix_rejected(f32):
         SemilinearMap(f32, 1, 1, 1, 1, 0)
     with pytest.raises(SingularMatrix):
         SemilinearMap(f32, 0, 0, 0, 0, 0)
+
+
+def test_entries_outside_the_field_are_rejected(f243):
+    # 300 would serialize as g^299 and index past the field's tables
+    for bad in (300, f243.size, INF):
+        for pos in range(4):
+            entries = [1, 0, 0, 1]
+            entries[pos] = bad
+            with pytest.raises(ValueError, match=f"{'abcd'[pos]} = {bad} is no element index"):
+                SemilinearMap(f243, *entries)
+
+
+def test_entry_points_reject_another_field_context(f243):
+    other = build_field(3, 1, 5, modulus=[1, 0, 0, 2, 1, 1])
+    assert other is not f243
+    f = QPoly(f243, [0, 0, f243.gen, 1, 0])
+    g = QPoly(other, f.coeffs)
+    S, T = ims.image_of_ratio(f), ims.image_of_ratio(g)
+    phi, psi = (SemilinearMap(ctx, 1, 1, 0, 1, 1) for ctx in (f243, other))
+    calls = [
+        lambda: pgammal_equivalent(f, g),
+        lambda: find_set_equivalence(S, T),
+        lambda: set_equivalence_witnesses(S, [S, T]),
+        lambda: transform_poly(g, phi),
+        lambda: moebius_image(T, phi),
+        lambda: is_admissible(g, phi),
+        lambda: is_admissible(f, phi, T),
+        lambda: phi.compose(psi),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different field contexts"):
+            call()
+    # each answers within one context
+    ident = SemilinearMap.identity(other)
+    assert pgammal_equivalent(g, g) is not None
+    assert transform_poly(g, ident) == g and moebius_image(T, ident) == T
+    assert is_admissible(g, ident, T)
+    assert psi.compose(ident) == psi
 
 
 def test_identity_and_composition_on_slopes(f243):

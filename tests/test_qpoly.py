@@ -270,6 +270,16 @@ def test_scale_conjugate(f243):
         rand_poly(ctx, r).scale_conjugate(0)
 
 
+def test_scale_conjugate_rejects_scalars_outside_the_field(f243):
+    # 300 would act as g^299 = g^57, and -5 as g^(-6)
+    f = QPoly(f243, [0, 0, f243.gen, 1, 0])
+    for bad in (300, f243.size, -5):
+        with pytest.raises(ValueError, match=f"lambda = {bad} is no element index"):
+            f.scale_conjugate(bad)
+    with pytest.raises(ZeroScalar):
+        f.scale_conjugate(0)
+
+
 def test_string_roundtrip(f32):
     r = random.Random(22)
     for _ in range(20):
