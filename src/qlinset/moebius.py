@@ -12,8 +12,9 @@ with the value INF when the denominator vanishes.  Slope values use the
 field's int encoding plus the INF marker below.
 
 Both actions run on field-wide arrays.  `transform_poly` tabulates the
-graph map over all of F_{q^n} from `QPoly.table`, inverts it by scatter
-and interpolates (`qpoly.interpolate_through_inverse`, which
+two F_p-linear coordinates of the graph map over all of F_{q^n} with
+`qpoly.linear_table`, the kernel behind `QPoly.table`, inverts one by
+scatter and interpolates (`qpoly.interpolate_through_inverse`, which
 `QPoly.inverse` shares);
 `moebius_image` returns the image of a slope set as an ImageSet, or None
 when a point goes to INF, so every witness check is an ImageSet compare.
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import ImageSet, image_of_ratio
-from .qpoly import QPoly, interpolate_through_inverse
+from .qpoly import QPoly, interpolate_through_inverse, linear_table
 
 INF = -1  # the projective point (0 : 1), used as a slope marker
 
@@ -165,25 +166,30 @@ def is_admissible(f: QPoly, phi: SemilinearMap, im: ImageSet | None = None) -> b
 def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
     """The transported q-polynomial f_phi with graph M * (graph f)^sigma.
 
-    Tabulates k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s over
-    all of F_{q^n}, f from its `QPoly.table`, and returns h_f o k_f^{-1}
-    through the table inversion `interpolate_through_inverse` (k_f inverted
-    by scatter, interpolated at the basis g^t, t < n, through its trace-dual
-    basis, cached per field).  Time and memory are O(q^n): a handful of
-    vector passes and tables of q^n int64 entries.  Raises NotAdmissible
-    when k_f is not a bijection, which is exactly when is_admissible(f, phi)
-    is False.  With verify=True the graph identity f_phi(k_f(x)) = h_f(x)
-    is re-checked on every field element, reading f_phi's own table at k_f.
+    k_f(x) = a x^s + b f(x)^s and h_f(x) = c x^s + d f(x)^s are F_p-linear,
+    so both are tabulated over all of F_{q^n} by one `qpoly.linear_table`
+    call from their values at the basis g^j, j < m = h*n, each a sum of
+    terms: a (g^j)^s and b times the Frobenius images of f's
+    `QPoly.basis_terms` for k_f, c and d in their place for h_f.
+    Returns h_f o k_f^{-1} through the table inversion
+    `interpolate_through_inverse` (k_f inverted by scatter, interpolated at
+    the basis g^t, t < n, through its trace-dual basis, cached per field).
+    Time and memory are O(q^n): two tables of q^n int64 entries and their
+    inversion.  Raises NotAdmissible when k_f is not a bijection, which is
+    exactly when is_admissible(f, phi) is False.  With verify=True the graph
+    identity f_phi(k_f(x)) = h_f(x) is re-checked on every field element,
+    reading f_phi's own table at k_f.
     """
     ctx = f.ctx
     if phi.ctx is not ctx:
         raise ValueError("polynomial and map live in different field contexts")
     e = phi.sigma_exp
-    X = np.arange(ctx.size, dtype=np.int64)
-    xs = ctx.vfrob(X, e)
-    fs = ctx.vfrob(f.table(), e)
-    kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
-    hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
+    # the terms of k_f(g^j) and h_f(g^j), j < m: (a, c) (g^j)^s and
+    # (b, d) (a_i g^(j q^i))^s
+    xs = ctx.vfrob(np.arange(ctx.m)[:, None] % ctx.order + 1, e)
+    fs = ctx.vfrob(f.basis_terms(), e)
+    ac, bd = np.array([[phi.a, phi.c], [phi.b, phi.d]])[:, :, None, None]
+    kv, hv = linear_table(ctx, np.concatenate((ctx.vmul(ac, xs), ctx.vmul(bd, fs)), axis=-1))
     coeffs = interpolate_through_inverse(ctx, kv, hv)
     if coeffs is None:
         raise NotAdmissible("k_f is singular for this map (footnote condition fails)")

@@ -5,12 +5,16 @@ represents an F_q-linear map of the big field.  Everything here is pure;
 QPoly values are immutable and hashable, so partner lists can be compared
 as sets and polynomials can key dictionaries.
 
-Every evaluation over the whole field goes through `QPoly.table`: f is
-F_p-linear, so its q^n values follow from its values at the h*n elements
-g^j of the polynomial basis, for about one vector addition per element.
-`ratio_values` divides that table by x, and `QPoly.inverse` and graph
-transport (`moebius.transform_poly`) invert it by scatter.  `eval_on` stays
-for point sets smaller than the field.
+Every whole-field table of an F_p-linear map comes from one kernel,
+`linear_table`: the q^n values follow from the h*n values at the elements
+g^j of the polynomial basis, one base-p digit at a time, by carry-free
+additions in the packed (additive) encoding, then a reorder by element
+index and one gather through the log table.  `QPoly.table` is its caller
+for f, from the terms a_i g^(j q^i) of f(g^j) (`basis_terms`);
+`ratio_values` divides that table by x as index subtraction,
+`QPoly.inverse` inverts it by scatter, and graph transport
+(`moebius.transform_poly`) tabulates its two graph coordinates with it in
+one call.  `eval_on` stays for point sets smaller than the field.
 
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the
@@ -90,30 +94,33 @@ class QPoly:
                 acc = ctx.vadd(acc, ctx.vmul(a, ctx.vfrob(xs, (ctx.h * i) % ctx.m)))
         return acc
 
-    def table(self) -> np.ndarray:
-        """f(x) for every element x, indexed by element index.
-
-        f is F_p-linear, and the element with packed encoding sum_j c_j p^j
-        is sum_j c_j g^j, g the root of the modulus.  So the table in packed
-        order grows one base-p digit at a time from the m values f(g^j):
-        out[c L + v] = out[(c - 1) L + v] + f(g^j) for L = p^j and c = 1..p-1,
-        one vadd each, about q^n element additions in all.  The m values are
-        taken by scalar `eval`, which costs least on small fields.
-        """
+    def basis_terms(self) -> np.ndarray:
+        """The (m, n) terms a_i (g^j)^(q^i) = a_i g^(j q^i), j < m = h*n, in
+        one vmul: summed over i they are the values f(g^j) that fix f as an
+        F_p-linear map."""
         ctx = self.ctx
-        out = np.zeros(ctx.size, dtype=np.int64)
-        L = 1
-        for j in range(ctx.m):
-            fj = self.eval(ctx.from_exp(j))
-            for c in range(1, ctx.p):
-                out[c * L:(c + 1) * L] = ctx.vadd(out[(c - 1) * L:c * L], fj)
-            L *= ctx.p
-        return out[ctx._pck]
+        e = np.outer(np.arange(ctx.m), [pow(ctx.q, i, ctx.order) for i in range(ctx.n)])
+        return ctx.vmul(self.coeffs, e % ctx.order + 1)
+
+    def table(self) -> np.ndarray:
+        """f(x) for every element x, indexed by element index: the int64
+        array of shape (q^n,) that `linear_table` builds from the
+        `basis_terms`."""
+        return linear_table(self.ctx, self.basis_terms())
 
     def ratio_values(self) -> np.ndarray:
-        """f(x)/x over all nonzero x, ordered by discrete log of x."""
+        """f(x)/x over all nonzero x, ordered by discrete log of x.
+
+        Division is index arithmetic on the `table`: where f(g^k) = g^(t-1)
+        has index t > 0, f(g^k)/g^k has index (t - 1 - k) mod (q^n - 1) + 1,
+        that is r = t - k, plus q^n - 1 where r <= 0; a zero value stays zero.
+        """
         ctx = self.ctx
-        return ctx.vmul(self.table()[1:], ctx.vinv(np.arange(1, ctx.size, dtype=np.int64)))
+        t = self.table()[1:]
+        out = t - np.arange(ctx.order)
+        out += ctx.order * (out <= 0)
+        out *= t != 0
+        return out
 
     # --------------------------------------------------------------- algebra
 
@@ -234,6 +241,84 @@ def trace_poly(ctx: FieldCtx) -> QPoly:
 def ratio_exponents(ctx: FieldCtx) -> list[int]:
     """(q^i - 1) mod (q^n - 1) for i < n: a x^{q^i} / x = a x^(q^i - 1)."""
     return [(ctx.q**i - 1) % ctx.order for i in range(ctx.n)]
+
+
+# ------------------------------------ whole-field tables of F_p-linear maps
+
+_LINEAR_CACHE: "weakref.WeakKeyDictionary[FieldCtx, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _linear_consts(ctx: FieldCtx) -> tuple:
+    """(pck, idx, w, per_word, k, lut), the constants of `linear_table`,
+    built once per field on first use.
+
+    pck and idx are the field's packed and log tables in 32 bits, 8 MB
+    together at 2^20 elements: the two random gathers that end a table read
+    half the bytes, and at 4^10 on a 2-core Xeon took about 30 ms a table
+    against 65 to 85 ms through the int64 tables.  For odd p, a digit
+    field of w bits holds a sum of m = h*n digits below p, at most m (p - 1);
+    one int64 word holds per_word such fields, and lut maps a chunk of k
+    fields, w k bits, to their sums reduced mod p, read as a base-p number.
+    At p = 2 sums are XORs and the last four are None.
+    """
+    consts = _LINEAR_CACHE.get(ctx)
+    if consts is None:
+        p, m = ctx.p, ctx.m
+        w = per_word = k = lut = None
+        if p > 2:
+            w = (m * (p - 1)).bit_length()
+            per_word = min(m, 63 // w)
+            k = min(per_word, max(1, 16 // w))
+            chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
+            lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
+        consts = (ctx._pck.astype(np.int32), ctx._idx.astype(np.int32), w, per_word, k, lut)
+        _LINEAR_CACHE[ctx] = consts
+    return consts
+
+
+def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
+    """L(x) for every element x, indexed by element index, for the
+    F_p-linear map L with L(g^j) = sum_i terms[..., j, i], j < m = h*n.
+
+    Leading axes of terms are maps tabulated side by side; the result has
+    shape terms.shape[:-2] + (q^n,), int64.  In the packed (additive)
+    encoding addition is carry-free: the terms' base-p digits are summed
+    and reduced mod p, which at p = 2 is an XOR.  The element with packed
+    encoding sum_j c_j p^j is sum_j c_j g^j, so in packed order the table
+    grows one base-p digit at a time from out[0] = 0:
+    out[c P + v] = out[v] + c L(g^j) for P = p^j and c < p, one broadcast
+    operation per digit.  At p = 2 it is an XOR.  At odd p each digit of a
+    value gets a w-bit field that holds the sum of up to m digits, so it is
+    an integer add; the fields are reduced mod p once at the end, k at a
+    time through a lookup, one int64 word of fields after another
+    (`_linear_consts`).  Then out[pck] reorders the table by element index
+    and one gather through the log table idx gives the values in index
+    encoding.
+    """
+    p, m = ctx.p, ctx.m
+    pck, idx, w, per_word, k, lut = _linear_consts(ctx)
+    packed = pck.take(np.asarray(terms, dtype=np.int64))
+    shape = packed.shape[:-2]
+    if p == 2:
+        # step[..., j, c] = c L(g^j)
+        step = np.bitwise_xor.reduce(packed, axis=-1)[..., None] * np.arange(2, dtype=np.int32)
+        out = np.zeros(shape + (1,), dtype=np.int32)
+        for j in range(m):
+            out = (step[..., j, :, None] ^ out[..., None, :]).reshape(shape + (-1,))
+    else:
+        # cd[..., j, c, i] is digit i of c L(g^j), from the terms' digit sums
+        d = (packed[..., None] // p ** np.arange(m) % p).sum(axis=-2)
+        cd = d[..., None, :] * np.arange(p)[:, None] % p
+        out = 0
+        for lo in range(0, m, per_word):
+            fields = min(per_word, m - lo)
+            step = cd[..., lo:lo + fields] @ (1 << w * np.arange(fields))
+            sums = np.zeros(shape + (1,), dtype=np.int64)
+            for j in range(m):
+                sums = (step[..., j, :, None] + sums[..., None, :]).reshape(shape + (-1,))
+            for i in range(0, fields, k):
+                out = out + lut.take(sums >> w * i & (1 << w * k) - 1) * p ** (lo + i)
+    return idx.take(out.take(pck, axis=-1)).astype(np.int64)
 
 
 # ------------------------------------------------- linear algebra over F_q^n

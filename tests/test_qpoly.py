@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from qlinset.errors import NotInvertible, ZeroPolynomial, ZeroScalar
+from qlinset.errors import NotAdmissible, NotInvertible, ZeroPolynomial, ZeroScalar
 from qlinset.gf import MAX_TABLE_SIZE, build_field
 from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import (
@@ -13,6 +13,7 @@ from qlinset.qpoly import (
     _coords_in_gen_basis,
     _dual_basis_matrix,
     identity_poly,
+    interpolate_through_inverse,
     monomial,
     moore_interpolate,
     trace_poly,
@@ -83,12 +84,41 @@ def _ratio_by_terms(f):
     return acc
 
 
+def _table_by_vadd(f):
+    """The whole-field table by field additions: in packed order,
+    out[c L + v] = out[(c - 1) L + v] + f(g^j) for L = p^j, c = 1..p-1, one
+    vadd each, then reordered by element index."""
+    ctx = f.ctx
+    out = np.zeros(ctx.size, dtype=np.int64)
+    L = 1
+    for j in range(ctx.m):
+        fj = f.eval(ctx.from_exp(j))
+        for c in range(1, ctx.p):
+            out[c * L:(c + 1) * L] = ctx.vadd(out[(c - 1) * L:c * L], fj)
+        L *= ctx.p
+    return out[ctx._pck]
+
+
+def _transform_by_vadd(f, phi):
+    """Coefficients of the transported polynomial from whole-field vector
+    arithmetic on `_table_by_vadd`, or None when phi is not admissible."""
+    ctx, e = f.ctx, phi.sigma_exp
+    xs = ctx.vfrob(np.arange(ctx.size, dtype=np.int64), e)
+    fs = ctx.vfrob(_table_by_vadd(f), e)
+    kv = ctx.vadd(ctx.vmul(phi.a, xs), ctx.vmul(phi.b, fs))
+    hv = ctx.vadd(ctx.vmul(phi.c, xs), ctx.vmul(phi.d, fs))
+    return interpolate_through_inverse(ctx, kv, hv)
+
+
 @pytest.mark.parametrize(
-    "spec", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (3, 1, 8), (2, 1, 13)],
-    ids=["f32", "f243", "f1024", "f6561", "f8192"],
+    "spec",
+    [(2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 3), (7, 1, 3), (3, 2, 2), (3, 1, 8), (2, 1, 13),
+     (3, 1, 10)],
+    ids=["f32", "f243", "f1024", "f125", "f343", "f81-tower", "f6561", "f8192", "f59049"],
 )
 def test_table_and_ratio_values_against_oracles(spec):
-    # 6561 and 8192 elements lie above MAX_TABLE_SIZE: index and Zech arithmetic
+    # the vadd chain by lookup tables up to MAX_TABLE_SIZE and by index and
+    # Zech arithmetic above it; odd p from 3 to 7
     ctx = build_field(*spec)
     r = random.Random(24)
     X = np.arange(ctx.size, dtype=np.int64)
@@ -96,11 +126,48 @@ def test_table_and_ratio_values_against_oracles(spec):
     polys = [zero_poly(ctx), trace_poly(ctx)]
     polys += [monomial(ctx, i, r.randrange(1, ctx.size)) for i in range(ctx.n)]
     polys += [QPoly(ctx, [r.randrange(1, ctx.size) for _ in range(ctx.n)]) for _ in range(4)]
+    inverted = transported = 0
     for f in polys:
         tab = f.table()
+        oracle = _table_by_vadd(f)
+        assert tab.dtype == np.int64 and tab.shape == (ctx.size,)
+        assert np.array_equal(tab, oracle), f
         assert np.array_equal(tab, f.eval_on(X)), f
         assert [int(tab[x]) for x in sample] == [f.eval(x) for x in sample], f
-        assert np.array_equal(f.ratio_values(), _ratio_by_terms(f)), f
+        ratios = f.ratio_values()
+        assert np.array_equal(ratios, ctx.vmul(oracle[1:], ctx.vinv(X[1:]))), f
+        assert np.array_equal(ratios, _ratio_by_terms(f)), f
+        inv = interpolate_through_inverse(ctx, oracle, X)
+        if inv is None:
+            with pytest.raises(NotInvertible):
+                f.inverse()
+        else:
+            assert f.inverse().coeffs == tuple(inv), f
+            inverted += 1
+        a, b, c, d = (r.randrange(ctx.size) for _ in range(4))
+        if ctx.mul(a, d) == ctx.mul(b, c):
+            continue
+        phi = SemilinearMap(ctx, a, b, c, d, r.randrange(ctx.m))
+        moved = _transform_by_vadd(f, phi)
+        if moved is None:
+            with pytest.raises(NotAdmissible):
+                transform_poly(f, phi)
+        else:
+            assert transform_poly(f, phi, verify=True).coeffs == tuple(moved), (f, phi)
+            transported += 1
+    assert inverted and transported
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 10), (3, 1, 13)], ids=["f4^10", "f3^13"])
+def test_table_on_wide_fields_against_scalar_eval(spec):
+    # at 3^13 a value's 13 digit sums, 5 bits each, fill more than one int64
+    ctx = build_field(*spec)
+    r = random.Random(26)
+    f = QPoly(ctx, [r.randrange(1, ctx.size) for _ in range(ctx.n)])
+    tab = f.table()
+    assert tab.dtype == np.int64 and tab.shape == (ctx.size,)
+    for x in r.sample(range(ctx.size), 64):
+        assert int(tab[x]) == f.eval(x)
 
 
 @pytest.mark.parametrize("spec", [(3, 1, 8), (2, 1, 13)], ids=["f6561", "f8192"])
