@@ -249,30 +249,23 @@ _LINEAR_CACHE: "weakref.WeakKeyDictionary[FieldCtx, tuple]" = weakref.WeakKeyDic
 
 
 def _linear_consts(ctx: FieldCtx) -> tuple:
-    """(pck, idx, w, per_word, k, lut), the constants of `linear_table`,
+    """(w, per_word, k, lut), the constants of `linear_table` at odd p,
     built once per field on first use.
 
-    pck and idx are the field's packed and log tables in 32 bits, 8 MB
-    together at 2^20 elements: the two random gathers that end a table read
-    half the bytes, and at 4^10 on a 2-core Xeon took about 30 ms a table
-    against 65 to 85 ms through the int64 tables.  For odd p, a digit
-    field of w bits holds a sum of m = h*n digits below p, at most m (p - 1);
-    one int64 word holds per_word such fields, and lut maps a chunk of k
-    fields, w k bits, to their sums reduced mod p, read as a base-p number.
-    At p = 2 sums are XORs and the last four are None.
+    A digit field of w bits holds a sum of m = h*n digits below p, at most
+    m (p - 1); one int64 word holds per_word such fields, and lut maps a
+    chunk of k fields, w k bits, to their sums reduced mod p, read as a
+    base-p number.
     """
     consts = _LINEAR_CACHE.get(ctx)
     if consts is None:
         p, m = ctx.p, ctx.m
-        w = per_word = k = lut = None
-        if p > 2:
-            w = (m * (p - 1)).bit_length()
-            per_word = min(m, 63 // w)
-            k = min(per_word, max(1, 16 // w))
-            chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
-            lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
-        consts = (ctx._pck.astype(np.int32), ctx._idx.astype(np.int32), w, per_word, k, lut)
-        _LINEAR_CACHE[ctx] = consts
+        w = (m * (p - 1)).bit_length()
+        per_word = min(m, 63 // w)
+        k = min(per_word, max(1, 16 // w))
+        chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
+        lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
+        consts = _LINEAR_CACHE[ctx] = (w, per_word, k, lut)
     return consts
 
 
@@ -293,10 +286,10 @@ def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
     time through a lookup, one int64 word of fields after another
     (`_linear_consts`).  Then out[pck] reorders the table by element index
     and one gather through the log table idx gives the values in index
-    encoding.
+    encoding; both gathers read the field's own int32 tables.
     """
     p, m = ctx.p, ctx.m
-    pck, idx, w, per_word, k, lut = _linear_consts(ctx)
+    pck, idx = ctx._pck, ctx._idx
     packed = pck.take(np.asarray(terms, dtype=np.int64))
     shape = packed.shape[:-2]
     if p == 2:
@@ -306,6 +299,7 @@ def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
         for j in range(m):
             out = (step[..., j, :, None] ^ out[..., None, :]).reshape(shape + (-1,))
     else:
+        w, per_word, k, lut = _linear_consts(ctx)
         # cd[..., j, c, i] is digit i of c L(g^j), from the terms' digit sums
         d = (packed[..., None] // p ** np.arange(m) % p).sum(axis=-2)
         cd = d[..., None, :] * np.arange(p)[:, None] % p

@@ -81,9 +81,12 @@ def _brute_force_modulus(p, m):
     [(2, m) for m in range(1, 11)]
     + [(3, m) for m in range(1, 7)]
     + [(5, m) for m in range(1, 5)]
-    + [(7, 2)],
+    + [(7, 2), (7, 3), (11, 2), (13, 2)],
 )
 def test_search_modulus_against_brute_force(p, m):
+    # at (7,3), (11,2) and (13,2) the brute force walks the whole block
+    # c_0 = 1, which the norm filter skips: -1 generates none of F_7^*,
+    # F_11^* and F_13^*
     assert tuple(gf._search_modulus(p, m, p**m - 1)) == _brute_force_modulus(p, m)
 
 
@@ -91,6 +94,10 @@ def test_search_modulus_of_the_wide_fields():
     assert tuple(gf._search_modulus(3, 10, 3**10 - 1)) == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
     # x^20 + x^17 + 1
     assert gf._search_modulus(2, 20, 2**20 - 1) == [1] + [0] * 16 + [1, 0, 0, 1]
+    # deep in the candidate range: the blocks c_0 = 1 (and c_0 = 2 at 7^8)
+    # fail the norm filter
+    assert tuple(gf._search_modulus(5, 10, 5**10 - 1)) == (2, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1)
+    assert tuple(gf._search_modulus(7, 8, 7**8 - 1)) == (3, 0, 0, 0, 0, 0, 0, 1, 1)
 
 
 def _packed_powers_by_recurrence(p, modulus):
@@ -411,19 +418,20 @@ def test_vector_tables_on_every_pair(spec):
     assert int(ctx.vadd(2, 3)) == ctx.add(2, 3)
 
 
-@pytest.mark.parametrize("spec", [(2, 1, 11), (5, 1, 5), (2, 1, 12), (3, 1, 8)],
-                         ids=["F2048", "F3125", "F4096", "F6561"])
+@pytest.mark.parametrize("spec", [(2, 1, 11), (5, 1, 5), (2, 1, 12), (3, 1, 8), (2, 1, 20)],
+                         ids=["F2048", "F3125", "F4096", "F6561", "F1048576"])
 def test_vector_ops_on_random_pairs(spec):
-    # 2048..4096 elements gather from tables; 6561 uses index and Zech
-    # arithmetic
+    # 2048..4096 elements gather from tables; 6561 and 2^20 use index and
+    # Zech arithmetic, 2^20 on Zech indices far above 2^16
     ctx = build_field(*spec)
+    assert ctx._pck.dtype == ctx._idx.dtype == ctx._zech.dtype == np.int32
     assert (ctx._tables() is not None) == (ctx.size <= MAX_TABLE_SIZE)
     rng = np.random.default_rng(7)
     A = rng.integers(0, ctx.size, 100_000)
     B = rng.integers(0, ctx.size, 100_000)
-    assert np.array_equal(
-        ctx.packed(ctx.vadd(A, B)), _digitwise_sum(ctx, ctx.packed(A), ctx.packed(B))
-    )
+    sums = ctx.vadd(A, B)
+    assert sums.dtype == np.int64
+    assert np.array_equal(ctx.packed(sums), _digitwise_sum(ctx, ctx.packed(A), ctx.packed(B)))
     assert ctx.vmul(A, B).tolist() == [ctx.mul(a, b) for a, b in zip(A.tolist(), B.tolist())]
     X = A[:5000].tolist()
     assert ctx.vneg(A[:5000]).tolist() == [ctx.neg(a) for a in X]
