@@ -46,9 +46,10 @@ g^(L..2L-1) = g^(0..L-1) · g^L, one F_p-linear pass per coefficient.  The
 packed, log and Zech tables are int32, as every entry is below
 MAX_FIELD_SIZE; the vector operations still return int64.  Timed alone in
 a fresh interpreter on a 2-core Xeon, build_field(3,1,10) takes about
-0.02 s, build_field(2,1,20) 0.11-0.15 s, build_field(7,1,8) 1.3-1.5 s,
-build_field(5,1,10) 2.5-3.1 s and build_field(2,1,24) 2.1-2.6 s at a peak
-RSS of about 240 MB.
+0.02 s, build_field(2,1,20) 0.07-0.15 s, build_field(7,1,8) 1.5 s,
+build_field(5,1,10) 2.4-3.1 s, build_field(2,1,24) 1.6-2.7 s at a peak
+RSS of about 240 MB, and build_field(3,1,15), the slowest largest field of
+any prime measured, 5.2-5.3 s at 255 MB.
 """
 
 from __future__ import annotations
@@ -315,9 +316,10 @@ class FieldCtx:
             raise RuntimeError("log table incomplete; modulus root not primitive")
 
         # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0 (idx[0] = 0);
-        # adding 1 raises the constant coefficient, the low base-p digit,
-        # which at p = 2 is flipping the low bit.  In blocks, so that no
-        # temporary is as long as the field.
+        # adding 1 raises the constant coefficient, the low base-p digit.
+        # At p = 2 that is flipping the low bit: one pass, where the add,
+        # remainder and masked subtract take about 0.35 s at 2^24 elements.
+        # In blocks, so that no temporary is as long as the field.
         zech = np.empty(order, dtype=np.int32)
         for start in range(0, order, 1 << 20):
             powers = pck[1 + start:1 + start + (1 << 20)]
@@ -460,6 +462,7 @@ class FieldCtx:
     # -------------------------------------------------------------- vectors
     #
     # Same encoding on numpy int64 arrays; inputs broadcast like numpy ops.
+    # `packed` and `unpacked` return int32, gathered from the int32 tables.
     # Small fields gather from lookup tables; the _*_ix methods compute the
     # same maps by index and Zech arithmetic for larger fields.
 
@@ -562,11 +565,12 @@ class FieldCtx:
         return A[..., 0]
 
     def packed(self, A):
-        """Index encoding -> packed base-p coefficient encoding."""
+        """Index encoding -> packed base-p coefficient encoding, as int32
+        (the table's own dtype): widen before arithmetic that can pass 2^31."""
         return self._pck[np.asarray(A, dtype=np.int64)]
 
     def unpacked(self, A):
-        """Packed encoding -> index encoding."""
+        """Packed encoding -> index encoding, as int32 like `packed`."""
         return self._idx[np.asarray(A, dtype=np.int64)]
 
 
