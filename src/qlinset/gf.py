@@ -41,19 +41,25 @@ ascending batches of 16 growing to 4096: an F_p-root filter by Horner
 evaluation, then x^order mod f for the whole batch by square-and-multiply
 on integer arrays, then x^(order/r) for the few with x^order = 1; the first
 survivor is the modulus, and a caller's modulus goes through the same test
-as a batch of one.  The table of powers g^k is built by doubling,
-g^(L..2L-1) = g^(0..L-1) · g^L, one F_p-linear pass per coefficient.  The
-packed, log and Zech tables are int32, as every entry is below
-MAX_FIELD_SIZE; the vector operations still return int64.  Timed alone in
-a fresh interpreter on a 2-core Xeon, build_field(3,1,10) takes about
-0.02 s, build_field(2,1,20) 0.07-0.15 s, build_field(7,1,8) 1.5 s,
-build_field(5,1,10) 2.4-3.1 s, build_field(2,1,24) 1.6-2.7 s at a peak
-RSS of about 240 MB, and build_field(3,1,15), the slowest largest field of
-any prime measured, 5.2-5.3 s at 255 MB.
+as a batch of one.  The table of powers g^k is built by baby and giant
+steps: g^0 .. g^(B-1), B = ceil(sqrt(order)), one multiplication by x at a
+time, then B powers per gather from the table of v -> g^B v.  That table
+and every whole-field table of an F_p-linear map (`qpoly.linear_table`)
+come from one kernel, `_packed_linear_table`, carry-free digit sums in the
+packed encoding.  The packed, log and Zech tables are int32, as every entry
+is below MAX_FIELD_SIZE; the vector operations still return int64.  Timed
+alone in a fresh interpreter on a 2-core Xeon, build_field(3,1,10) takes
+about 0.02 s, build_field(2,1,20) 0.10-0.13 s, build_field(7,1,8) 0.7-0.9 s,
+build_field(5,1,10) 1.5-1.6 s, build_field(2,1,24) 1.5-2.0 s at a peak RSS
+of 238 MB, build_field(251,1,3) and build_field(4093,1,2) 1.8-2.2 s, and
+build_field(3,1,15), the slowest largest field of any prime measured,
+2.2-2.4 s at 249 MB.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 from typing import NamedTuple
 
@@ -179,64 +185,102 @@ def _search_modulus(p, m, order):
     )
 
 
+# bounded: a process that builds many fields keeps the luts of a few
+@functools.lru_cache(maxsize=16)
+def _digit_sum_consts(p, m):
+    """(w, per_word, k, lut), the constants of `_packed_linear_table` at odd p.
+
+    A digit field of w bits holds a sum of m digits below p, at most
+    m (p - 1); one int64 word holds per_word such fields, and lut, read-only
+    as it is shared, maps a chunk of k fields, w k bits, to their sums
+    reduced mod p, read as a base-p number.  At m = 1 the one field holds
+    one digit, already reduced, and lut is None: it would have p entries,
+    up to 2^24.
+    """
+    w = (m * (p - 1)).bit_length()
+    per_word = min(m, 63 // w)
+    k = min(per_word, max(1, 16 // w))
+    if m == 1:
+        return w, per_word, k, None
+    chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
+    lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
+    lut.flags.writeable = False
+    return w, per_word, k, lut
+
+
+def _packed_linear_table(p, m, packed):
+    """L(v) for every packed v < p^m, in packed order and packed encoding,
+    int32, for the F_p-linear map L with L(x^j) = sum_i packed[..., j, i],
+    j < m.
+
+    Leading axes of packed are maps tabulated side by side; the result has
+    shape packed.shape[:-2] + (p^m,).  In the packed encoding addition is
+    carry-free: base-p digits are summed and reduced mod p.  The table
+    grows one base-p digit at a time from out[0] = 0:
+    out[c P + v] = out[v] + c L(x^j) for P = p^j and c < p, one broadcast
+    operation per digit.  At p = 2 that is an XOR on int32.  At odd p each
+    digit of a value gets a w-bit field that holds the sum of up to m
+    digits, so it is an integer add on int64 words of per_word fields; each
+    word's sums are reduced mod p k fields at a time (`_digit_sum_consts`),
+    in blocks of 2^20 entries, into the int32 result.
+    """
+    shape = packed.shape[:-2]
+    if p == 2:
+        # step[..., j, c] = c L(x^j)
+        step = np.bitwise_xor.reduce(packed, axis=-1)[..., None] * np.arange(2, dtype=np.int32)
+        out = np.zeros(shape + (1,), dtype=np.int32)
+        for j in range(m):
+            out = (step[..., j, :, None] ^ out[..., None, :]).reshape(shape + (-1,))
+        return out
+    w, per_word, k, lut = _digit_sum_consts(p, m)
+    # cd[..., j, c, i] is digit i of c L(x^j), from the terms' digit sums
+    d = (packed[..., None] // p ** np.arange(m) % p).sum(axis=-2)
+    cd = d[..., None, :] * np.arange(p)[:, None] % p
+    out = np.zeros(shape + (p**m,), dtype=np.int32)
+    for lo in range(0, m, per_word):
+        fields = min(per_word, m - lo)
+        step = cd[..., lo:lo + fields] @ (1 << w * np.arange(fields))
+        sums = np.zeros(shape + (1,), dtype=np.int64)
+        for j in range(m):
+            sums = (step[..., j, :, None] + sums[..., None, :]).reshape(shape + (-1,))
+        for start in range(0, p**m, 1 << 20):
+            block = sums[..., start:start + (1 << 20)]
+            dst = out[..., start:start + (1 << 20)]
+            for i in range(0, fields, k):
+                dst += block if lut is None else (
+                    lut.take(block >> w * i & (1 << w * k) - 1) * p ** (lo + i))
+        # free this word's sums, views included, before the next word's
+        del sums, block
+    return out
+
+
 def _packed_powers(p, m, low):
     """The packed table, int32: entry 0 is the zero element, entry k + 1
     holds g^k as its base-p coefficients x^0..x^(m-1), digit i worth p^i.
 
-    Built by doubling: g^(L..2L-1) = g^(0..L-1) · g^L, and multiplying by
-    g^L is F_p-linear on coefficient vectors, so each step is m passes over
-    the first L powers, one per input coefficient.  During the build an
-    element keeps coefficient j in bits [w*j, w*j + w).  For p = 2, w = 1
-    (the packed form itself) and the passes XOR on the int32 table; for odd
-    p, w leaves room to add two coefficients and reduce them mod p in every
-    field at once, so the build holds int64 words and narrows the finished
-    table.
+    Baby steps and giant steps: the powers x^0 .. x^(B-1), B =
+    ceil(sqrt(order)), one multiplication by x at a time, then the rest B at
+    a time, g^(k+B) = g^B · g^k, each block one gather from the table of
+    the F_p-linear map v -> g^B v that `_packed_linear_table` builds from
+    its values x^(B+j) at x^j.
     """
-    size = p**m
-    order = size - 1
-    w = 1 if p == 2 else p.bit_length() + 1
-    field = (1 << w) - 1
-    shifts = w * np.arange(m, dtype=np.int64)
-    ones = int((1 << shifts).sum())
-    bias = ((1 << (w - 1)) - p) * ones
+    order = p**m - 1
+    B = math.isqrt(order - 1) + 1
     neg_low = (-np.array(low, dtype=np.int64)[:, None]) % p
-    scale = np.arange(p, dtype=np.int64)[:, None]
-    pck = np.zeros(size, dtype=np.int32 if p == 2 else np.int64)
+    cols = [np.eye(m, 1, dtype=np.int64)]
+    for _ in range(B + m - 1):
+        cols.append(_times_x(cols[-1], neg_low, p))
+    baby = (p ** np.arange(m) @ np.hstack(cols)).astype(np.int32)
+    # built before the table of powers, so that its temporaries are gone
+    # before that table is allocated
+    times_gB = _packed_linear_table(p, m, baby[B:, None])
+    pck = np.zeros(order + 1, dtype=np.int32)
     alog = pck[1:]
-    alog[0] = 1
-    L = 1
-    while L < order:
-        # col = x^i · g^L = x^(L+i) for i = 0..m-1: the image of input coefficient i
-        col = _times_x((alog[L - 1] >> shifts)[:, None] & field, neg_low, p)
-        src = alog[:min(L, order - L)]
-        dst = alog[L:L + src.size]
-        tmp = np.empty_like(src)
-        for i in range(m):
-            np.right_shift(src, w * i, out=tmp)
-            tmp &= field
-            if p == 2:
-                tmp *= int((col[:, 0] << shifts).sum())
-                dst ^= tmp
-            else:
-                # scaled[c] = c · col with every coefficient reduced mod p
-                scaled = ((scale * col[:, 0] % p) << shifts).sum(axis=1)
-                dst += scaled.take(tmp)
-                # a field holding c + c' >= p sets its top bit after + bias
-                np.add(dst, bias, out=tmp)
-                tmp >>= w - 1
-                tmp &= ones
-                tmp *= p
-                dst -= tmp
-            col = _times_x(col, neg_low, p)
-        L += src.size
-    if p > 2:
-        for start in range(0, order, 1 << 20):
-            block = alog[start:start + (1 << 20)]
-            packed = np.zeros_like(block)
-            for j in range(m):
-                packed += (block >> (w * j) & field) * p**j
-            block[:] = packed
-    return pck.astype(np.int32, copy=False)
+    alog[:B] = baby[:B]
+    for lo in range(B, order, B):
+        src = alog[lo - B:min(lo, order - B)]
+        alog[lo:lo + src.size] = times_gB[src]
+    return pck
 
 
 class _Tables(NamedTuple):

@@ -5,12 +5,13 @@ represents an F_q-linear map of the big field.  Everything here is pure;
 QPoly values are immutable and hashable, so partner lists can be compared
 as sets and polynomials can key dictionaries.
 
-Every whole-field table of an F_p-linear map comes from one kernel,
+Every whole-field table of an F_p-linear map comes from one entry point,
 `linear_table`: the q^n values follow from the h*n values at the elements
 g^j of the polynomial basis, one base-p digit at a time, by carry-free
 additions in the packed (additive) encoding, then a reorder by element
-index and one gather through the log table.  `QPoly.table` is its caller
-for f, from the terms a_i g^(j q^i) of f(g^j) (`basis_terms`);
+index and one gather through the log table.  The digit sums are
+`gf._packed_linear_table`, the kernel that also builds the field's table
+of powers.  `QPoly.table` is the caller of `linear_table` for f, from the terms a_i g^(j q^i) of f(g^j) (`basis_terms`);
 `ratio_values` divides that table by x as index subtraction,
 `QPoly.inverse` inverts it by scatter, and graph transport
 (`moebius.transform_poly`) tabulates its two graph coordinates with it in
@@ -30,7 +31,7 @@ import weakref
 import numpy as np
 
 from .errors import InconsistentStructure, NotInvertible, ZeroPolynomial, ZeroScalar
-from .gf import FieldCtx
+from .gf import FieldCtx, _packed_linear_table
 
 
 class QPoly:
@@ -245,74 +246,22 @@ def ratio_exponents(ctx: FieldCtx) -> list[int]:
 
 # ------------------------------------ whole-field tables of F_p-linear maps
 
-_LINEAR_CACHE: "weakref.WeakKeyDictionary[FieldCtx, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _linear_consts(ctx: FieldCtx) -> tuple:
-    """(w, per_word, k, lut), the constants of `linear_table` at odd p,
-    built once per field on first use.
-
-    A digit field of w bits holds a sum of m = h*n digits below p, at most
-    m (p - 1); one int64 word holds per_word such fields, and lut maps a
-    chunk of k fields, w k bits, to their sums reduced mod p, read as a
-    base-p number.
-    """
-    consts = _LINEAR_CACHE.get(ctx)
-    if consts is None:
-        p, m = ctx.p, ctx.m
-        w = (m * (p - 1)).bit_length()
-        per_word = min(m, 63 // w)
-        k = min(per_word, max(1, 16 // w))
-        chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
-        lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
-        consts = _LINEAR_CACHE[ctx] = (w, per_word, k, lut)
-    return consts
-
-
 def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
     """L(x) for every element x, indexed by element index, for the
     F_p-linear map L with L(g^j) = sum_i terms[..., j, i], j < m = h*n.
 
     Leading axes of terms are maps tabulated side by side; the result has
-    shape terms.shape[:-2] + (q^n,), int64.  In the packed (additive)
-    encoding addition is carry-free: the terms' base-p digits are summed
-    and reduced mod p, which at p = 2 is an XOR.  The element with packed
-    encoding sum_j c_j p^j is sum_j c_j g^j, so in packed order the table
-    grows one base-p digit at a time from out[0] = 0:
-    out[c P + v] = out[v] + c L(g^j) for P = p^j and c < p, one broadcast
-    operation per digit.  At p = 2 it is an XOR.  At odd p each digit of a
-    value gets a w-bit field that holds the sum of up to m digits, so it is
-    an integer add; the fields are reduced mod p once at the end, k at a
-    time through a lookup, one int64 word of fields after another
-    (`_linear_consts`).  Then out[pck] reorders the table by element index
-    and one gather through the log table idx gives the values in index
-    encoding; both gathers read the field's own int32 tables.
+    shape terms.shape[:-2] + (q^n,), int64.  The element with packed
+    encoding sum_j c_j p^j is sum_j c_j g^j, so the terms in packed
+    encoding fix L as a map of packed values, and `gf._packed_linear_table`
+    tabulates it in packed order by carry-free digit sums.  Then out[pck]
+    reorders the table by element index and one gather through the log
+    table idx gives the values in index encoding; both gathers read the
+    field's own int32 tables.
     """
-    p, m = ctx.p, ctx.m
-    pck, idx = ctx._pck, ctx._idx
-    packed = pck.take(np.asarray(terms, dtype=np.int64))
-    shape = packed.shape[:-2]
-    if p == 2:
-        # step[..., j, c] = c L(g^j)
-        step = np.bitwise_xor.reduce(packed, axis=-1)[..., None] * np.arange(2, dtype=np.int32)
-        out = np.zeros(shape + (1,), dtype=np.int32)
-        for j in range(m):
-            out = (step[..., j, :, None] ^ out[..., None, :]).reshape(shape + (-1,))
-    else:
-        w, per_word, k, lut = _linear_consts(ctx)
-        # cd[..., j, c, i] is digit i of c L(g^j), from the terms' digit sums
-        d = (packed[..., None] // p ** np.arange(m) % p).sum(axis=-2)
-        cd = d[..., None, :] * np.arange(p)[:, None] % p
-        out = 0
-        for lo in range(0, m, per_word):
-            fields = min(per_word, m - lo)
-            step = cd[..., lo:lo + fields] @ (1 << w * np.arange(fields))
-            sums = np.zeros(shape + (1,), dtype=np.int64)
-            for j in range(m):
-                sums = (step[..., j, :, None] + sums[..., None, :]).reshape(shape + (-1,))
-            for i in range(0, fields, k):
-                out = out + lut.take(sums >> w * i & (1 << w * k) - 1) * p ** (lo + i)
-    return idx.take(out.take(pck, axis=-1)).astype(np.int64)
+    pck = ctx._pck
+    out = _packed_linear_table(ctx.p, ctx.m, pck.take(np.asarray(terms, dtype=np.int64)))
+    return ctx._idx.take(out.take(pck, axis=-1)).astype(np.int64)
 
 
 # ------------------------------------------------- linear algebra over F_q^n

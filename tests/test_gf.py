@@ -102,7 +102,7 @@ def test_search_modulus_of_the_wide_fields():
 
 def _packed_powers_by_recurrence(p, modulus):
     # packed x^k mod modulus for k = 0 .. p^m - 2, one multiply-by-x step at
-    # a time: the sequential construction the doubling build replaced
+    # a time: the sequential construction, independent of the table build
     m = len(modulus) - 1
     cur, out = [1] + [0] * (m - 1), []
     for _ in range(p**m - 1):
@@ -130,12 +130,16 @@ def _times_x(p, modulus, packed):
     [(2, m, None) for m in range(1, 11)]
     + [(3, m, None) for m in range(1, 7)]
     + [(5, m, None) for m in range(1, 5)]
-    + [(7, 2, None), (3, 10, None), (2, 20, None), (2, 5, [1, 0, 1, 0, 0, 1])],
+    + [(7, 2, None), (3, 10, None), (2, 20, None), (2, 5, [1, 0, 1, 0, 0, 1])]
+    # 13 digit fields of 5 bits need two int64 words, and 3^13 entries more
+    # than one reduction block of 2^20
+    + [(3, 13, None)],
 )
 def test_alog_table_against_recurrence(p, m, modulus):
     # entry k of _pck[1:] is x^k: entry 0 is 1 and each entry is x times the
     # one before it, the last wrapping back to entry 0, checked independently
-    # of the doubling build; small tables also against the sequential walk
+    # of the baby-step giant-step build; small tables also against the
+    # sequential walk
     ctx = build_field(p, 1, m, modulus)
     powers = ctx._pck[1:]
     assert ctx._pck[0] == 0 and powers[0] == 1
@@ -144,6 +148,20 @@ def test_alog_table_against_recurrence(p, m, modulus):
         want = np.array(_packed_powers_by_recurrence(p, ctx.modulus), dtype=np.int64)
         assert np.array_equal(powers, want)
     assert np.array_equal(ctx._idx[ctx._pck], np.arange(ctx.size))
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (5, 3)])
+def test_packed_linear_table_against_times_x(p, m):
+    # the maps v -> x v and v -> x^2 v side by side, from their values
+    # x^(j+1) and x^(j+2) at x^j; the table stays int32 at every p, as an
+    # int64 kernel costs twice the time at p = 2
+    ctx = build_field(p, 1, m)
+    terms = np.stack([ctx._pck[2:2 + m], ctx._pck[3:3 + m]])[..., None]
+    table = gf._packed_linear_table(p, m, terms)
+    assert table.dtype == np.int32 and table.shape == (2, p**m)
+    x_times = _times_x(p, ctx.modulus, np.arange(p**m))
+    assert np.array_equal(table[0], x_times)
+    assert np.array_equal(table[1], _times_x(p, ctx.modulus, x_times))
 
 
 def test_search_skips_an_irreducible_non_primitive_candidate():
