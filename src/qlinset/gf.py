@@ -267,10 +267,11 @@ def _packed_powers(p, m, low):
     order = p**m - 1
     B = math.isqrt(order - 1) + 1
     neg_low = (-np.array(low, dtype=np.int64)[:, None]) % p
-    cols = [np.eye(m, 1, dtype=np.int64)]
-    for _ in range(B + m - 1):
-        cols.append(_times_x(cols[-1], neg_low, p))
-    baby = (p ** np.arange(m) @ np.hstack(cols)).astype(np.int32)
+    # column k holds x^k mod f, k < B + m; the identity's are x^0 .. x^(m-1)
+    cols = np.eye(m, B + m, dtype=np.int64)
+    for k in range(m, B + m):
+        cols[:, k:k + 1] = _times_x(cols[:, k - 1:k], neg_low, p)
+    baby = (p ** np.arange(m) @ cols).astype(np.int32)
     # built before the table of powers, so that its temporaries are gone
     # before that table is allocated
     times_gB = _packed_linear_table(p, m, baby[B:, None])

@@ -8,14 +8,14 @@ as sets and polynomials can key dictionaries.
 Every whole-field table of an F_p-linear map comes from one entry point,
 `linear_table`: the q^n values follow from the h*n values at the elements
 g^j of the polynomial basis, one base-p digit at a time, by carry-free
-additions in the packed (additive) encoding, then a reorder by element
-index and one gather through the log table.  The digit sums are
-`gf._packed_linear_table`, the kernel that also builds the field's table
-of powers.  `QPoly.table` is the caller of `linear_table` for f, from the terms a_i g^(j q^i) of f(g^j) (`basis_terms`);
-`ratio_values` divides that table by x as index subtraction,
-`QPoly.inverse` inverts it by scatter, and graph transport
-(`moebius.transform_poly`) tabulates its two graph coordinates with it in
-one call.  `eval_on` stays for point sets smaller than the field.
+additions in the packed (additive) encoding (`gf._packed_linear_table`,
+which also builds the field's table of powers), then a reorder by element
+index and one gather through the log table.  `QPoly.table` calls `linear_table` for f, from the terms
+a_i g^(j q^i) of f(g^j) (`basis_terms`); `ratio_values` divides that table
+by x as index subtraction, `QPoly.inverse` inverts it by scatter, and
+graph transport (`moebius.transform_poly`) tabulates its two graph
+coordinates with it in one call.  `eval_on` stays for point sets smaller
+than the field.
 
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the
@@ -251,13 +251,11 @@ def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
     F_p-linear map L with L(g^j) = sum_i terms[..., j, i], j < m = h*n.
 
     Leading axes of terms are maps tabulated side by side; the result has
-    shape terms.shape[:-2] + (q^n,), int64.  The element with packed
-    encoding sum_j c_j p^j is sum_j c_j g^j, so the terms in packed
-    encoding fix L as a map of packed values, and `gf._packed_linear_table`
-    tabulates it in packed order by carry-free digit sums.  Then out[pck]
-    reorders the table by element index and one gather through the log
-    table idx gives the values in index encoding; both gathers read the
-    field's own int32 tables.
+    shape terms.shape[:-2] + (q^n,), int64.  As g^j has packed encoding
+    p^j, `gf._packed_linear_table` tabulates L in packed order from the
+    terms' packed encodings; out[pck] reorders that table by element
+    index, and a gather through the log table idx gives the values as
+    indices.  Both gathers read the field's own int32 tables.
     """
     pck = ctx._pck
     out = _packed_linear_table(ctx.p, ctx.m, pck.take(np.asarray(terms, dtype=np.int64)))
