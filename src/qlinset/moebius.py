@@ -13,7 +13,7 @@ field's int encoding plus the INF marker below.
 
 Both actions run on field-wide arrays.  `transform_poly` tabulates the
 two F_p-linear coordinates of the graph map over all of F_{q^n} with
-`qpoly.linear_table`, the kernel behind `QPoly.table`, inverts one by
+`qpoly.linear_table`, the entry point behind `QPoly.table`, inverts one by
 scatter and interpolates (`qpoly.interpolate_through_inverse`, which
 `QPoly.inverse` shares);
 `moebius_image` returns the image of a slope set as an ImageSet, or None
