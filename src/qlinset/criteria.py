@@ -191,16 +191,10 @@ def trace5_test(f: QPoly) -> Trace5Witness | None:
     if ctx.norm_rel(a[1], 1) != ctx.norm_rel(a[2], 1):
         return None
     lam = _solve_q_minus_1_root(ctx, ctx.div(a[2], a[1]))
-    # matrix ((1, 0), (1 - lam^(1-q^4) a0/a1, lam^(1-q^4)/a1)), sigma = id
-    w = ctx.pow_int(lam, 1 - ctx.q**4)
-    c = ctx.sub(1, ctx.mul(w, ctx.div(a[0], a[1])))
-    d = ctx.div(w, a[1])
-    phi = SemilinearMap(ctx, 1, 0, c, d, 0)
-    mu = ctx.pow_int(lam, ctx.q**4)
-    expected = trace_poly(ctx).scale_conjugate(mu)
-    if transform_poly(f, phi) != expected:
-        raise InconsistentStructure("trace witness failed reconstruction")
-    return Trace5Witness(phi, lam)
+    # ((1, 0), (1, lam^(1-q^4))) after normalizing by a1
+    m1 = (1, 0, 1, ctx.pow_int(lam, 1 - ctx.q**4))
+    target = trace_poly(ctx).scale_conjugate(ctx.pow_int(lam, ctx.q**4))
+    return Trace5Witness(_explicit_witness(f, m1, 1, target, "trace"), lam)
 
 
 @dataclass(frozen=True)
@@ -217,13 +211,13 @@ def _normalizer(f: QPoly, j: int) -> SemilinearMap:
     return SemilinearMap(ctx, 1, 0, ctx.neg(ctx.div(a0, aj)), ctx.inv(aj))
 
 
-def _monomial_witness(f: QPoly, m1: tuple, j: int, cond: int) -> PseudoregResult:
-    """Condition `cond` carries f to x^{q^cond} by m1 after normalizing by a_j."""
-    ctx = f.ctx
-    phi = SemilinearMap(ctx, *m1).compose(_normalizer(f, j))
-    if transform_poly(f, phi) != monomial(ctx, cond):
-        raise InconsistentStructure(f"condition-{cond} witness failed reconstruction")
-    return PseudoregResult(f"cond{cond}", phi, cond)
+def _explicit_witness(f: QPoly, m1: tuple, j: int, target: QPoly, what: str) -> SemilinearMap:
+    """The map m1 after normalizing by a_j, once it is checked to carry f
+    to target."""
+    phi = SemilinearMap(f.ctx, *m1).compose(_normalizer(f, j))
+    if transform_poly(f, phi) != target:
+        raise InconsistentStructure(f"{what} witness failed reconstruction")
+    return phi
 
 
 def pseudoalg_test(f: QPoly) -> PseudoregResult:
@@ -250,7 +244,8 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
         # matrix product from the constructive proof, with alpha_2 = a2 / a1
         al2 = ctx.div(a[2], a[1])
         m1 = (1, ctx.pow_int(al2, q**4), ctx.pow_int(al2, 1 + q + q**2 + q**3), 1)
-        return _monomial_witness(f, m1, j=1, cond=1)
+        phi = _explicit_witness(f, m1, 1, monomial(ctx, 1), "condition-1")
+        return PseudoregResult("cond1", phi, 1)
 
     r41 = ctx.div(a[4], a[1])
     r13 = ctx.div(a[1], a[3])
@@ -261,7 +256,8 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
             return PseudoregResult("trace_fallback")
         al1 = ctx.div(a[1], a[3])
         m1 = (ctx.pow_int(al1, 1 + q + q**3 + q**4), 1, 1, ctx.pow_int(al1, q**2))
-        return _monomial_witness(f, m1, j=3, cond=2)
+        phi = _explicit_witness(f, m1, 3, monomial(ctx, 2), "condition-2")
+        return PseudoregResult("cond2", phi, 2)
     return PseudoregResult("none")
 
 

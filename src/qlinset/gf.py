@@ -37,23 +37,22 @@ the element encoding is built on discrete logs of its root.
 Construction is vectorized.  The search skips every candidate whose
 constant term c_0 fails the norm test: the root of a primitive modulus of
 degree m has norm (-1)^m c_0, a generator of F_p^*.  It tests the others in
-ascending batches of 16 growing to 4096: an F_p-root filter by Horner
-evaluation, then x^order mod f for the whole batch by square-and-multiply
-on integer arrays, then x^(order/r) for the few with x^order = 1; the first
-survivor is the modulus, and a caller's modulus goes through the same test
-as a batch of one.  The table of powers g^k is built by baby and giant
-steps: g^0 .. g^(B-1), B = ceil(sqrt(order)), one multiplication by x at a
-time, then B powers per gather from the table of v -> g^B v.  That table
-and every whole-field table of an F_p-linear map (`qpoly.linear_table`)
-come from one kernel, `_packed_linear_table`, carry-free digit sums in the
-packed encoding.  The packed, log and Zech tables are int32, as every entry
-is below MAX_FIELD_SIZE; the vector operations still return int64.  Timed
-alone in a fresh interpreter on a 2-core Xeon, build_field(3,1,10) takes
-about 0.02 s, build_field(2,1,20) 0.10-0.13 s, build_field(7,1,8) 0.7-0.9 s,
-build_field(5,1,10) 1.5-1.6 s, build_field(2,1,24) 1.5-2.0 s at a peak RSS
-of 238 MB, build_field(251,1,3) and build_field(4093,1,2) 1.8-2.2 s, and
-build_field(3,1,15), the slowest largest field of any prime measured,
-2.2-2.4 s at 249 MB.
+ascending batches of 16 growing to 4096: x^order mod f for the whole batch
+by square-and-multiply on integer arrays, then x^(order/r) for the few with
+x^order = 1; the first survivor is the modulus, and a caller's modulus goes
+through the same test as a batch of one.  The table of powers g^k is built
+by baby and giant steps: g^0 .. g^(B-1), B = ceil(sqrt(order)), one
+multiplication by x at a time, then B powers per gather from the table of
+v -> g^B v.  That table and every whole-field table of an F_p-linear map
+(`qpoly.linear_table`) come from one kernel, `_packed_linear_table`,
+carry-free digit sums in the packed encoding.  The packed, log and Zech
+tables are int32, as every entry is below MAX_FIELD_SIZE; the vector
+operations still return int64.  Timed alone in a fresh interpreter on a
+2-core Xeon, build_field(3,1,10) takes about 0.02 s, build_field(2,1,20)
+0.10-0.13 s, build_field(7,1,8) 0.7-0.9 s, build_field(5,1,10) 1.5-1.6 s,
+build_field(2,1,24) 1.5-2.0 s at a peak RSS of 238 MB, build_field(251,1,3)
+and build_field(4093,1,2) 1.8-2.2 s, and build_field(3,1,15), the slowest
+largest field of any prime measured, 2.2-2.4 s at 249 MB.
 """
 
 from __future__ import annotations
@@ -158,9 +157,7 @@ def _search_modulus(p, m, order):
     # f has norm N(g) = (-1)^m c_0, and that norm generates F_p^*; so only
     # the blocks c_0 p^(m-1) .. (c_0 + 1) p^(m-1) - 1 of the c_0 that pass
     # are walked, in order (at p = 2 the one block c_0 = 1).  The batches
-    # grow so that an early answer costs one small batch.  For m > 1 a root
-    # in F_p means a linear factor, which is cheaper to find than the order
-    # of x.
+    # grow so that an early answer costs one small batch.
     weights = p ** np.arange(m - 1, -1, -1, dtype=np.int64)[:, None]
     block, batch = p ** (m - 1), 16
     for c0 in range(1, p):
@@ -171,11 +168,6 @@ def _search_modulus(p, m, order):
         while lo < hi:
             t = np.arange(lo, min(lo + batch, hi), dtype=np.int64)
             low = t // weights % p
-            for a in range(1, p) if m > 1 else ():
-                value = np.ones(low.shape[1], dtype=np.int64)
-                for i in range(m - 1, -1, -1):
-                    value = (value * a + low[i]) % p
-                low = low[:, value != 0]
             hits = np.flatnonzero(_primitive_columns(low, p, order))
             if hits.size:
                 return low[:, hits[0]].tolist() + [1]
@@ -339,11 +331,7 @@ class FieldCtx:
             if self._pck[1 + self.order // r] == 1:
                 raise RuntimeError("modulus root is not primitive; construction bug")
 
-        self.zero = 0
-        self.one = 1
         self.gen = 2 if self.order > 1 else 1  # g = g^1; in F_2 it is g^0 = 1
-        # -1 as an element: g^(order/2) in odd characteristic, 1 in char 2
-        self.minus_one = 1 if p == 2 else (self.order // 2) + 1
         self._tab = None
 
     def __reduce__(self):

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooLargeForExhaustive
-from .gf import FieldCtx, _prime_factors
+from .gf import FieldCtx
 from .qpoly import QPoly, ratio_exponents
 
 _EXHAUSTIVE_GUARD = 2**32
@@ -79,7 +79,9 @@ class ImageSet:
     def from_indices(cls, ctx: FieldCtx, indices) -> "ImageSet":
         """The set of the elements with these int encodings; ValueError for
         an index outside [0, q^n), such as INF, which numpy would wrap."""
-        idx = np.array(list(indices), dtype=np.int64)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= ctx.size):
             raise ValueError(f"element index outside [0, {ctx.size})")
         mask = np.zeros(ctx.size, dtype=bool)
@@ -183,22 +185,15 @@ def strict_linear_mask(ctx: FieldCtx, digits: list) -> np.ndarray:
     """Boolean mask of tuples whose polynomial is strictly F_q-linear, in the
     shape the digit arrays (or ints) broadcast to.
 
-    Strict linearity means gcd(n, {i > 0 : a_i != 0}) = 1: for every prime
-    divisor l of n some coefficient with index not divisible by l is nonzero.
+    Strict linearity is `QPoly.is_strictly_linear`: some coefficient is
+    nonzero, and gcd(n, {i > 0 : a_i != 0}) = 1, so at n = 1 every nonzero
+    tuple is strict.
     """
-    n = ctx.n
-    shape = np.broadcast_shapes(*map(np.shape, digits))
     nonzero = [np.not_equal(d, 0) for d in digits]
-    strict = np.zeros(shape, dtype=bool)
-    for i in range(1, n):
-        strict |= nonzero[i]
-    for ell in _prime_factors(n):
-        hit = np.zeros(shape, dtype=bool)
-        for i in range(1, n):
-            if i % ell:
-                hit |= nonzero[i]
-        strict &= hit
-    return strict
+    s = ctx.n
+    for i in range(1, ctx.n):
+        s = np.gcd(s, nonzero[i] * i)
+    return functools.reduce(np.logical_or, nonzero) & (s == 1)
 
 
 # ------------------------------------------------ exhaustive mask enumeration
@@ -244,10 +239,7 @@ def _image_rows(ctx: FieldCtx, blocks):
 
 def _bit_table(ctx: FieldCtx) -> np.ndarray:
     """One-hot (q^n, W) table: row e is the image row of {e}."""
-    e = np.arange(ctx.size)
-    bit = np.zeros((ctx.size, _words(ctx)), dtype="<u4")
-    bit[e, e >> 5] = 1 << (e & 31)
-    return bit
+    return _pack_rows(np.eye(ctx.size, dtype=bool))
 
 
 def _representative_blocks(ctx: FieldCtx):
@@ -324,13 +316,11 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     for j in range(n):
         slab = cube[(0,) * j]
         reps = slab[1, ...]
-        bufs = np.empty_like(reps), np.empty_like(reps)
         for k in range(1, ctx.order):
             row, src = _scale_row(ctx, -k), _rotate(reps, k, ctx.order)
             for ax in range(reps.ndim):
-                dst = slab[k + 1] if ax == reps.ndim - 1 else bufs[ax % 2]
-                src = np.take(src, row, axis=ax, out=dst, mode="clip")
-            slab[k + 1] = src  # already in place unless the slab is 0-d
+                src = np.take(src, row, axis=ax)
+            slab[k + 1] = src
     return out
 
 

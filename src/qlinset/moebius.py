@@ -143,22 +143,20 @@ class SemilinearMap:
         return f"SemilinearMap({self.serialize()})"
 
 
-def is_admissible(f: QPoly, phi: SemilinearMap, im: ImageSet | None = None) -> bool:
+def is_admissible(f: QPoly, phi: SemilinearMap) -> bool:
     """True iff the transported polynomial f_phi exists.
 
     Equivalent to invertibility of k_f(x) = a x^s + b f(x)^s: either b = 0,
     or -(a/b)^(s^-1) avoids Im(f(x)/x).
     """
     ctx = f.ctx
-    if phi.ctx is not ctx or (im is not None and im.ctx is not ctx):
-        raise ValueError("polynomial, map and image live in different field contexts")
+    if phi.ctx is not ctx:
+        raise ValueError("polynomial and map live in different field contexts")
     if phi.b == 0:
         return True
     w = ctx.neg(ctx.div(phi.a, phi.b))
     w = ctx.frobenius(w, (ctx.m - phi.sigma_exp) % ctx.m)
-    if im is None:
-        im = image_of_ratio(f)
-    return w not in im
+    return w not in image_of_ratio(f)
 
 
 # ------------------------------------------------------- graph transport

@@ -165,7 +165,7 @@ def test_trace5_round_trip_via_gl(f243):
             )
         except Exception:
             continue
-        if not is_admissible(tr, psi, tr_im):
+        if not is_admissible(tr, psi):
             continue
         done += 1
         f = transform_poly(tr, psi)

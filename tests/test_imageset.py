@@ -37,7 +37,12 @@ def test_from_indices_rejects_indices_outside_the_field(f32):
     for bad in ([INF, 1], [1, f32.size], [-f32.size]):
         with pytest.raises(ValueError):
             ims.ImageSet.from_indices(f32, bad)
-    assert ims.ImageSet.from_indices(f32, [0, 31]).indices().tolist() == [0, 31]
+    with pytest.raises(ValueError):
+        ims.ImageSet.from_indices(f32, np.array([0, f32.size]))
+    # an array, a list and a set give one set
+    sets = [ims.ImageSet.from_indices(f32, pts)
+            for pts in (np.array([31, 0, 31]), [0, 31], {31, 0})]
+    assert sets[0] == sets[1] == sets[2] and sets[0].indices().tolist() == [0, 31]
     assert len(ims.ImageSet.from_indices(f32, [])) == 0
 
 
@@ -259,14 +264,18 @@ def test_direction_bounds_exhaustive_2_4():
 
 
 def test_strict_mask_matches_poly_predicate():
-    ctx = build_field(2, 1, 4)
-    T = np.arange(ctx.size**ctx.n, dtype=np.int64)
-    mask = ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))
+    # 500 sampled tuples at (2,1,4); every tuple at n = 1, where each
+    # nonzero tuple is strict
     r = random.Random(34)
-    for t in r.sample(range(T.size), 500):
-        f = ims.poly_from_tuple(ctx, t)
-        expected = (not f.is_zero()) and f.max_field_of_linearity() == 1
-        assert bool(mask[t]) == expected
+    for spec, picks in (((2, 1, 4), lambda size: r.sample(range(size), 500)),
+                        ((3, 1, 1), range), ((2, 2, 1), range)):
+        ctx = build_field(*spec)
+        T = np.arange(ctx.size**ctx.n, dtype=np.int64)
+        mask = ims.strict_linear_mask(ctx, ims._tuple_digits(ctx, T))
+        for t in picks(T.size):
+            f = ims.poly_from_tuple(ctx, t)
+            expected = (not f.is_zero()) and f.max_field_of_linearity() == 1
+            assert bool(mask[t]) == expected, (spec, t)
 
 
 def test_survey_2_4_spectrum():
