@@ -159,9 +159,8 @@ def cmd_verify(args) -> int:
     if suite != "new-linset":
         given = [flag for flag, dest in NEW_LINSET_OPTIONS.items() if getattr(args, dest)]
         if given:
-            print(f"{', '.join(given)}: read only by --suite new-linset, not {suite}",
-                  file=sys.stderr)
-            return 2
+            raise OptionError(
+                f"{', '.join(given)}: read only by --suite new-linset, not {suite}")
     t0 = time.perf_counter()
     try:
         result = suites.SUITES[suite](**SUITE_ARGS[suite](args))

@@ -4,9 +4,10 @@ Covers the coefficient identities e0..e6 forced by equal image sets, the
 explicit trace-equivalence and pseudoregulus-equivalence tests with their
 constructive witnesses, the monomial certification, and the complete
 same-image classifiers for n <= 4 and n = 5.  Classifiers never abort on a
-theory violation: an `inconsistent` outcome is data, produced only after
-both the scalar-conjugate branch and the monomial branch have been
-exhausted, and every returned witness is re-verified by reconstruction.
+theory violation: an `inconsistent` outcome is data, produced when no
+scalar or adjoint-scalar conjugation matches and, at n = 5 only, the image
+is the trace image (`trace_fallback`) or the monomial branch fails.  Every
+returned witness is re-verified by reconstruction.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def monomial_classify(f: QPoly, g: QPoly) -> tuple[int, int]:
 @dataclass(frozen=True)
 class ClassifyOutcome:
     kind: str  # scalar_conjugate | adjoint_scalar_conjugate | monomial_pair |
-    #            images_differ | inconsistent
+    #            inconsistent
     lam: int | None = None
     phi: SemilinearMap | None = None
     i: int | None = None

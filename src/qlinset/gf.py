@@ -51,8 +51,9 @@ operations still return int64.  Timed alone in a fresh interpreter on a
 2-core Xeon, build_field(3,1,10) takes about 0.02 s, build_field(2,1,20)
 0.10-0.13 s, build_field(7,1,8) 0.7-0.9 s, build_field(5,1,10) 1.5-1.6 s,
 build_field(2,1,24) 1.5-2.0 s at a peak RSS of 238 MB, build_field(251,1,3)
-and build_field(4093,1,2) 1.8-2.2 s, and build_field(3,1,15), the slowest
-largest field of any prime measured, 2.2-2.4 s at 249 MB.
+and build_field(4093,1,2) 1.8-2.2 s, build_field(3,1,15), the slowest
+largest field of any prime measured, 2.2-2.4 s at 249 MB, and the largest
+prime field, build_field(16777213,1,1), 1.8-2.3 s at 285 MB.
 """
 
 from __future__ import annotations
@@ -180,20 +181,17 @@ def _search_modulus(p, m, order):
 # bounded: a process that builds many fields keeps the luts of a few
 @functools.lru_cache(maxsize=16)
 def _digit_sum_consts(p, m):
-    """(w, per_word, k, lut), the constants of `_packed_linear_table` at odd p.
+    """(w, per_word, k, lut), the constants of `_packed_linear_table` at odd
+    p and m >= 2.
 
     A digit field of w bits holds a sum of m digits below p, at most
     m (p - 1); one int64 word holds per_word such fields, and lut, read-only
     as it is shared, maps a chunk of k fields, w k bits, to their sums
-    reduced mod p, read as a base-p number.  At m = 1 the one field holds
-    one digit, already reduced, and lut is None: it would have p entries,
-    up to 2^24.
+    reduced mod p, read as a base-p number.
     """
     w = (m * (p - 1)).bit_length()
     per_word = min(m, 63 // w)
     k = min(per_word, max(1, 16 // w))
-    if m == 1:
-        return w, per_word, k, None
     chunk = np.arange(sum(m * (p - 1) << w * i for i in range(k)) + 1, dtype=np.int64)
     lut = sum((chunk >> w * i & (1 << w) - 1) % p * p**i for i in range(k)).astype(np.int32)
     lut.flags.writeable = False
@@ -214,7 +212,8 @@ def _packed_linear_table(p, m, packed):
     digit of a value gets a w-bit field that holds the sum of up to m
     digits, so it is an integer add on int64 words of per_word fields; each
     word's sums are reduced mod p k fields at a time (`_digit_sum_consts`),
-    in blocks of 2^20 entries, into the int32 result.
+    in blocks of 2^20 entries, into the int32 result.  At m = 1 the table
+    is c L(1) mod p itself.
     """
     shape = packed.shape[:-2]
     if p == 2:
@@ -224,10 +223,12 @@ def _packed_linear_table(p, m, packed):
         for j in range(m):
             out = (step[..., j, :, None] ^ out[..., None, :]).reshape(shape + (-1,))
         return out
-    w, per_word, k, lut = _digit_sum_consts(p, m)
     # cd[..., j, c, i] is digit i of c L(x^j), from the terms' digit sums
     d = (packed[..., None] // p ** np.arange(m) % p).sum(axis=-2)
     cd = d[..., None, :] * np.arange(p)[:, None] % p
+    if m == 1:
+        return cd[..., 0, :, 0].astype(np.int32)
+    w, per_word, k, lut = _digit_sum_consts(p, m)
     out = np.zeros(shape + (p**m,), dtype=np.int32)
     for lo in range(0, m, per_word):
         fields = min(per_word, m - lo)
@@ -239,8 +240,7 @@ def _packed_linear_table(p, m, packed):
             block = sums[..., start:start + (1 << 20)]
             dst = out[..., start:start + (1 << 20)]
             for i in range(0, fields, k):
-                dst += block if lut is None else (
-                    lut.take(block >> w * i & (1 << w * k) - 1) * p ** (lo + i))
+                dst += lut.take(block >> w * i & (1 << w * k) - 1) * p ** (lo + i)
         # free this word's sums, views included, before the next word's
         del sums, block
     return out
@@ -325,12 +325,6 @@ class FieldCtx:
         self.modulus = tuple(modulus)
 
         self._build_tables()
-
-        # g^(order/r) != 1 for every prime r | order: g is primitive
-        for r in _prime_factors(self.order):
-            if self._pck[1 + self.order // r] == 1:
-                raise RuntimeError("modulus root is not primitive; construction bug")
-
         self.gen = 2 if self.order > 1 else 1  # g = g^1; in F_2 it is g^0 = 1
         self._tab = None
 

@@ -119,11 +119,7 @@ def image_of_ratio(f: QPoly) -> ImageSet:
     The values come from `QPoly.ratio_values`, f's whole-field table
     divided by x.
     """
-    ctx = f.ctx
-    values = f.ratio_values()
-    mask = np.zeros(ctx.size, dtype=bool)
-    mask[values] = True
-    return ImageSet(ctx, mask)
+    return ImageSet.from_indices(f.ctx, f.ratio_values())
 
 
 def images_equal(f: QPoly, g: QPoly) -> bool:
@@ -133,8 +129,10 @@ def images_equal(f: QPoly, g: QPoly) -> bool:
 
 
 def direction_bounds(ctx: FieldCtx) -> tuple[int, int]:
-    """[q^(n-1)+1, (q^n-1)/(q-1)], the size window for strictly F_q-linear f."""
-    return ctx.q ** (ctx.n - 1) + 1, (ctx.size - 1) // (ctx.q - 1)
+    """[q^(n-1)+1, (q^n-1)/(q-1)], the size window for strictly F_q-linear f;
+    [1, 1] at n = 1, where every such f is a scalar map."""
+    hi = (ctx.size - 1) // (ctx.q - 1)
+    return min(ctx.q ** (ctx.n - 1) + 1, hi), hi
 
 
 def power_sum(f: QPoly, d: int) -> int:

@@ -70,6 +70,11 @@ def test_image_monomial_window(tmp_path):
     rep = load(out)
     assert rep["size"] == 121
     assert rep["window"] == [82, 121]
+    # at n = 1 every strictly linear f is a scalar map, of image size 1
+    run_cli(["image", "--field", "3,1,1", "--poly", "g^0", "--out", str(out)])
+    rep = load(out)
+    assert rep["size"] == 1 and rep["strictly_linear"]
+    assert rep["window"] == [1, 1]
 
 
 def test_classify_command_outcomes(tmp_path):
@@ -280,6 +285,7 @@ def test_verify_rejects_new_linset_options_on_other_suites(opts, tmp_path, capsy
     rc = run_cli(["verify", "--suite", "survey-n4", *opts, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("qlinset verify: --"), err
     assert all(flag in err for flag in opts if flag.startswith("--"))
     assert not out.exists()
 

@@ -150,11 +150,11 @@ def test_alog_table_against_recurrence(p, m, modulus):
     assert np.array_equal(ctx._idx[ctx._pck], np.arange(ctx.size))
 
 
-@pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (5, 3)])
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (5, 3), (7, 1), (65521, 1)])
 def test_packed_linear_table_against_times_x(p, m):
     # the maps v -> x v and v -> x^2 v side by side, from their values
     # x^(j+1) and x^(j+2) at x^j; the table stays int32 at every p, as an
-    # int64 kernel costs twice the time at p = 2
+    # int64 kernel costs twice the time at p = 2; at m = 1 it is c L(1) mod p
     ctx = build_field(p, 1, m)
     terms = np.stack([ctx._pck[2:2 + m], ctx._pck[3:3 + m]])[..., None]
     table = gf._packed_linear_table(p, m, terms)
@@ -173,6 +173,14 @@ def test_search_skips_an_irreducible_non_primitive_candidate():
     modulus = tuple(gf._search_modulus(2, 8, 255))
     assert below < modulus and modulus == _brute_force_modulus(2, 8)
     assert sum(c << (7 - i) for i, c in enumerate(modulus[:8])) < 2**7 + 16
+
+
+def test_non_primitive_modulus_root_fails_the_log_table(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2, but x has order 5, not
+    # 15: the table of powers repeats and the log table cannot be complete
+    monkeypatch.setattr(gf, "_search_modulus", lambda p, m, order: [1, 1, 1, 1, 1])
+    with pytest.raises(RuntimeError, match="log table incomplete"):
+        FieldCtx(2, 1, 4)
 
 
 def test_construction_guards():

@@ -527,7 +527,7 @@ def test_witness_scan_matches_search_on_known_cases(f32, f243):
 
 
 @pytest.mark.parametrize("field", ["f32", "f243"])
-def test_index_matches_search_on_transported_pairs(field, request):
+def test_witness_scan_matches_search_on_transported_pairs(field, request):
     ctx = request.getfixturevalue(field)
     r = random.Random(54)
     # (set, the sigma exponents drawn for it): a witness with sigma = p^e
