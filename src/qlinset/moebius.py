@@ -25,12 +25,18 @@ N(S;s) = M_s(S) minus {0, 1, INF}.  Cross-ratios are PGL-invariant and
 commute with Frobenius, so phi works exactly when N(T;phi(s)) =
 sigma^e(N(S;s)), and phi sends the sorted triple phi^-1(t0) of S to one of
 the six orderings of the three smallest points t0 of T.  Each triple
-i < j < k of S is keyed by probes y_j outside {0, 1} (bit j: y_j in
-N(S;s)), and the orderings of t0 by every sigma^e(y_j), 6m anchor keys.  A
-key match is kept once its map carries all of S onto T, so a key never
-decides an answer.  One scan of the triples of S serves any number of sets
-T: it keeps only the triples whose first 16 key bits match an anchor key of
-some T.  `set_equivalence_witnesses` lists, for each T, every witness,
+i < j < k of S is keyed by the probes y_b = g^(b+1) (bit b: y_b in
+N(S;s)), and the orderings of t0 by every sigma^e(y_b), 6m anchor keys,
+which are the keys of sigma^-e(T) at the orderings of sigma^-e(t0).  A key
+takes no field arithmetic per bit.  With M0(w) = (w - s_i)/(w - s_k), bit
+b of (i, j, k) is [g^(b+1) M0(s_j) in M0(S minus s_k)].  So each pair
+i < k gets one row of bits indexed by log, built from one table of logs
+of the differences of S, and the key of (i, j, k) is the window of that
+row that starts at log M0(s_j) + 1: one unaligned 64-bit read and a
+shift (`_window_keys`).  A key match is kept once its map carries all of
+S onto T, so a key never decides an answer.  One scan of the triples of S
+serves any number of sets T: it keeps only the triples whose first 16 key
+bits match an anchor key of some T.  `set_equivalence_witnesses` lists, for each T, every witness,
 lex-least first, canonically scaled and re-checked (S against [S] lists the
 stabilizer; `linset.verify_new_example` checks one set against every mu), and
 `find_set_equivalence` returns the lex-least witness of one pair, or None
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSet,
@@ -246,68 +253,110 @@ def _carry(ctx: FieldCtx, P, Q):
 # ------------------------------------------------------------ set equivalence
 
 _BLOCK = 1 << 16  # array elements per vector pass
+_ROW_BITS = 1 << 18  # row bits and log entries of the pairs keyed per block
 _STREAM_BITS = 16  # key bits a scan prunes on; a false match fails the image check
 _NO_HITS = np.empty((0, 8), dtype=np.int64)
 
 
-def _probes(ctx: FieldCtx, bits: int) -> np.ndarray:
-    # g^1 .. g^bits, which avoid 0 and 1; all of F minus {0, 1} in small fields
-    return np.arange(2, min(ctx.size, bits + 2), dtype=np.int64)
+def _log_differences(ctx: FieldCtx, rows, pts):
+    # log(pts[..., w] - rows[..., r]) at [..., r, w], -1 where they are
+    # equal; int32, as every log is below MAX_FIELD_SIZE
+    return (ctx.vadd(pts[..., None, :], ctx.vneg(rows[..., :, None])) - 1).astype(np.int32)
 
 
-def _triple_keys(ctx: FieldCtx, mask, z1, z2, z3, probes, want=None):
-    """Positions and keys of the triples (z1[i], z2[i], z3[i]) of the set
-    `mask`; bit j of a key is [probes[..., j] in N(set; triple)], with one
-    row of probes for every triple or, without `want`, one row each.  With
-    `want`, a triple is dropped once its first _STREAM_BITS bits so far match
-    no wanted key, checked by table after each bit once the prefixes
-    outnumber the keys."""
-    # M(z) = r (z - z1)/(z - z3) with r = (z2 - z3)/(z2 - z1), so
-    # M^-1(y) = z3 + K/(y - r) with K = r (z3 - z1); y = r goes to INF
-    r = ctx.vmul(ctx.vadd(z2, ctx.vneg(z3)), ctx.vinv(ctx.vadd(z2, ctx.vneg(z1))))
-    nr, k = ctx.vneg(r), ctx.vmul(r, ctx.vadd(z3, ctx.vneg(z1)))
-    pos = np.arange(z1.size)
-    keys = np.zeros(z1.size, dtype=np.int64)
-    for b in range(probes.shape[-1]):
-        den = ctx.vadd(probes[..., b], nr)
-        bit = mask[ctx.vadd(z3, ctx.vmul(k, ctx.vinv(den)))] & (den != 0)
-        keys |= np.left_shift(bit, b, dtype=np.int64)
-        if want is not None and want.size < 2 << b and b < _STREAM_BITS:
-            table = np.zeros(2 << b, dtype=bool)
-            table[want & ((2 << b) - 1)] = True
-            keep = np.flatnonzero(table[keys])
-            pos, keys, nr, k, z3 = (x[keep] for x in (pos, keys, nr, k, z3))
-    return pos, keys
+def _window_keys(ctx: FieldCtx, L, pi, pk, pair, j, bits: int):
+    """Keys of the triples (z_i, z_j, z_k) = (z[pi[pair]], z[j], z[pk[pair]])
+    of a set z, where row r of L holds log(z_w - z_r') at w, -1 at w = r',
+    for the point z_r' of that row.  Bit b is [y_b in N(z; triple)] for the
+    probe y_b = g^(b+1), b < bits <= 56.
+
+    With M0(w) = (w - z_i)/(w - z_k), N(z; triple) is M0(z minus z_k) scaled
+    by 1/M0(z_j), so bit b is [g^(b+1) M0(z_j) in M0(z minus z_k)]: bit
+    log M0(z_j) + 1 + b of the pair's row, whose bit x is [g^x in M0(z
+    minus z_k)], and whose first bits repeat past g^(q^n-1) = 1.  M0(w) = 0
+    at w = z_i and is never 1, so the probe that the triple's map sends to
+    INF, the y_b with y_b M0(z_j) = 1, reads 0.  A key is then one unaligned
+    64-bit read of its pair's packed row and a shift."""
+    order = ctx.order
+    row_bytes = order // 8 + 8
+    width = 8 * row_bytes
+    li, lk = L[pi], L[pk]
+    logs = li - lk  # log M0(z_w) for each pair, mod order:
+    logs += order & (logs >> 31)  # order added where the int32 is negative
+    pos = logs.take(pair * L.shape[1] + j) + 1
+    # no log: M0 = 0 at w = z_i and INF at w = z_k; those land in a dropped column
+    logs[(li < 0) | (lk < 0)] = width
+    row_bits = np.zeros((pi.size, width + 1), dtype=bool)
+    row_bits.ravel()[logs + (width + 1) * np.arange(pi.size)[:, None]] = True
+    row_bits[:, order:width] = row_bits[:, :width - order]
+    packed = np.packbits(row_bits[:, :width], axis=1, bitorder="little").ravel()
+    word = sliding_window_view(packed, 8).view("<u8")[pair * row_bytes + (pos >> 3), 0]
+    key = word >> (pos & 7).astype(np.uint64) & np.uint64((1 << bits) - 1)
+    return key.astype(np.int64)
 
 
-def _anchor_keys(T: ImageSet, probes):
+def _pairs_per_block(ctx: FieldCtx, size: int) -> int:
+    # a pair costs its row of bits and its two log rows over the set
+    return max(1, _ROW_BITS // (8 * (ctx.order // 8 + 8) + size))
+
+
+def _anchor_keys(T: ImageSet, bits: int):
     """The six orderings of the three smallest points of T, and their keys
-    against sigma^e of the probes, one row of keys per automorphism."""
+    against sigma^e of the probes, one row of keys per automorphism.
+
+    [sigma^e(y) in N(T;t)] = [y in N(sigma^-e(T); sigma^-e(t))], so the keys
+    against sigma^e of the probes are the plain keys of sigma^-e(T) at the
+    orderings of sigma^-e of the three points."""
     ctx = T.ctx
-    orders = np.array(list(permutations(T.indices()[:3])), dtype=np.int64)
-    rows = np.repeat([ctx.vfrob(probes, e) for e in range(ctx.m)], len(orders), axis=0)
-    _, keys = _triple_keys(ctx, T.mask, *np.tile(orders.T, ctx.m), rows)
-    return orders, keys.reshape(ctx.m, len(orders))
+    t_idx = T.indices()
+    orders = np.array(list(permutations(range(3))))
+    # row 3e + r: logs of differences from point r of sigma^-e(T)
+    u = np.stack([ctx.vfrob(t_idx, -e) for e in range(ctx.m)])
+    L = _log_differences(ctx, u[:, :3], u).reshape(3 * ctx.m, t_idx.size)
+    base = 3 * np.arange(ctx.m)[:, None]
+    pi, pk = ((base + orders[:, c]).ravel() for c in (0, 2))
+    j = np.tile(orders[:, 1], ctx.m)
+    step = _pairs_per_block(ctx, t_idx.size)
+    keys = np.concatenate([
+        _window_keys(ctx, L, pi[lo:lo + step], pk[lo:lo + step],
+                     np.arange(pi[lo:lo + step].size), j[lo:lo + step], bits)
+        for lo in range(0, pi.size, step)
+    ])
+    return t_idx[orders], keys.reshape(ctx.m, len(orders))
 
 
-def _keyed_triples(S: ImageSet, probes, want):
+def _keyed_triples(S: ImageSet, bits: int, wanted):
     """Keys and codes (i |S| + j) |S| + k of the unordered triples i < j < k
-    of S, sorted by key, less those `_triple_keys` drops for `want`; every
-    triple whose key is wanted is kept."""
+    of S whose low _STREAM_BITS key bits (all of them, if fewer) index True
+    in the table `wanted`, sorted by key, in scan order within a key.
+
+    The scan walks the pairs i < k in lex order, in blocks, keying each
+    pair's triples by `_window_keys` on one table of logs of differences of
+    S."""
     ctx = S.ctx
     s_idx = S.indices()
     size = s_idx.size
-    pj, pk = np.triu_indices(size, 1)  # pairs j < k in lex order
-    first = np.searchsorted(pj, np.arange(1, size - 1))  # the pairs after i
-    start = np.concatenate(([0], np.cumsum(pj.size - first)))
+    L = _log_differences(ctx, s_idx, s_idx)
+    pi, pk = np.triu_indices(size, 2)  # the pairs i < k with some j between
+    count = pk - pi - 1
+    end = np.cumsum(count)  # triples up to each pair
+    step = _pairs_per_block(ctx, size)
+    low = wanted.size - 1
     keys, codes = [], []
-    for lo in range(0, int(start[-1]), _BLOCK):
-        t = np.arange(lo, min(lo + _BLOCK, int(start[-1])))
-        i = np.searchsorted(start, t, side="right") - 1
-        p = first[i] + t - start[i]
-        pos, key = _triple_keys(ctx, S.mask, *s_idx[[i, pj[p], pk[p]]], probes, want)
-        keys.append(key)
-        codes.append((i[pos] * size + pj[p[pos]]) * size + pk[p[pos]])
+    lo = 0
+    while lo < pi.size:
+        hi = int(np.searchsorted(end, end[lo] - count[lo] + _BLOCK, side="right"))
+        hi = min(max(hi, lo + 1), lo + step)
+        c = count[lo:hi]
+        pair = np.repeat(np.arange(hi - lo), c)
+        # j runs from i + 1 up within each pair
+        j = np.repeat(pi[lo:hi] + 1 - (np.cumsum(c) - c), c) + np.arange(pair.size)
+        key = _window_keys(ctx, L, pi[lo:hi], pk[lo:hi], pair, j, bits)
+        keep = np.flatnonzero(wanted[key & low])
+        keys.append(key[keep])
+        pair, j = pair[keep] + lo, j[keep]
+        codes.append((pi[pair] * size + j) * size + pk[pair])
+        lo = hi
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     return keys[order], np.concatenate(codes)[order]
@@ -364,12 +413,16 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
         raise ValueError("sets live in different field contexts")
     if len(S) < 3:
         raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-    probes = _probes(S.ctx, _STREAM_BITS + max(len(Ts) - 1, 0).bit_length())
-    anchors = [_anchor_keys(T, probes) if len(T) == len(S) else None for T in Ts]
-    want = [a[1].ravel() for a in anchors if a is not None]
-    if not want:
+    bits = min(S.ctx.size - 2, _STREAM_BITS + max(len(Ts) - 1, 0).bit_length())
+    anchors = [_anchor_keys(T, bits) if len(T) == len(S) else None for T in Ts]
+    # the triples of S whose low key bits match those of some anchor key
+    wanted = np.zeros(1 << min(bits, _STREAM_BITS), dtype=bool)
+    for a in anchors:
+        if a is not None:
+            wanted[a[1] & (wanted.size - 1)] = True
+    if not wanted.any():
         return [_NO_HITS] * len(Ts)
-    keys, codes = _keyed_triples(S, probes, np.unique(np.concatenate(want)))
+    keys, codes = _keyed_triples(S, bits, wanted)
     return [_NO_HITS if a is None else _hits(S, keys, codes, T, *a)
             for T, a in zip(Ts, anchors)]
 
@@ -380,9 +433,9 @@ def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
 
     The one-target case of `set_equivalence_witnesses`, on 16-bit keys, with
     only the first hit built and checked.  Every pair costs one scan of the
-    triples of S, equivalent or not: about 0.05 s for 121-point sets at
-    F_243, and 2.3 s at a peak RSS of 45 MB for 341-point sets at F_{4^5}
-    (2-core box).
+    triples of S, equivalent or not: about 0.03 s for 121-point sets at
+    F_243, and 0.9 s at a peak RSS of 40 MB for 341-point sets at F_{4^5}
+    (2-core box, fresh interpreter).
     """
     hits = _scan(S, [T])[0]
     if not hits.size:
@@ -399,9 +452,9 @@ def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
 
     One scan of the triples of S serves every target, so a target's list is
     the same alone or in any batch.  All 121 mu sets of the new example at
-    F_243 take about 0.2 s against its set L, and all 682 at F_{4^5} about
-    7.5 s at a peak RSS of 230 MB; the stabilizer of L takes about 0.06 s at
-    F_243 and 1.5 s at F_{4^5} (2-core box).
+    F_243 take about 0.08 s against its set L, and all 682 at F_{4^5} about
+    4.3 s at a peak RSS of 216 MB; the stabilizer of L takes about 0.03 s at
+    F_243 and 0.6 s at F_{4^5} (2-core box, fresh interpreter).
     """
     return [
         [_checked_witness(S, T, e, a, b, c, d) for e, _, _, _, a, b, c, d in hits.tolist()]

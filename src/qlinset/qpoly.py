@@ -30,7 +30,13 @@ import weakref
 
 import numpy as np
 
-from .errors import InconsistentStructure, NotInvertible, ZeroPolynomial, ZeroScalar
+from .errors import (
+    InconsistentStructure,
+    InvalidParameters,
+    NotInvertible,
+    ZeroPolynomial,
+    ZeroScalar,
+)
 from .gf import FieldCtx, _packed_linear_table
 
 
@@ -226,7 +232,9 @@ def identity_poly(ctx: FieldCtx) -> QPoly:
 
 
 def monomial(ctx: FieldCtx, i: int, coeff: int = 1) -> QPoly:
-    """coeff * x^{q^i}."""
+    """coeff * x^{q^i}; InvalidParameters unless 0 <= i < n."""
+    if not 0 <= i < ctx.n:
+        raise InvalidParameters(f"monomial x^(q^i) needs 0 <= i < n = {ctx.n}; got i = {i}")
     out = [0] * ctx.n
     out[i] = coeff
     return QPoly(ctx, out)

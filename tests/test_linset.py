@@ -137,6 +137,9 @@ def test_pseudoregulus_detection(f32):
     assert ls.is_pseudoregulus_type(trace_poly(f32)) is None
     with pytest.raises(NotStrictlyLinear):
         ls.is_pseudoregulus_type(QPoly(f32, [1, 0, 0, 0, 0]))
+    # at n = 1 there is no x^q to compare with
+    with pytest.raises(InvalidParameters):
+        ls.is_pseudoregulus_type(QPoly(build_field(3, 1, 1), [1]))
 
 
 def test_fs_family_pseudoregulus_and_scattered(f32, f243):

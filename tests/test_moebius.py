@@ -1,9 +1,11 @@
 """Semilinear maps: group laws, admissibility, transport, the slope action,
 and the set-equivalence scan, for one target (`find_set_equivalence`) or
-many (`set_equivalence_witnesses`), against the ordered-triple walk."""
+many (`set_equivalence_witnesses`), against the ordered-triple walk; its
+triple keys against the chain of field operations per probe bit."""
 
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -21,10 +23,11 @@ from qlinset.linset import (
 from qlinset.moebius import (
     INF,
     SemilinearMap,
+    _anchor_keys,
     _carry,
     _checked_witness,
     _cross_ratio_matrix,
-    _probes,
+    _keyed_triples,
     find_set_equivalence,
     is_admissible,
     moebius_image,
@@ -437,6 +440,60 @@ def test_serialization(f32):
 
 # --------------------------------- the set-equivalence scan, one T or many
 
+def keys_by_chain(ctx, mask, z1, z2, z3, probes):
+    """Keys of the triples (z1[i], z2[i], z3[i]) of the set `mask`, by field
+    arithmetic per probe bit: bit b is [probes[..., b] in N(set; triple)],
+    with one row of probes for every triple or one row for all.  M(z) =
+    r (z - z1)/(z - z3) with r = (z2 - z3)/(z2 - z1) sends the triple to
+    (0, 1, INF), so M^-1(y) = z3 + K/(y - r) with K = r (z3 - z1), and
+    y = r goes to INF."""
+    r = ctx.vmul(ctx.vadd(z2, ctx.vneg(z3)), ctx.vinv(ctx.vadd(z2, ctx.vneg(z1))))
+    nr, k = ctx.vneg(r), ctx.vmul(r, ctx.vadd(z3, ctx.vneg(z1)))
+    keys = np.zeros(z1.size, dtype=np.int64)
+    for b in range(probes.shape[-1]):
+        den = ctx.vadd(probes[..., b], nr)
+        bit = mask[ctx.vadd(z3, ctx.vmul(k, ctx.vinv(den)))] & (den != 0)
+        keys |= np.left_shift(bit, b, dtype=np.int64)
+    return keys
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 2), (3, 2, 2),
+                                  (3, 1, 8)],
+                         ids=lambda spec: ",".join(map(str, spec)))
+def test_window_keys_match_the_chain(spec):
+    # (3,1,8) lies above MAX_TABLE_SIZE, so its field sums run by index and
+    # Zech arithmetic; 23 bits is the key width of a scan against 121 targets
+    ctx = build_field(*spec)
+    r = random.Random(f"window/{spec}")
+    sets = [ims.ImageSet.from_indices(ctx, r.sample(range(ctx.size), n)) for n in (3, 11, 20)]
+    if ctx.size == 32:
+        sets.append(ims.image_of_ratio(rand_strict(ctx, r)))
+    for S in sets:
+        s = S.indices()
+        i, j, k = np.array(list(combinations(range(s.size), 3))).T
+        for bits in sorted({min(ctx.size - 2, 16), min(ctx.size - 2, 23)}):
+            probes = np.arange(2, bits + 2)  # g^1 .. g^bits
+            want = keys_by_chain(ctx, S.mask, s[i], s[j], s[k], probes)
+            # every triple, keyed in scan order, then those whose low bits
+            # a table wants
+            keys, codes = _keyed_triples(S, bits, np.ones(1 << min(bits, 16), dtype=bool))
+            assert np.array_equal(np.sort(codes), (i * s.size + j) * s.size + k)
+            assert np.array_equal(keys[np.argsort(codes)], want)
+            wanted = np.zeros(1 << min(bits, 16), dtype=bool)
+            wanted[r.sample(range(wanted.size), wanted.size // 4)] = True
+            keys, codes = _keyed_triples(S, bits, wanted)
+            kept = wanted[want & (wanted.size - 1)]
+            assert np.array_equal(keys, np.sort(want[kept]))
+            assert np.array_equal(np.sort(codes), ((i * s.size + j) * s.size + k)[kept])
+            # the anchors: every ordering of the three smallest points against
+            # sigma^e of the probes, under every automorphism
+            orders, anchors = _anchor_keys(S, bits)
+            assert np.array_equal(orders, list(permutations(s[:3])))
+            rows = np.repeat([ctx.vfrob(probes, e) for e in range(ctx.m)], 6, axis=0)
+            by_chain = keys_by_chain(ctx, S.mask, *np.tile(orders.T, ctx.m), rows)
+            assert np.array_equal(anchors, by_chain.reshape(ctx.m, 6))
+
+
 WALK_CHUNK = 1 << 18
 
 
@@ -625,7 +682,7 @@ def test_witness_scan_rejects_a_key_match_that_is_no_witness(f243):
     S = new_example_set(f243)
     pts = S.indices().tolist()
     M = SemilinearMap(f243, *(int(v) for v in _cross_ratio_matrix(f243, *pts[:3])))
-    probes = set(_probes(f243, 64).tolist())
+    probes = set(range(2, 66))  # g^1 .. g^64, past every key's probes
     x = next(z for z in pts[3:] if M.apply_slope(z) not in probes)
     y = next(z for z in range(pts[2] + 1, f243.size)
              if z not in S and M.apply_slope(z) not in probes)

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from qlinset.errors import NotAdmissible, NotInvertible, ZeroPolynomial, ZeroScalar
+from qlinset.errors import (
+    InvalidParameters,
+    NotAdmissible,
+    NotInvertible,
+    ZeroPolynomial,
+    ZeroScalar,
+)
 from qlinset.gf import MAX_TABLE_SIZE, build_field
 from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import (
@@ -208,6 +214,13 @@ def test_compose(f32):
         c = f.compose(g)
         for x in f32.elements():
             assert c.eval(x) == f.eval(g.eval(x))
+
+
+def test_monomial_rejects_exponents_outside_zero_to_n(f32):
+    assert monomial(f32, 4) == QPoly(f32, [0, 0, 0, 0, 1])
+    for i in (-1, f32.n):
+        with pytest.raises(InvalidParameters, match=f"got i = {i}"):
+            monomial(f32, i)
 
 
 def test_compose_associative(f243):
