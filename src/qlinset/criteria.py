@@ -35,9 +35,9 @@ from .imageset import (
 )
 from .linset import is_pseudoregulus_type
 from .moebius import SemilinearMap, transform_poly
-from .qpoly import QPoly, monomial, trace_poly
+from .qpoly import QPoly, monomial, ratio_exponents, trace_poly
 
-_POWER_SUM_BLOCK = 1 << 20
+_BLOCK = 1 << 20  # array elements per vector pass
 
 
 # ------------------------------------------------------------ e-relations
@@ -138,7 +138,7 @@ def power_sums_all_equal(f: QPoly, g: QPoly) -> bool:
     rf = f.ratio_values()
     rg = g.ratio_values()
     # every d at once, in blocks of about 2^20 table entries
-    step = max(1, _POWER_SUM_BLOCK // ctx.order)
+    step = max(1, _BLOCK // ctx.order)
     for lo in range(1, ctx.size, step):
         ds = np.arange(lo, min(lo + step, ctx.size), dtype=np.int64)
         if not np.array_equal(
@@ -332,11 +332,25 @@ class ClassifyOutcome:
 
 
 def _scan_scalar_conjugate(f: QPoly, g: QPoly) -> int | None:
-    """Least lambda (by element order) with f(lambda x)/lambda = g, if any."""
+    """Least lambda (by element order) with f(lambda x)/lambda = g, if any.
+
+    Coefficient i of f(g^k x)/g^k is a_i g^(k (q^i - 1)), so f and g need
+    the same zero coefficients, and each a_i = g^x, b_i = g^y of them gives
+    the congruence x + k (q^i - 1) = y mod q^n - 1 on k; every k is tested
+    at once, in blocks."""
     ctx = f.ctx
-    for lam in ctx.nonzero():
-        if f.scale_conjugate(lam) == g:
-            return lam
+    a, b = np.array(f.coeffs), np.array(g.coeffs)
+    if not np.array_equal(a == 0, b == 0):
+        return None
+    nz = np.flatnonzero(a)
+    x, y = a[nz, None] - 1, b[nz, None] - 1
+    e = np.array(ratio_exponents(ctx))[nz, None]
+    step = _BLOCK // max(nz.size, 1)
+    for lo in range(0, ctx.order, step):
+        k = np.arange(lo, min(lo + step, ctx.order))
+        ok = ((x + k * e) % ctx.order == y).all(axis=0)
+        if ok.any():
+            return lo + int(ok.argmax()) + 1
     return None
 
 

@@ -20,33 +20,35 @@ scatter and interpolates (`qpoly.interpolate_through_inverse`, which
 when a point goes to INF, so every witness check is an ImageSet compare.
 
 One algorithm decides whether some phi = A o sigma^e carries a slope set S
-onto a set T.  For a triple s of S let M_s send s to (0, 1, INF), and let
-N(S;s) = M_s(S) minus {0, 1, INF}.  Cross-ratios are PGL-invariant and
-commute with Frobenius, so phi works exactly when N(T;phi(s)) =
-sigma^e(N(S;s)), and phi sends the sorted triple phi^-1(t0) of S to one of
-the six orderings of the three smallest points t0 of T.  Each triple
-i < j < k of S is keyed by the probes y_b = g^(b+1) (bit b: y_b in
-N(S;s)), and the orderings of t0 by every sigma^e(y_b), 6m anchor keys,
-which are the keys of sigma^-e(T) at the orderings of sigma^-e(t0).  A key
-takes no field arithmetic per bit.  With M0(w) = (w - s_i)/(w - s_k), bit
-b of (i, j, k) is [g^(b+1) M0(s_j) in M0(S minus s_k)].  So each pair
-i < k gets one row of bits indexed by log, built from one table of logs
-of the differences of S, and the key of (i, j, k) is the window of that
-row that starts at log M0(s_j) + 1: one unaligned 64-bit read and a
-shift (`_window_keys`).  A key match is kept once its map carries all of
-S onto T, so a key never decides an answer.  One scan of the triples of S
-serves any number of sets T: it keeps only the triples whose first 16 key
-bits match an anchor key of some T.  `set_equivalence_witnesses` lists, for each T, every witness,
-lex-least first, canonically scaled and re-checked (S against [S] lists the
-stabilizer; `linset.verify_new_example` checks one set against every mu), and
-`find_set_equivalence` returns the lex-least witness of one pair, or None
-once the group is exhausted.
+onto a set T.  For a triple s of distinct points of a set z let M_s send s
+to (0, 1, INF), and let N(z;s) = M_s(z) minus {0, 1, INF}.  Cross-ratios
+are PGL-invariant and commute with Frobenius, so a witness phi has
+N(T;phi(s)) = N(sigma^e(S);sigma^e(s)) at every ordered triple s of S.
+The key of a triple is the B = min(56, q^n - 2) bits [y_b in N(z;s)] for
+the probes y_b = g^(b+1).  S is keyed once, on a star: for every e, the
+ordered triples (u_0, u_y, u_z) of u = sigma^e(S), (m - 1)(m - 2) keys for
+m points.  Each T is keyed at one ordered triple per point a, (t_a, t_j,
+t_k) with j < k the two least indices other than a: m keys.  A witness
+sends s_0 to exactly one t_a and pulls t_j, t_k back to one s_y, s_z, so it
+meets exactly one pair of equal keys.  A key takes no field arithmetic per
+bit.  With M0(w) = (w - z_i)/(w - z_k), bit b of (z_i, z_j, z_k) is
+[g^(b+1) M0(z_j) in M0(z minus z_k)].  So each pair (i, k) gets one row of
+bits indexed by log, built from one table of logs of the differences of
+the set, and the key is the window of that row that starts at
+log M0(z_j) + 1: one unaligned 64-bit read and a shift (`_window_keys`).
+The star keys are pruned on their low 16 bits against a table of the point
+keys of every target, then matched on all B bits.  A key match is kept
+once its map carries all of S onto T, so a key never decides an answer.
+`set_equivalence_witnesses` lists, for each T, every witness, lex-least
+first, canonically scaled and re-checked (S against [S] lists the
+stabilizer; `linset.verify_new_example` checks one set against every mu),
+and `find_set_equivalence` returns the lex-least witness of one pair, or
+None once the group is exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -254,7 +256,8 @@ def _carry(ctx: FieldCtx, P, Q):
 
 _BLOCK = 1 << 16  # array elements per vector pass
 _ROW_BITS = 1 << 18  # row bits and log entries of the pairs keyed per block
-_STREAM_BITS = 16  # key bits a scan prunes on; a false match fails the image check
+_KEY_BITS = 56  # the most a 64-bit window read yields after its shift
+_PRUNE_BITS = 16  # low key bits that star keys are pruned on
 _NO_HITS = np.empty((0, 8), dtype=np.int64)
 
 
@@ -300,94 +303,78 @@ def _pairs_per_block(ctx: FieldCtx, size: int) -> int:
     return max(1, _ROW_BITS // (8 * (ctx.order // 8 + 8) + size))
 
 
-def _anchor_keys(T: ImageSet, bits: int):
-    """The six orderings of the three smallest points of T, and their keys
-    against sigma^e of the probes, one row of keys per automorphism.
-
-    [sigma^e(y) in N(T;t)] = [y in N(sigma^-e(T); sigma^-e(t))], so the keys
-    against sigma^e of the probes are the plain keys of sigma^-e(T) at the
-    orderings of sigma^-e of the three points."""
-    ctx = T.ctx
-    t_idx = T.indices()
-    orders = np.array(list(permutations(range(3))))
-    # row 3e + r: logs of differences from point r of sigma^-e(T)
-    u = np.stack([ctx.vfrob(t_idx, -e) for e in range(ctx.m)])
-    L = _log_differences(ctx, u[:, :3], u).reshape(3 * ctx.m, t_idx.size)
-    base = 3 * np.arange(ctx.m)[:, None]
-    pi, pk = ((base + orders[:, c]).ravel() for c in (0, 2))
-    j = np.tile(orders[:, 1], ctx.m)
-    step = _pairs_per_block(ctx, t_idx.size)
-    keys = np.concatenate([
-        _window_keys(ctx, L, pi[lo:lo + step], pk[lo:lo + step],
-                     np.arange(pi[lo:lo + step].size), j[lo:lo + step], bits)
-        for lo in range(0, pi.size, step)
-    ])
-    return t_idx[orders], keys.reshape(ctx.m, len(orders))
+def _point_triple(a):
+    # the two least indices j < k other than each point index a
+    return (a == 0).astype(np.int64), np.where(a < 2, 2, 1)
 
 
-def _keyed_triples(S: ImageSet, bits: int, wanted):
-    """Keys and codes (i |S| + j) |S| + k of the unordered triples i < j < k
-    of S whose low _STREAM_BITS key bits (all of them, if fewer) index True
-    in the table `wanted`, sorted by key, in scan order within a key.
+def _point_keys(ctx: FieldCtx, pts, bits: int):
+    """Keys of the sets in the rows of `pts` at one ordered triple per point
+    a, (t_a, t_j, t_k) with j, k from `_point_triple`: row t, column a.  A
+    whole number of sets is keyed per block, from one table of logs of
+    differences of each."""
+    count, size = pts.shape
+    a = np.arange(size)
+    j, k = _point_triple(a)
+    step = max(1, _pairs_per_block(ctx, size) // size)
+    keys = []
+    for lo in range(0, count, step):
+        block = pts[lo:lo + step]
+        L = _log_differences(ctx, block, block).reshape(-1, size)
+        base = size * np.arange(len(block))[:, None]
+        keys.append(_window_keys(ctx, L, (base + a).ravel(), (base + k).ravel(),
+                                 np.arange(L.shape[0]), np.tile(j, len(block)), bits))
+    return np.concatenate(keys).reshape(count, size)
 
-    The scan walks the pairs i < k in lex order, in blocks, keying each
-    pair's triples by `_window_keys` on one table of logs of differences of
-    S."""
+
+def _star_keys(S: ImageSet, bits: int):
+    """Blocks of keys and codes (e |S| + y) |S| + z of the ordered triples
+    (u_0, u_y, u_z), y != z both nonzero, of u = sigma^e(S) for every
+    automorphism e.
+
+    For each e, the pairs (0, z) are keyed in blocks by `_window_keys`, on
+    one table of logs of differences of u."""
     ctx = S.ctx
     s_idx = S.indices()
     size = s_idx.size
-    L = _log_differences(ctx, s_idx, s_idx)
-    pi, pk = np.triu_indices(size, 2)  # the pairs i < k with some j between
-    count = pk - pi - 1
-    end = np.cumsum(count)  # triples up to each pair
     step = _pairs_per_block(ctx, size)
-    low = wanted.size - 1
-    keys, codes = [], []
-    lo = 0
-    while lo < pi.size:
-        hi = int(np.searchsorted(end, end[lo] - count[lo] + _BLOCK, side="right"))
-        hi = min(max(hi, lo + 1), lo + step)
-        c = count[lo:hi]
-        pair = np.repeat(np.arange(hi - lo), c)
-        # j runs from i + 1 up within each pair
-        j = np.repeat(pi[lo:hi] + 1 - (np.cumsum(c) - c), c) + np.arange(pair.size)
-        key = _window_keys(ctx, L, pi[lo:hi], pk[lo:hi], pair, j, bits)
-        keep = np.flatnonzero(wanted[key & low])
-        keys.append(key[keep])
-        pair, j = pair[keep] + lo, j[keep]
-        codes.append((pi[pair] * size + j) * size + pk[pair])
-        lo = hi
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], np.concatenate(codes)[order]
+    y = np.arange(1, size - 1)  # the y of pair z, with z itself skipped
+    for e in range(ctx.m):
+        u = ctx.vfrob(s_idx, e)
+        L = _log_differences(ctx, u, u)
+        for lo in range(1, size, step):
+            z = np.arange(lo, min(lo + step, size))
+            pair = np.repeat(np.arange(z.size), y.size)
+            j = np.tile(y, z.size)
+            j += j >= z[pair]
+            yield (_window_keys(ctx, L, np.zeros_like(z), z, pair, j, bits),
+                   (e * size + j) * size + z[pair])
 
 
-def _hits(S: ImageSet, keys, codes, T: ImageSet, orders, anchors) -> np.ndarray:
+def _hits(S: ImageSet, T: ImageSet, point, code) -> np.ndarray:
     """Every (e, i1, i2, i3, a, b, c, d) whose M = (a, b, c, d) carries
     S^sigma^e onto T, sending its three smallest points to T[i1], T[i2],
-    T[i3], among the triples of S with sorted `keys` and their `codes`, for
-    T of the size of S with the `orders` and `anchors` of `_anchor_keys`; by
-    (e, i1, i2, i3), the order in which sending those points to each ordered
-    triple of T, e by e, would meet them."""
+    T[i3], among the maps that send each star triple of S, by its `code`
+    from `_star_keys`, to the triple of T keyed at its `point`; by (e, i1,
+    i2, i3), the order in which sending those points to each ordered triple
+    of T, e by e, would meet them."""
     ctx = S.ctx
     s_idx = S.indices()
     t_idx = T.indices()
     size = s_idx.size
+    ea, y, z = code // (size * size), code // size % size, code % size
+    j, k = _point_triple(point)
+    dst = _cross_ratio_matrix(ctx, t_idx[point], t_idx[j], t_idx[k])
     found = [_NO_HITS]
-    for e, qkeys in enumerate(anchors):
-        lo = np.searchsorted(keys, qkeys, side="left")
-        hi = np.searchsorted(keys, qkeys, side="right")
-        row = np.repeat(np.arange(len(orders)), hi - lo)
-        if not row.size:
-            continue
-        code = codes[np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])]
-        src = ctx.vfrob(s_idx[[code // (size * size), code // size % size,
-                               code % size]], e)
+    for e in np.unique(ea).tolist():
+        sel = ea == e
+        u = ctx.vfrob(s_idx, e)
         ma, mb, mc, md = _carry(
-            ctx, _cross_ratio_matrix(ctx, *src), _cross_ratio_matrix(ctx, *orders[row].T)
+            ctx, _cross_ratio_matrix(ctx, u[0], u[y[sel]], u[z[sel]]),
+            tuple(x[sel] for x in dst),
         )
         # full-image check; the three smallest points of S^sigma come first
-        w = np.sort(ctx.vfrob(s_idx, e))
+        w = np.sort(u)
         block = max(1, _BLOCK // size)
         for b0 in range(0, ma.size, block):
             a, b, c, d = (x[b0:b0 + block, None] for x in (ma, mb, mc, md))
@@ -403,39 +390,56 @@ def _hits(S: ImageSet, keys, codes, T: ImageSet, orders, anchors) -> np.ndarray:
 
 
 def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
-    """The `_hits` of S against each T in Ts, from one scan of the triples
-    of S pruned against the union of the anchor keys of the Ts of its size.
+    """The `_hits` of S against each T in Ts: the star keys of S, pruned on
+    their low _PRUNE_BITS bits against the point keys of every T of its
+    size, then matched on every bit; keys have min(56, q^n - 2) bits.
 
-    Keys carry _STREAM_BITS bits, and one more per doubling of the number of
-    targets, so that each target's lookups stay as selective as one
-    target's.  ValueError when some T lives in another field context."""
+    A witness phi = M o sigma^e matches once, at the star triple that
+    `_point_triple` of a = phi(s_0) pulls back.  ValueError when some T
+    lives in another field context."""
     if any(T.ctx is not S.ctx for T in Ts):
         raise ValueError("sets live in different field contexts")
     if len(S) < 3:
         raise DegenerateSet(f"need at least 3 points, got {len(S)}")
-    bits = min(S.ctx.size - 2, _STREAM_BITS + max(len(Ts) - 1, 0).bit_length())
-    anchors = [_anchor_keys(T, bits) if len(T) == len(S) else None for T in Ts]
-    # the triples of S whose low key bits match those of some anchor key
-    wanted = np.zeros(1 << min(bits, _STREAM_BITS), dtype=bool)
-    for a in anchors:
-        if a is not None:
-            wanted[a[1] & (wanted.size - 1)] = True
-    if not wanted.any():
-        return [_NO_HITS] * len(Ts)
-    keys, codes = _keyed_triples(S, bits, wanted)
-    return [_NO_HITS if a is None else _hits(S, keys, codes, T, *a)
-            for T, a in zip(Ts, anchors)]
+    ctx = S.ctx
+    size = len(S)
+    found = [_NO_HITS] * len(Ts)
+    same = [i for i, T in enumerate(Ts) if len(T) == size]
+    if not same:
+        return found
+    bits = min(_KEY_BITS, ctx.size - 2)
+    tkeys = _point_keys(ctx, np.stack([Ts[i].indices() for i in same]), bits).ravel()
+    wanted = np.zeros(1 << min(bits, _PRUNE_BITS), dtype=bool)
+    wanted[tkeys & (wanted.size - 1)] = True
+    points = np.argsort(tkeys)  # row * size + a, by key
+    tkeys = tkeys[points]
+    codes, matched = [], []
+    for key, code in _star_keys(S, bits):
+        keep = np.flatnonzero(wanted[key & (wanted.size - 1)])
+        lo = np.searchsorted(tkeys, key[keep])
+        hit = tkeys[np.minimum(lo, tkeys.size - 1)] == key[keep]
+        keep, lo = keep[hit], lo[hit]
+        count = np.searchsorted(tkeys, key[keep], side="right") - lo
+        codes.append(np.repeat(code[keep], count))
+        matched.append(points[np.repeat(lo - np.cumsum(count) + count, count)
+                              + np.arange(count.sum())])
+    code, point = np.concatenate(codes), np.concatenate(matched)
+    row, point = np.divmod(point, size)
+    for r in np.unique(row).tolist():
+        found[same[r]] = _hits(S, Ts[same[r]], point[row == r], code[row == r])
+    return found
 
 
 def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
     """The lex-least phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
     canonically scaled and re-checked, or None.
 
-    The one-target case of `set_equivalence_witnesses`, on 16-bit keys, with
-    only the first hit built and checked.  Every pair costs one scan of the
-    triples of S, equivalent or not: about 0.03 s for 121-point sets at
-    F_243, and 0.9 s at a peak RSS of 40 MB for 341-point sets at F_{4^5}
-    (2-core box, fresh interpreter).
+    The one-target case of `set_equivalence_witnesses`, with only the first
+    hit built and checked.  Every pair costs the star keys of S and one row
+    per point of T, equivalent or not: about 0.01-0.02 s for 121-point sets
+    at F_243, 0.07-0.10 s at a peak RSS of 40 MB for 341-point sets at
+    F_{4^5}, and 0.20-0.30 s at 87 MB for 781-point sets at F_{5^5} (2-core
+    box, fresh interpreter).
     """
     hits = _scan(S, [T])[0]
     if not hits.size:
@@ -450,11 +454,13 @@ def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
     canonically scaled and re-checked; S against [S] lists the stabilizer
     of S.
 
-    One scan of the triples of S serves every target, so a target's list is
-    the same alone or in any batch.  All 121 mu sets of the new example at
-    F_243 take about 0.08 s against its set L, and all 682 at F_{4^5} about
-    4.3 s at a peak RSS of 216 MB; the stabilizer of L takes about 0.03 s at
-    F_243 and 0.6 s at F_{4^5} (2-core box, fresh interpreter).
+    One set of star keys of S serves every target, so a target's list is
+    the same alone or in any batch; each target adds one row per point.
+    All 121 mu sets of the new example at F_243 take about 0.06 s against
+    its set L, all 682 at F_{4^5} about 1.2 s at a peak RSS of 45 MB, and
+    all 2343 at F_{5^5} about 44 s at 135 MB; the stabilizer of L takes
+    about 0.02 s at F_243, 0.08 s at F_{4^5} and 0.25 s at F_{5^5} (2-core
+    box, fresh interpreter).
     """
     return [
         [_checked_witness(S, T, e, a, b, c, d) for e, _, _, _, a, b, c, d in hits.tolist()]

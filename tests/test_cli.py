@@ -258,16 +258,24 @@ def test_benchmark_trace_names_resolve(perfbench):
         assert callable(vars(ql.gf.FieldCtx).get(op)), op
 
 
-def test_benchmark_checks_pass_on_small_rounds(perfbench):
-    # two seed-1 workloads, cut short, through their own verdicts and checks:
-    # a report the checks no longer read fails here, not in a benchmark run
+def test_benchmark_checks_pass_on_small_rounds(perfbench, monkeypatch):
+    # three seed-1 workloads, cut short, through their own verdicts and
+    # checks: a report or witness the checks reject fails here, not in a
+    # benchmark run
     _, workloads = perfbench
     q3 = workloads.WORKLOADS["q3-nonequiv"]
+    alg = workloads.WORKLOADS["q3-algebra"]
     wide = workloads.WORKLOADS["wide-field"]
     q3_inputs = dict(q3.make_inputs(1), samples=1)
+    # two searches, each built by _search_pair, and fewer round trips and
+    # property instances
+    for name, value in (("ALG_SEARCHES", 2), ("ALG_ROUND_TRIPS", 2), ("ALG_PROPERTIES", 1)):
+        monkeypatch.setattr(workloads, name, value)
+    alg_inputs = alg.make_inputs(1)
+    assert len(alg_inputs["searches"]) == 2
     wide_inputs = wide.make_inputs(1)
     wide_inputs["polys"] = [polys[:1] for polys in wide_inputs["polys"]]
-    for work, inputs in ((q3, q3_inputs), (wide, wide_inputs)):
+    for work, inputs in ((q3, q3_inputs), (alg, alg_inputs), (wide, wide_inputs)):
         ctxs = [build_field(*spec) for spec in work.fields]
         tally = work.checks(ql, ctxs, inputs, work.verdicts(ql, ctxs, inputs))
         assert tally.attempted and not tally.failed, tally.notes

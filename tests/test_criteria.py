@@ -2,6 +2,7 @@
 certification, and the same-image classifiers."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -318,6 +319,34 @@ def test_monomial_exhaustive_partner_set(f32, q2_masks):
 
 
 # ------------------------------------------------------------- classifiers
+
+def scalar_conjugate_by_loop(f, g):
+    """The least lambda with f(lambda x)/lambda = g, by trying every nonzero
+    lambda in element order."""
+    return next((lam for lam in f.ctx.nonzero() if f.scale_conjugate(lam) == g), None)
+
+
+@pytest.mark.parametrize("field", ["f16_tower", "f32", "f243"])
+def test_scalar_conjugate_solve_matches_the_loop(field, request):
+    # conjugates, adjoint conjugates, the same zero pattern with random
+    # entries, and conjugates with one coefficient zeroed or filled in
+    ctx = request.getfixturevalue(field)
+    r = random.Random(f"conjugate/{field}")
+    kinds = Counter()
+    for _ in range(12):
+        f = rand_poly(ctx, r)
+        lam = r.randrange(1, ctx.size)
+        conj = f.scale_conjugate(lam).coeffs
+        i = r.randrange(ctx.n)
+        flipped = list(conj)
+        flipped[i] = 0 if flipped[i] else r.randrange(1, ctx.size)
+        for coeffs in (conj, f.adjoint().scale_conjugate(lam).coeffs, flipped,
+                       [r.randrange(1, ctx.size) if c else 0 for c in f.coeffs]):
+            g = QPoly(ctx, coeffs)
+            want = scalar_conjugate_by_loop(f, g)
+            assert cr._scan_scalar_conjugate(f, g) == want
+            kinds[want is not None] += 1
+    assert kinds[True] >= 12 and kinds[False] >= 12, kinds
 
 def test_classify_n2(small_fields):
     ctx = small_fields[2]

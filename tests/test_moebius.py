@@ -1,11 +1,12 @@
 """Semilinear maps: group laws, admissibility, transport, the slope action,
 and the set-equivalence scan, for one target (`find_set_equivalence`) or
-many (`set_equivalence_witnesses`), against the ordered-triple walk; its
-triple keys against the chain of field operations per probe bit."""
+many (`set_equivalence_witnesses`), against the ordered-triple walk and the
+scan of the unordered triples of S; its star and point keys against the
+chain of field operations per probe bit."""
 
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from qlinset.linset import (
 from qlinset.moebius import (
     INF,
     SemilinearMap,
-    _anchor_keys,
     _carry,
     _checked_witness,
     _cross_ratio_matrix,
-    _keyed_triples,
+    _log_differences,
+    _pairs_per_block,
+    _point_keys,
+    _point_triple,
+    _star_keys,
+    _window_keys,
     find_set_equivalence,
     is_admissible,
     moebius_image,
@@ -462,7 +467,7 @@ def keys_by_chain(ctx, mask, z1, z2, z3, probes):
                          ids=lambda spec: ",".join(map(str, spec)))
 def test_window_keys_match_the_chain(spec):
     # (3,1,8) lies above MAX_TABLE_SIZE, so its field sums run by index and
-    # Zech arithmetic; 23 bits is the key width of a scan against 121 targets
+    # Zech arithmetic, and its point keys span several blocks
     ctx = build_field(*spec)
     r = random.Random(f"window/{spec}")
     sets = [ims.ImageSet.from_indices(ctx, r.sample(range(ctx.size), n)) for n in (3, 11, 20)]
@@ -470,28 +475,114 @@ def test_window_keys_match_the_chain(spec):
         sets.append(ims.image_of_ratio(rand_strict(ctx, r)))
     for S in sets:
         s = S.indices()
-        i, j, k = np.array(list(combinations(range(s.size), 3))).T
-        for bits in sorted({min(ctx.size - 2, 16), min(ctx.size - 2, 23)}):
+        size = s.size
+        # the star: (u_0, u_y, u_z) for u = sigma^e(S), y != z both nonzero
+        y, z = np.array(list(permutations(range(1, size), 2))).T
+        codes = np.concatenate([(e * size + y) * size + z for e in range(ctx.m)])
+        u = np.stack([ctx.vfrob(s, e) for e in range(ctx.m)])
+        masks = [ims.ImageSet.from_indices(ctx, row).mask for row in u]
+        # the points: one ordered triple per point of each sigma^e(S), a set
+        # of the size of S per row
+        t = np.sort(u, axis=1)
+        a = np.arange(size)
+        j, k = _point_triple(a)
+        assert all([j[x], k[x]] == [v for v in range(size) if v != x][:2] for x in a)
+        for bits in sorted({min(ctx.size - 2, 16), min(ctx.size - 2, 56)}):
             probes = np.arange(2, bits + 2)  # g^1 .. g^bits
-            want = keys_by_chain(ctx, S.mask, s[i], s[j], s[k], probes)
-            # every triple, keyed in scan order, then those whose low bits
-            # a table wants
-            keys, codes = _keyed_triples(S, bits, np.ones(1 << min(bits, 16), dtype=bool))
-            assert np.array_equal(np.sort(codes), (i * s.size + j) * s.size + k)
-            assert np.array_equal(keys[np.argsort(codes)], want)
-            wanted = np.zeros(1 << min(bits, 16), dtype=bool)
-            wanted[r.sample(range(wanted.size), wanted.size // 4)] = True
-            keys, codes = _keyed_triples(S, bits, wanted)
-            kept = wanted[want & (wanted.size - 1)]
-            assert np.array_equal(keys, np.sort(want[kept]))
-            assert np.array_equal(np.sort(codes), ((i * s.size + j) * s.size + k)[kept])
-            # the anchors: every ordering of the three smallest points against
-            # sigma^e of the probes, under every automorphism
-            orders, anchors = _anchor_keys(S, bits)
-            assert np.array_equal(orders, list(permutations(s[:3])))
-            rows = np.repeat([ctx.vfrob(probes, e) for e in range(ctx.m)], 6, axis=0)
-            by_chain = keys_by_chain(ctx, S.mask, *np.tile(orders.T, ctx.m), rows)
-            assert np.array_equal(anchors, by_chain.reshape(ctx.m, 6))
+            want = np.concatenate([
+                keys_by_chain(ctx, mask, np.full(y.size, row[0]), row[y], row[z], probes)
+                for row, mask in zip(u, masks)
+            ])
+            keys, got = map(np.concatenate, zip(*_star_keys(S, bits)))
+            assert np.array_equal(np.sort(got), codes)
+            assert np.array_equal(keys[np.argsort(got)], want)
+            by_chain = [keys_by_chain(ctx, mask, row[a], row[j], row[k], probes)
+                        for row, mask in zip(t, masks)]
+            assert np.array_equal(_point_keys(ctx, t, bits), by_chain)
+
+
+def scan_by_triples(S, Ts):
+    """Every witness list of S against Ts, serialized, by keying the
+    unordered triples i < j < k of S once on 16 bits plus one per doubling
+    of the targets, and looking up the six orderings of the three smallest
+    points of each T against sigma^e of the probes, for every e: the keys of
+    sigma^-e(T) at the orderings of sigma^-e of those points.  Triples whose
+    low 16 key bits match no such anchor key are dropped before the lookup.
+    Each match whose map carries S^sigma^e onto T is a witness, ranked by
+    where it sends the three smallest points of S^sigma^e."""
+    ctx = S.ctx
+    s = S.indices()
+    size = s.size
+    bits = min(ctx.size - 2, 16 + max(len(Ts) - 1, 0).bit_length())
+    orders = np.array(list(permutations(range(3))))
+    anchors = []  # [T][e][ordering]
+    for T in Ts:
+        v = [ctx.vfrob(T.indices(), -e) for e in range(ctx.m if len(T) == size else 0)]
+        anchors.append([_window_keys(ctx, _log_differences(ctx, x[:3], x), orders[:, 0],
+                                     orders[:, 2], np.arange(6), orders[:, 1], bits)
+                        for x in v])
+    wanted = np.zeros(1 << min(bits, 16), dtype=bool)
+    for rows in anchors:
+        for row in rows:
+            wanted[row & (wanted.size - 1)] = True
+    L = _log_differences(ctx, s, s)
+    pi, pk = np.triu_indices(size, 2)
+    keys, codes = [], []
+    step = _pairs_per_block(ctx, size)
+    for lo in range(0, pi.size, step):
+        bi, bk = pi[lo:lo + step], pk[lo:lo + step]
+        count = bk - bi - 1
+        pair = np.repeat(np.arange(bi.size), count)
+        j = np.repeat(bi + 1 - (np.cumsum(count) - count), count) + np.arange(pair.size)
+        key = _window_keys(ctx, L, bi, bk, pair, j, bits)
+        keep = wanted[key & (wanted.size - 1)]
+        keys.append(key[keep])
+        codes.append(((bi[pair] * size + j) * size + bk[pair])[keep])
+    keys, codes = np.concatenate(keys), np.concatenate(codes)
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[order]
+    found = []
+    for T, rows in zip(Ts, anchors):
+        witnesses = []
+        t = T.indices()
+        for e, row in enumerate(rows):
+            w = np.sort(ctx.vfrob(s, e))
+            for order, anchor in zip(orders, row):
+                code = codes[np.searchsorted(keys, anchor):np.searchsorted(keys, anchor, "right")]
+                src = ctx.vfrob(s[[code // (size * size), code // size % size, code % size]], e)
+                M = _carry(ctx, _cross_ratio_matrix(ctx, *src),
+                           _cross_ratio_matrix(ctx, *t[order]))
+                ma, mb, mc, md = (x[:, None] for x in M)
+                den = ctx.vadd(ma, ctx.vmul(mb, w))
+                val = ctx.vmul(ctx.vadd(mc, ctx.vmul(md, w)), ctx.vinv(den))
+                ok = ((den != 0) & T.mask[val]).all(axis=1)
+                rank = np.searchsorted(t, val[ok, :3])
+                for i, entries in zip(rank.tolist(), np.column_stack(M)[ok].tolist()):
+                    lead = next(x for x in entries if x)
+                    text = [ctx.fmt(ctx.div(x, lead)) for x in entries]
+                    witnesses.append(((e, *i), "[[{},{}],[{},{}]];sigma={}^{}".format(
+                        *text, ctx.p, e)))
+        found.append([text for _, text in sorted(witnesses)])
+    return found
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 2), (3, 2, 2),
+                                  (2, 1, 6)],
+                         ids=lambda spec: ",".join(map(str, spec)))
+def test_star_scan_matches_the_triple_scan(spec):
+    # S itself, three transports of S with random sigma, a random strict set
+    ctx = build_field(*spec)
+    r = random.Random(f"star/{spec}")
+    S = ims.image_of_ratio(rand_strict(ctx, r))
+    Ts = [S]
+    while len(Ts) < 4:
+        T = moebius_image(S, rand_phi(ctx, r))
+        if T is not None:
+            Ts.append(T)
+    Ts.append(ims.image_of_ratio(rand_strict(ctx, r)))
+    found = [[w.serialize() for w in ws] for ws in set_equivalence_witnesses(S, Ts)]
+    assert found == scan_by_triples(S, Ts)
+    assert all(found[:4])
 
 
 WALK_CHUNK = 1 << 18
@@ -501,53 +592,42 @@ def search_by_walk(S, T):
     """The lex-least witness by walking the ordered triples of T: anchor the
     three smallest points of S^sigma, send them to each ordered distinct
     triple of T in lex order, automorphism by automorphism, and keep the
-    first map that carries all of S^sigma into T."""
+    first map that carries all of S^sigma into T.  With P sending the
+    anchors and Q the triple to (0, 1, INF), the map sends z to Q^-1(P(z)),
+    so each Q is built once for every automorphism and each point is
+    tested through its scalar P(z)."""
     if len(S) < 3:
         raise DegenerateSet(f"need at least 3 points, got {len(S)}")
     if len(S) != len(T):
         return None
     ctx = S.ctx
     t_idx = T.indices()
-    t_mask = T.mask
     mlen = t_idx.size
-    total = mlen**3
+    g = np.arange(mlen**3)
+    i1, i2, i3 = g // (mlen * mlen), g // mlen % mlen, g % mlen
+    keep = (i1 != i2) & (i1 != i3) & (i2 != i3)
+    Q = _cross_ratio_matrix(ctx, t_idx[i1[keep]], t_idx[i2[keep]], t_idx[i3[keep]])
 
     for e in range(ctx.m):
         s_sig = np.sort(ctx.vfrob(S.indices(), e))
-        rest = s_sig[3:]
         P = _cross_ratio_matrix(ctx, *s_sig[:3])
+        pa, pb, pc, pd = P
+        rest = s_sig[3:]
+        ys = ctx.vmul(ctx.vadd(pc, ctx.vmul(pd, rest)), ctx.vinv(ctx.vadd(pa, ctx.vmul(pb, rest))))
 
-        for lo in range(0, total, WALK_CHUNK):
-            G = np.arange(lo, min(lo + WALK_CHUNK, total), dtype=np.int64)
-            i1 = G // (mlen * mlen)
-            i2 = (G // mlen) % mlen
-            i3 = G % mlen
-            distinct = (i1 != i2) & (i1 != i3) & (i2 != i3)
-            if not distinct.any():
-                continue
-            Q = _cross_ratio_matrix(
-                ctx, t_idx[i1[distinct]], t_idx[i2[distinct]], t_idx[i3[distinct]]
-            )
-            ma, mb, mc, md = _carry(ctx, P, Q)  # s-anchors to (t1, t2, t3)
-            det = ctx.vadd(ctx.vmul(ma, md), ctx.vneg(ctx.vmul(mb, mc)))
-            alive = det != 0
-
-            for w in rest:
-                if not alive.any():
+        for lo in range(0, Q[0].size, WALK_CHUNK):
+            qa, qb, qc, qd = (x[lo:lo + WALK_CHUNK] for x in Q)
+            for y in ys.tolist():
+                # Q^-1(y) = (qa y - qc)/(qd - qb y), INF where the denominator is 0
+                den = ctx.vadd(qd, ctx.vneg(ctx.vmul(qb, y)))
+                val = ctx.vmul(ctx.vadd(ctx.vmul(qa, y), ctx.vneg(qc)), ctx.vinv(den))
+                alive = np.flatnonzero((den != 0) & T.mask[val])
+                qa, qb, qc, qd = (x[alive] for x in (qa, qb, qc, qd))
+                if not alive.size:
                     break
-                keep = np.flatnonzero(alive)
-                if keep.size * 4 < alive.size:
-                    ma, mb, mc, md = (arr[keep] for arr in (ma, mb, mc, md))
-                    alive = np.ones(keep.size, dtype=bool)
-                w = int(w)
-                den = ctx.vadd(ma, ctx.vmul(mb, w))
-                num = ctx.vadd(mc, ctx.vmul(md, w))
-                val = ctx.vmul(num, ctx.vinv(den))
-                alive &= (den != 0) & t_mask[val]
-
-            if alive.any():
-                k = int(np.flatnonzero(alive)[0])  # triples ascend: first = lex-least
-                return _checked_witness(S, T, e, ma[k], mb[k], mc[k], md[k])
+            if qa.size:  # triples ascend: first = lex-least
+                M = _carry(ctx, P, (qa[0], qb[0], qc[0], qd[0]))
+                return _checked_witness(S, T, e, *M)
     return None
 
 
@@ -659,7 +739,7 @@ def rand_strict(ctx, r):
                                   (3, 1, 5), (2, 2, 5), (5, 1, 2), (3, 2, 2)],
                          ids=lambda spec: ",".join(map(str, spec)))
 def test_walk_search_and_index_agree_on_seeded_pairs(spec):
-    # F_243 and F_1024 (m = 10: 60 anchor keys) draw transported pairs of at
+    # F_243 and F_1024 (m = 10 automorphisms) draw transported pairs of at
     # most 12 points only, where the walk stays cheap
     ctx = build_field(*spec)
     r = random.Random(f"agree/{spec}")
@@ -729,17 +809,17 @@ def stabilizer_order_by_walk(S):
         w = np.sort(ctx.vfrob(pts, e))
         a1, a2, a3 = w[:3]
         ra = div(sub(a2, a3), sub(a2, a1))
-        alive = np.arange(t1.size)
+        r, t, k = rt, t3, kt  # of the triples still alive
         for z in w[3:]:
             y = ctx.vmul(ra, div(sub(z, a1), sub(z, a3)))
-            den = sub(y, rt[alive])
-            x = ctx.vadd(t3[alive], div(kt[alive], den))
-            alive = alive[(den != 0) & S.mask[x]]
-        total += alive.size
+            den = sub(y, r)
+            alive = np.flatnonzero((den != 0) & S.mask[ctx.vadd(t, div(k, den))])
+            r, t, k = r[alive], t[alive], k[alive]
+        total += r.size
     return total
 
 
-def test_witness_scan_counts_the_stabilizer(f32, f243):
+def test_witness_scan_counts_the_stabilizer(f32, f243, f1024):
     # x^q, whose L is F_32^*, then random strict f
     r = random.Random(56)
     polys = [monomial(f32, 1)]
@@ -756,10 +836,21 @@ def test_witness_scan_counts_the_stabilizer(f32, f243):
         assert len(found) == stabilizer_order_by_walk(S)
         orders.append(len(found))
     assert orders[0] == 2 * 31 * 5 and len(set(orders)) >= 3
+    # x^q at F_243, whose L is the 121 squares, and L of the new example
+    S = ims.image_of_ratio(monomial(f243, 1))
+    [found] = set_equivalence_witnesses(S, [S])
+    assert len(found) == stabilizer_order_by_walk(S) == 2 * 121 * 5
     S = new_example_set(f243)
     [found] = set_equivalence_witnesses(S, [S])
     assert len(found) == stabilizer_order_by_walk(S) == 10
     assert found[0] == SemilinearMap.identity(f243)
+    # the new example at F_{4^5} (341 points) and F_{5^5} (781 points), too
+    # large for the walk: the known orders
+    for ctx, order in ((f1024, 10), (build_field(5, 1, 5), 5)):
+        S = new_example_set(ctx)
+        [found] = set_equivalence_witnesses(S, [S])
+        assert len(found) == order and found[0] == SemilinearMap.identity(ctx)
+        assert all(moebius_image(S, w) == S for w in found)
 
 
 def test_batching_changes_no_answer(f243):
