@@ -29,9 +29,11 @@ from .errors import (
 from .gf import FieldCtx
 from .imageset import (
     _power_sums_from_values,
+    _tuple_digits,
     equal_image_tuples,
     images_equal,
     poly_from_tuple,
+    strict_linear_mask,
 )
 from .linset import is_pseudoregulus_type
 from .moebius import SemilinearMap, transform_poly
@@ -122,6 +124,8 @@ def _e_side_values(ctx: FieldCtx, a) -> tuple[int, ...]:
 def check_e_relations(f: QPoly, g: QPoly) -> ERelationReport:
     """Evaluate the seven identities e0..e6 between the coefficients of f, g."""
     ctx = f.ctx
+    if g.ctx is not ctx:
+        raise ValueError("polynomials live in different field contexts")
     if ctx.n != 5:
         raise WrongDegree(f"e-relations are stated for n = 5, got n = {ctx.n}")
     lhs = _e_side_values(ctx, f.coeffs)
@@ -135,6 +139,8 @@ def power_sums_all_equal(f: QPoly, g: QPoly) -> bool:
     """True iff the ratio power sums of f and g agree for every d in
     [1, q^n - 1]."""
     ctx = f.ctx
+    if g.ctx is not ctx:
+        raise ValueError("polynomials live in different field contexts")
     rf = f.ratio_values()
     rg = g.ratio_values()
     # every d at once, in blocks of about 2^20 table entries
@@ -202,7 +208,6 @@ def trace5_test(f: QPoly) -> Trace5Witness | None:
 class PseudoregResult:
     kind: str  # "cond1" | "cond2" | "trace_fallback" | "none"
     phi: SemilinearMap | None = None
-    monomial_exp: int | None = None  # transform_poly(f, phi) = x^{q^monomial_exp}
 
 
 def _normalizer(f: QPoly, j: int) -> SemilinearMap:
@@ -246,7 +251,7 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
         al2 = ctx.div(a[2], a[1])
         m1 = (1, ctx.pow_int(al2, q**4), ctx.pow_int(al2, 1 + q + q**2 + q**3), 1)
         phi = _explicit_witness(f, m1, 1, monomial(ctx, 1), "condition-1")
-        return PseudoregResult("cond1", phi, 1)
+        return PseudoregResult("cond1", phi)
 
     r41 = ctx.div(a[4], a[1])
     r13 = ctx.div(a[1], a[3])
@@ -258,7 +263,7 @@ def pseudoalg_test(f: QPoly) -> PseudoregResult:
         al1 = ctx.div(a[1], a[3])
         m1 = (ctx.pow_int(al1, 1 + q + q**3 + q**4), 1, 1, ctx.pow_int(al1, q**2))
         phi = _explicit_witness(f, m1, 3, monomial(ctx, 2), "condition-2")
-        return PseudoregResult("cond2", phi, 2)
+        return PseudoregResult("cond2", phi)
     return PseudoregResult("none")
 
 
@@ -449,9 +454,5 @@ def exhaustive_same_image(f: QPoly, masks: np.ndarray | None = None) -> list[QPo
     if not f.is_strictly_linear():
         raise NotStrictlyLinear("f must be strictly F_q-linear")
     hits = equal_image_tuples(ctx, f, masks=masks)
-    out = []
-    for t in hits:
-        g = poly_from_tuple(ctx, int(t))
-        if g.is_strictly_linear():
-            out.append(g)
-    return out
+    hits = hits[strict_linear_mask(ctx, _tuple_digits(ctx, hits))]
+    return [poly_from_tuple(ctx, int(t)) for t in hits]

@@ -41,9 +41,7 @@ def family_f(ctx: FieldCtx, s: int) -> QPoly:
     """x^{q^s} with gcd(s, n) = 1."""
     if not 1 <= s <= ctx.n - 1 or math.gcd(s, ctx.n) != 1:
         raise InvalidParameters(f"need 1 <= s <= n-1 with gcd(s, n) = 1; got s = {s}")
-    coeffs = [0] * ctx.n
-    coeffs[s] = 1
-    return QPoly(ctx, coeffs)
+    return monomial(ctx, s)
 
 
 def family_g(ctx: FieldCtx, s: int, delta: int) -> QPoly:
@@ -204,7 +202,7 @@ def verify_new_example(
 ) -> dict:
     """The `new-linset` report: is L of delta x^{q^2} + x^{q^3} maximum
     scattered and not equivalent to any L of mu x^q + x^{q^4}, over
-    `samples` seeded mu or, with `all_mu`, every admissible mu?
+    `samples` (> 0) seeded mu or, with `all_mu`, every admissible mu?
 
     Preconditions: n = 5, q > 2, N(delta) not in {0, 1} and N(delta)^5 != 1;
     delta defaults to `default_new_example_delta`.  Every mu set is built
@@ -217,6 +215,8 @@ def verify_new_example(
     alone counts the shared scan.
     """
     t_start = time.perf_counter()
+    if samples < 1:
+        raise ValueError(f"samples = {samples} is no positive sample count")
     _require_example_field(ctx)
     if delta is None:
         delta = default_new_example_delta(ctx)
@@ -251,7 +251,7 @@ def verify_new_example(
         })
 
     # positive control: two scalings of g_{1,mu} must be found equivalent
-    control_mu = mus[0] if mus else ctx.gen
+    control_mu = mus[0]
     base = family_g(ctx, 1, control_mu)
     control = pgammal_equivalent(base, base.scale_conjugate(ctx.gen))
     all_nonequivalent = not any(v["equivalent"] for v in verdicts)

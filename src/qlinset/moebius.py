@@ -208,17 +208,20 @@ def transform_poly(f: QPoly, phi: SemilinearMap, verify: bool = False) -> QPoly:
 
 # ------------------------------------------------------------ slope action
 
+def _slope_values(ctx: FieldCtx, a, b, c, d, w):
+    """(c + d w)/(a + b w) and its mask a + b w != 0, for one matrix or a column stack."""
+    den = ctx.vadd(a, ctx.vmul(b, w))
+    return ctx.vmul(ctx.vadd(c, ctx.vmul(d, w)), ctx.vinv(den)), den != 0
+
+
 def moebius_image(S: ImageSet, phi: SemilinearMap) -> ImageSet | None:
     """{(c + d z^s)/(a + b z^s) : z in S}, or None when some z goes to INF."""
     ctx = S.ctx
     if phi.ctx is not ctx:
         raise ValueError("set and map live in different field contexts")
     w = ctx.vfrob(S.indices(), phi.sigma_exp)
-    den = ctx.vadd(phi.a, ctx.vmul(phi.b, w))
-    if not den.all():
-        return None
-    num = ctx.vadd(phi.c, ctx.vmul(phi.d, w))
-    return ImageSet.from_indices(ctx, ctx.vmul(num, ctx.vinv(den)))
+    val, finite = _slope_values(ctx, phi.a, phi.b, phi.c, phi.d, w)
+    return ImageSet.from_indices(ctx, val) if finite.all() else None
 
 
 def _checked_witness(S: ImageSet, T: ImageSet, e: int, a, b, c, d) -> SemilinearMap:
@@ -378,9 +381,8 @@ def _hits(S: ImageSet, T: ImageSet, point, code) -> np.ndarray:
         block = max(1, _BLOCK // size)
         for b0 in range(0, ma.size, block):
             a, b, c, d = (x[b0:b0 + block, None] for x in (ma, mb, mc, md))
-            den = ctx.vadd(a, ctx.vmul(b, w))
-            val = ctx.vmul(ctx.vadd(c, ctx.vmul(d, w)), ctx.vinv(den))
-            ok = ((den != 0) & T.mask[val]).all(axis=1)
+            val, finite = _slope_values(ctx, a, b, c, d, w)
+            ok = (finite & T.mask[val]).all(axis=1)
             found.append(np.column_stack((
                 np.full(ok.sum(), e), np.searchsorted(t_idx, val[ok, :3]),
                 a[ok], b[ok], c[ok], d[ok],
@@ -417,8 +419,6 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
     for key, code in _star_keys(S, bits):
         keep = np.flatnonzero(wanted[key & (wanted.size - 1)])
         lo = np.searchsorted(tkeys, key[keep])
-        hit = tkeys[np.minimum(lo, tkeys.size - 1)] == key[keep]
-        keep, lo = keep[hit], lo[hit]
         count = np.searchsorted(tkeys, key[keep], side="right") - lo
         codes.append(np.repeat(code[keep], count))
         matched.append(points[np.repeat(lo - np.cumsum(count) + count, count)

@@ -14,8 +14,8 @@ index and one gather through the log table.  `QPoly.table` calls `linear_table` 
 a_i g^(j q^i) of f(g^j) (`basis_terms`); `ratio_values` divides that table
 by x as index subtraction, `QPoly.inverse` inverts it by scatter, and
 graph transport (`moebius.transform_poly`) tabulates its two graph
-coordinates with it in one call.  `eval_on` stays for point sets smaller
-than the field.
+coordinates with it in one call.  The values of f at any array of points
+xs are `f.table()[xs]`.
 
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the
@@ -91,16 +91,6 @@ class QPoly:
 
     __call__ = eval
 
-    def eval_on(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of element indices; `table`
-        covers the whole field."""
-        ctx = self.ctx
-        acc = np.zeros_like(np.asarray(xs, dtype=np.int64))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                acc = ctx.vadd(acc, ctx.vmul(a, ctx.vfrob(xs, (ctx.h * i) % ctx.m)))
-        return acc
-
     def basis_terms(self) -> np.ndarray:
         """The (m, n) terms a_i (g^j)^(q^i) = a_i g^(j q^i), j < m = h*n, in
         one vmul: summed over i they are the values f(g^j) that fix f as an
@@ -112,7 +102,7 @@ class QPoly:
     def table(self) -> np.ndarray:
         """f(x) for every element x, indexed by element index: the int64
         array of shape (q^n,) that `linear_table` builds from the
-        `basis_terms`."""
+        `basis_terms`.  The values at points xs are `table()[xs]`."""
         return linear_table(self.ctx, self.basis_terms())
 
     def ratio_values(self) -> np.ndarray:
@@ -195,11 +185,10 @@ class QPoly:
         """Matrix of the induced F_q-linear map in the basis 1, g, ..., g^(n-1).
 
         Entries are field elements lying in F_q; column j holds the
-        coordinates of f(g^j) (`_coords_in_gen_basis`).
+        coordinates (`_coords_in_gen_basis`) of f(g^j), row j of `basis_terms` summed.
         """
         ctx = self.ctx
-        basis = np.array([ctx.from_exp(j) for j in range(ctx.n)], dtype=np.int64)
-        return _coords_in_gen_basis(ctx, self.eval_on(basis)).tolist()
+        return _coords_in_gen_basis(ctx, ctx.vfold_add(self.basis_terms()[:ctx.n])).tolist()
 
     def kernel_dim(self) -> int:
         """n minus the rank of `as_matrix`, by elimination over the field."""

@@ -108,6 +108,8 @@ def suite_thm_n4(seed: int = 0, per_n: int = 20) -> dict:
     """Same-image classification is complete for n <= 4 at q = 2: every
     equal-image partner of a sampled strict f is a (possibly adjoint) scalar
     conjugate, and for n = 2 always a plain scalar conjugate."""
+    if per_n < 1:
+        raise ValueError(f"per_n = {per_n} is no positive sample count")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     per_field = []
@@ -221,6 +223,8 @@ def suite_trace5(seed: int = 0, count: int = 100) -> dict:
     """Trace-equivalence round trip at q = 3: polynomials built by pushing
     Tr through random GL(2,q^5) elements satisfy the coefficient conditions
     and the explicit witness lands back on Im(Tr(x)/x)."""
+    if count < 1:
+        raise ValueError(f"count = {count} is no positive sample count")
     t0 = time.perf_counter()
     ctx = build_field(3, 1, 5)
     rng = random.Random(seed)
@@ -257,6 +261,8 @@ def suite_trace5(seed: int = 0, count: int = 100) -> dict:
 def suite_pseudoalg(seed: int = 0, count: int = 100) -> dict:
     """Polynomials meeting the trace ratio conditions but failing the norm
     equality route to Im(x^{q-1}) through the explicit condition-1 matrix."""
+    if count < 1:
+        raise ValueError(f"count = {count} is no positive sample count")
     t0 = time.perf_counter()
     ctx = build_field(3, 1, 5)
     rng = random.Random(seed)
@@ -372,6 +378,8 @@ def suite_properties(seed: int = 0, count: int = 1000) -> dict:
     involution, the trace bilinear identity, image invariance under adjoint
     and scaling, slope/transport consistency, the group-action law, and
     agreement of the maximum field of linearity on same-image pairs."""
+    if count < 1:
+        raise ValueError(f"count = {count} is no positive sample count")
     t0 = time.perf_counter()
     fields = [(2, 1, 5), (3, 1, 5), (2, 2, 5)]
     per_field = []

@@ -258,11 +258,12 @@ def test_benchmark_trace_names_resolve(perfbench):
         assert callable(vars(ql.gf.FieldCtx).get(op)), op
 
 
-def test_benchmark_checks_pass_on_small_rounds(perfbench, monkeypatch):
-    # three seed-1 workloads, cut short, through their own verdicts and
+def test_benchmark_checks_pass_on_small_rounds(perfbench, monkeypatch, q2_masks):
+    # the four seed-1 workloads, cut short, through their own verdicts and
     # checks: a report or witness the checks reject fails here, not in a
     # benchmark run
     _, workloads = perfbench
+    q2 = workloads.WORKLOADS["q2-enum"]
     q3 = workloads.WORKLOADS["q3-nonequiv"]
     alg = workloads.WORKLOADS["q3-algebra"]
     wide = workloads.WORKLOADS["wide-field"]
@@ -275,7 +276,13 @@ def test_benchmark_checks_pass_on_small_rounds(perfbench, monkeypatch):
     assert len(alg_inputs["searches"]) == 2
     wide_inputs = wide.make_inputs(1)
     wide_inputs["polys"] = [polys[:1] for polys in wide_inputs["polys"]]
-    for work, inputs in ((q3, q3_inputs), (alg, alg_inputs), (wide, wide_inputs)):
+    # two sampled and two rotated tuples, on the session's masks of F_32
+    monkeypatch.setattr(workloads, "Q2_SAMPLES", 2)
+    monkeypatch.setattr(ql.imageset, "all_ratio_masks", lambda ctx: q2_masks)
+    q2_inputs = q2.make_inputs(1)
+    assert len(q2_inputs["oracle_tuples"]) == 2
+    for work, inputs in ((q2, q2_inputs), (q3, q3_inputs), (alg, alg_inputs),
+                         (wide, wide_inputs)):
         ctxs = [build_field(*spec) for spec in work.fields]
         tally = work.checks(ql, ctxs, inputs, work.verdicts(ql, ctxs, inputs))
         assert tally.attempted and not tally.failed, tally.notes
@@ -316,6 +323,20 @@ def test_verify_samples_must_be_positive(suite, value, capsys):
         run_cli(["verify", "--suite", suite, "--samples", value])
     assert exc.value.code == 2
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda n: ql.linset.verify_new_example(build_field(3, 1, 5), samples=n),
+    lambda n: suites.suite_thm_n4(per_n=n),
+    lambda n: suites.suite_trace5(count=n),
+    lambda n: suites.suite_pseudoalg(count=n),
+    lambda n: suites.suite_properties(count=n),
+], ids=["new-linset", "thm-n4", "trace5", "pseudoalg", "adjoint"])
+def test_suites_reject_a_count_below_one(run, count):
+    # a suite that checks nothing must not report passed: true
+    with pytest.raises(ValueError, match=f"= {count} is no positive sample count"):
+        run(count)
 
 
 def test_verify_unknown_suite():

@@ -107,6 +107,19 @@ def test_power_sums_all_equal(f32, f243):
     assert cr.power_sums_all_equal(f, f.scale_conjugate(17))
 
 
+def test_power_sums_and_e_relations_reject_another_field_context(f243):
+    # a same-size field, so a mismatch cannot show as an index error
+    other = build_field(3, 1, 5, modulus=[1, 0, 0, 2, 1, 1])
+    f = trace_poly(f243)
+    g = QPoly(other, f.coeffs)
+    for check in (cr.power_sums_all_equal, cr.check_e_relations):
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="different field contexts"):
+                check(*pair)
+    # each answers within one context
+    assert cr.power_sums_all_equal(g, g) and cr.check_e_relations(g, g).all_hold
+
+
 def test_power_sums_all_d_match_per_d_helper(f32, f243):
     # the all-d table against the per-d helper, on equal-image pairs and on
     # random (mostly unequal) pairs
