@@ -40,10 +40,11 @@ The star keys are pruned on their low 16 bits against a table of the point
 keys of every target, then matched on all B bits.  A key match is kept
 once its map carries all of S onto T, so a key never decides an answer.
 `set_equivalence_witnesses` lists, for each T, every witness, lex-least
-first, canonically scaled and re-checked (S against [S] lists the
-stabilizer; `linset.verify_new_example` checks one set against every mu),
-and `find_set_equivalence` returns the lex-least witness of one pair, or
-None once the group is exhausted.
+first (S against [S] lists the stabilizer; `linset.verify_new_example`
+checks one set against every mu), each list scaled to first nonzero entry
+1 and re-checked against T in one array pass by the scan's own test;
+`find_set_equivalence` returns the lex-least witness of one pair, or None
+once the group is exhausted.
 """
 
 from __future__ import annotations
@@ -113,20 +114,6 @@ class SemilinearMap:
         a, b, c, d = (ctx.frobenius(v, e_inv) for v in (self.a, self.b, self.c, self.d))
         # projective inverse: adjugate of the sigma^{-1}-twisted matrix
         return SemilinearMap(ctx, d, ctx.neg(b), ctx.neg(c), a, e_inv)
-
-    def canonical_scaled(self) -> "SemilinearMap":
-        """Scale so the first nonzero entry in row-major order is 1."""
-        ctx = self.ctx
-        lead = next(v for v in (self.a, self.b, self.c, self.d) if v)
-        s = ctx.inv(lead)
-        return SemilinearMap(
-            ctx,
-            ctx.mul(self.a, s),
-            ctx.mul(self.b, s),
-            ctx.mul(self.c, s),
-            ctx.mul(self.d, s),
-            self.sigma_exp,
-        )
 
     def apply_slope(self, z: int) -> int:
         """The slope action; z may be INF, and INF may be returned."""
@@ -222,15 +209,6 @@ def moebius_image(S: ImageSet, phi: SemilinearMap) -> ImageSet | None:
     w = ctx.vfrob(S.indices(), phi.sigma_exp)
     val, finite = _slope_values(ctx, phi.a, phi.b, phi.c, phi.d, w)
     return ImageSet.from_indices(ctx, val) if finite.all() else None
-
-
-def _checked_witness(S: ImageSet, T: ImageSet, e: int, a, b, c, d) -> SemilinearMap:
-    """The map (a, b, c, d; p^e), canonically scaled, once it is checked to
-    carry S onto T."""
-    phi = SemilinearMap(S.ctx, int(a), int(b), int(c), int(d), e).canonical_scaled()
-    if moebius_image(S, phi) != T:
-        raise InconsistentStructure("set-equivalence witness failed its self-check")
-    return phi
 
 
 def _cross_ratio_matrix(ctx: FieldCtx, z1, z2, z3):
@@ -354,6 +332,20 @@ def _star_keys(S: ImageSet, bits: int):
                    (e * size + j) * size + z[pair])
 
 
+def _carried(ctx: FieldCtx, w, T: ImageSet, M):
+    """Which maps M = (a, b, c, d), stacked as columns, carry the points w
+    into T, and the images of w[:3] under the maps that do; in blocks of
+    _BLOCK // |w| maps.  An invertible map carries w into T of the same size
+    exactly when it carries w onto T."""
+    block = max(1, _BLOCK // w.size)
+    ok, head = [], []
+    for lo in range(0, M[0].size, block):
+        val, finite = _slope_values(ctx, *(x[lo:lo + block, None] for x in M), w)
+        ok.append((finite & T.mask[val]).all(axis=1))
+        head.append(val[ok[-1], :3])
+    return np.concatenate(ok), np.concatenate(head)
+
+
 def _hits(S: ImageSet, T: ImageSet, point, code) -> np.ndarray:
     """Every (e, i1, i2, i3, a, b, c, d) whose M = (a, b, c, d) carries
     S^sigma^e onto T, sending its three smallest points to T[i1], T[i2],
@@ -372,21 +364,12 @@ def _hits(S: ImageSet, T: ImageSet, point, code) -> np.ndarray:
     for e in np.unique(ea).tolist():
         sel = ea == e
         u = ctx.vfrob(s_idx, e)
-        ma, mb, mc, md = _carry(
-            ctx, _cross_ratio_matrix(ctx, u[0], u[y[sel]], u[z[sel]]),
-            tuple(x[sel] for x in dst),
-        )
-        # full-image check; the three smallest points of S^sigma come first
-        w = np.sort(u)
-        block = max(1, _BLOCK // size)
-        for b0 in range(0, ma.size, block):
-            a, b, c, d = (x[b0:b0 + block, None] for x in (ma, mb, mc, md))
-            val, finite = _slope_values(ctx, a, b, c, d, w)
-            ok = (finite & T.mask[val]).all(axis=1)
-            found.append(np.column_stack((
-                np.full(ok.sum(), e), np.searchsorted(t_idx, val[ok, :3]),
-                a[ok], b[ok], c[ok], d[ok],
-            )))
+        M = _carry(ctx, _cross_ratio_matrix(ctx, u[0], u[y[sel]], u[z[sel]]),
+                   tuple(x[sel] for x in dst))
+        # the three smallest points of S^sigma come first
+        ok, head = _carried(ctx, np.sort(u), T, M)
+        found.append(np.column_stack((np.full(ok.sum(), e), np.searchsorted(t_idx, head),
+                                      *(x[ok] for x in M))))
     hits = np.concatenate(found)
     return hits[np.lexsort(hits[:, 3::-1].T)]
 
@@ -430,39 +413,46 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
     return found
 
 
+def _witnesses(S: ImageSet, T: ImageSet, hits) -> list[SemilinearMap]:
+    """One SemilinearMap per row (e, i1, i2, i3, a, b, c, d) of `_hits`, in
+    order: (a, b, c, d) scaled to first nonzero entry 1, then re-checked by
+    `_carried` to carry S^sigma^e onto T; InconsistentStructure if one fails."""
+    ctx = S.ctx
+    e, M = hits[:, 0], hits[:, 4:]
+    M = ctx.vmul(M, ctx.vinv(M[np.arange(len(M)), (M != 0).argmax(axis=1)])[:, None])
+    for s in np.unique(e).tolist():
+        if not _carried(ctx, ctx.vfrob(S.indices(), s), T, tuple(M[e == s].T))[0].all():
+            raise InconsistentStructure("set-equivalence witness failed its self-check")
+    return [SemilinearMap(ctx, *m, s) for s, m in zip(e.tolist(), M.tolist())]
+
+
 def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
     """The lex-least phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
-    canonically scaled and re-checked, or None.
+    scaled and re-checked by `_witnesses`, or None.
 
     The one-target case of `set_equivalence_witnesses`, with only the first
     hit built and checked.  Every pair costs the star keys of S and one row
     per point of T, equivalent or not: about 0.01-0.02 s for 121-point sets
-    at F_243, 0.07-0.10 s at a peak RSS of 40 MB for 341-point sets at
-    F_{4^5}, and 0.20-0.30 s at 87 MB for 781-point sets at F_{5^5} (2-core
+    at F_243, 0.08-0.11 s at a peak RSS of 41 MB for 341-point sets at
+    F_{4^5}, and 0.3-0.45 s at 87 MB for 781-point sets at F_{5^5} (2-core
     box, fresh interpreter).
     """
     hits = _scan(S, [T])[0]
-    if not hits.size:
-        return None
-    e, _, _, _, a, b, c, d = hits[0].tolist()
-    return _checked_witness(S, T, e, a, b, c, d)
+    return _witnesses(S, T, hits[:1])[0] if hits.size else None
 
 
 def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
     """For each T in Ts, every phi in PGammaL(2,q^n) with moebius_image(S,
-    phi) = T, lex-least first as `find_set_equivalence` ranks them, each
-    canonically scaled and re-checked; S against [S] lists the stabilizer
-    of S.
+    phi) = T, lex-least first as `find_set_equivalence` ranks them; each
+    target's list is scaled and re-checked by `_witnesses` in one array
+    pass.  S against [S] lists the stabilizer of S.
 
     One set of star keys of S serves every target, so a target's list is
     the same alone or in any batch; each target adds one row per point.
-    All 121 mu sets of the new example at F_243 take about 0.06 s against
-    its set L, all 682 at F_{4^5} about 1.2 s at a peak RSS of 45 MB, and
-    all 2343 at F_{5^5} about 44 s at 135 MB; the stabilizer of L takes
-    about 0.02 s at F_243, 0.08 s at F_{4^5} and 0.25 s at F_{5^5} (2-core
-    box, fresh interpreter).
+    All 121 mu sets of the new example at F_243 take about 0.05-0.10 s
+    against its set L, all 682 at F_{4^5} 1.7-2.0 s at a peak RSS of 46 MB,
+    all 2343 at F_{5^5} 40 s at 134 MB; the stabilizer of L 0.02 s, 0.1-0.14
+    s and 0.3-0.45 s there, that of x^q (1210 and 6820 maps) 0.03-0.05 s at
+    F_243 and 0.26-0.45 s at F_{4^5} (2-core box, fresh interpreter).
     """
-    return [
-        [_checked_witness(S, T, e, a, b, c, d) for e, _, _, _, a, b, c, d in hits.tolist()]
-        for T, hits in zip(Ts, _scan(S, Ts))
-    ]
+    return [_witnesses(S, T, hits) for T, hits in zip(Ts, _scan(S, Ts))]

@@ -312,6 +312,8 @@ def suite_erelations(
     every equal-image pair of the exhaustive q = 2 harness (supplied, or
     recomputed here when q2_pairs is None).
     """
+    if pairs < 1:
+        raise ValueError(f"pairs = {pairs} is no positive sample count")
     t0 = time.perf_counter()
     ctx = build_field(3, 1, 5)
     rng = random.Random(seed)

@@ -332,7 +332,8 @@ def test_verify_samples_must_be_positive(suite, value, capsys):
     lambda n: suites.suite_trace5(count=n),
     lambda n: suites.suite_pseudoalg(count=n),
     lambda n: suites.suite_properties(count=n),
-], ids=["new-linset", "thm-n4", "trace5", "pseudoalg", "adjoint"])
+    lambda n: suites.suite_erelations(pairs=n, q2_pairs=[]),
+], ids=["new-linset", "thm-n4", "trace5", "pseudoalg", "adjoint", "erelations"])
 def test_suites_reject_a_count_below_one(run, count):
     # a suite that checks nothing must not report passed: true
     with pytest.raises(ValueError, match=f"= {count} is no positive sample count"):

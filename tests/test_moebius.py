@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qlinset import imageset as ims
-from qlinset.errors import DegenerateSet, NotAdmissible, SingularMatrix
+from qlinset.errors import DegenerateSet, InconsistentStructure, NotAdmissible, SingularMatrix
 from qlinset.gf import build_field
 from qlinset.linset import (
     _sample_mus,
@@ -25,14 +25,15 @@ from qlinset.moebius import (
     INF,
     SemilinearMap,
     _carry,
-    _checked_witness,
     _cross_ratio_matrix,
     _log_differences,
     _pairs_per_block,
     _point_keys,
     _point_triple,
+    _scan,
     _star_keys,
     _window_keys,
+    _witnesses,
     find_set_equivalence,
     is_admissible,
     moebius_image,
@@ -436,6 +437,25 @@ def test_witness_is_canonical_scaled(f32):
     w = find_set_equivalence(S, S)
     lead = next(v for v in (w.a, w.b, w.c, w.d) if v)
     assert lead == 1
+    # the stabilizer of x^q scales by b where a = 0, as in its last map
+    S = ims.image_of_ratio(monomial(f32, 1))
+    found = set_equivalence_witnesses(S, [S])[0]
+    assert len(found) == 310
+    assert all(next(v for v in (w.a, w.b, w.c, w.d) if v) == 1 for w in found)
+    assert sum(w.a == 0 for w in found) > 0
+    assert found[-1].serialize() == "[[0,g^0],[g^30,0]];sigma=2^4"
+
+
+def test_witness_self_check_raises_on_a_map_that_misses_t(f32):
+    # the identity, a real scan row of S against itself, re-checked against
+    # another set of the same size
+    S = ims.image_of_ratio(monomial(f32, 1))
+    hits = _scan(S, [S])[0][:1]
+    T = ims.ImageSet.from_indices(f32, [0, *range(2, 32)])
+    assert len(T) == len(S) and T != S
+    assert [w.serialize() for w in _witnesses(S, S, hits)] == ["[[g^0,0],[0,g^0]];sigma=2^0"]
+    with pytest.raises(InconsistentStructure, match="self-check"):
+        _witnesses(S, T, hits)
 
 
 def test_serialization(f32):
@@ -626,8 +646,11 @@ def search_by_walk(S, T):
                 if not alive.size:
                     break
             if qa.size:  # triples ascend: first = lex-least
-                M = _carry(ctx, P, (qa[0], qb[0], qc[0], qd[0]))
-                return _checked_witness(S, T, e, *M)
+                M = [int(v) for v in _carry(ctx, P, (qa[0], qb[0], qc[0], qd[0]))]
+                lead = next(v for v in M if v)
+                w = SemilinearMap(ctx, *(ctx.div(v, lead) for v in M), e)
+                assert moebius_image(S, w) == T
+                return w
     return None
 
 
