@@ -30,7 +30,7 @@ from .gf import FieldCtx
 from .imageset import (
     _power_sums_from_values,
     _tuple_digits,
-    equal_image_tuples,
+    equal_image_tuple_lists,
     images_equal,
     poly_from_tuple,
     strict_linear_mask,
@@ -448,11 +448,16 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
 
 def exhaustive_same_image(f: QPoly, masks: np.ndarray | None = None) -> list[QPoly]:
     """All strictly F_q-linear g with Im(g(x)/x) = Im(f(x)/x), by enumeration
-    of every coefficient tuple; `equal_image_tuples` raises
+    of every coefficient tuple; `equal_image_tuple_lists` raises
     TooLargeForExhaustive above 2^26 tuples."""
-    ctx = f.ctx
-    if not f.is_strictly_linear():
+    return exhaustive_same_images([f], masks)[0]
+
+
+def exhaustive_same_images(fs, masks: np.ndarray | None = None) -> list[list[QPoly]]:
+    """`exhaustive_same_image` of every f in fs, all of one field, in one walk."""
+    if not all(f.is_strictly_linear() for f in fs):
         raise NotStrictlyLinear("f must be strictly F_q-linear")
-    hits = equal_image_tuples(ctx, f, masks=masks)
-    hits = hits[strict_linear_mask(ctx, _tuple_digits(ctx, hits))]
-    return [poly_from_tuple(ctx, int(t)) for t in hits]
+    ctx = fs[0].ctx if fs else None
+    found = equal_image_tuple_lists(ctx, fs, masks=masks)
+    found = [hits[strict_linear_mask(ctx, _tuple_digits(ctx, hits))] for hits in found]
+    return [[poly_from_tuple(ctx, int(t)) for t in hits] for hits in found]

@@ -28,16 +28,19 @@ leading 1, fixed digits, a range, then free digits on broadcast axes), so
 the chain is an outer sum and only its last `vadd` is as long as the block;
 flat tuple arrays, such as the sampled survey's draws, pass their digits to
 the same kernel.  One loop, `_image_rows`, turns blocks of either kind into
-rows of at most _REP_BLOCK words, for `all_ratio_masks`, the walk of
-`equal_image_tuples` and `survey_image_sizes`.  `all_ratio_masks` fills
-every other orbit member by axis gathers on the tuple space viewed as an
-(N,)*n cube.  Scaling by g^k and Frobenius read the field's own `vmul` and
-`vfrob`.
+rows of at most _REP_BLOCK words, for `all_ratio_masks`, the one walk of
+`equal_image_tuple_lists` for any number of targets, and
+`survey_image_sizes`.  `all_ratio_masks` evaluates only the representatives
+with a_0 = 0 (33,825 at q = 2, n = 5); the a_0 = 1 ones are their half of
+the tuple space translated by 1, and each other orbit member is the one
+before it rotated by 1.
+Scaling by g^k and Frobenius read the field's own `vmul` and `vfrob`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -284,20 +287,32 @@ def _rotate(masks, k: int, order: int):
     return ((hi << k) | (hi >> (order - k))) & nonzero | (masks & 1)
 
 
+def _translate(ctx: FieldCtx, rows: np.ndarray, c: int) -> np.ndarray:
+    """Bitmasks of c + S from the contiguous bitmasks (`<u4` or `<u8`) of
+    the sets S: bit e moves to bit vadd(c, e), one lookup table per byte."""
+    width = rows.dtype.itemsize
+    moved = np.zeros(8 * width, dtype=rows.dtype)
+    moved[: ctx.size] = rows.dtype.type(1) << ctx.vadd(c, np.arange(ctx.size)).astype(rows.dtype)
+    byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    table = np.bitwise_or.reduce(moved.reshape(width, 1, 8) * byte_bits.astype(rows.dtype), axis=2)
+    byte = rows.view(np.uint8).reshape(-1, width)
+    return functools.reduce(np.bitwise_or, (table[b][byte[:, b]] for b in range(width)))
+
+
 def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     """Image-set bitmask of every coefficient tuple, indexed by tuple index.
 
     Feasible only for fields of at most 64 elements and at most 2^26 tuples.
     The image row of each tuple (one or two words) is read as one `<u4` or
-    `<u8` integer, bit e = element index e.  One row per scalar orbit is
-    evaluated, block by block of `_representative_blocks` through
-    `_image_rows`.  The rest are rotations, filled by axis gathers on the
-    tuple space viewed as an (N,)*n cube: the tuples whose first nonzero
-    digit sits at j and is g^k are g^k times the representatives, so their
-    slab is the slab of the representatives, rotated by k and read at
-    `_scale_row(ctx, -k)` along every later axis.  The q = 2, n = 5 space
-    (32^5 tuples, (32^5 - 1)/31 nonzero orbits) takes about 0.8 s on a
-    2-core box.
+    `<u8` integer, bit e = element index e.  Only the representatives with
+    a_0 = 0 are evaluated, block by block of `_representative_blocks`
+    through `_image_rows`.  The tuples whose first nonzero digit sits at j
+    and is g^k fill row k + 1 of slab j, the (N, N^(n-1-j)) view of the
+    tuples with j leading zeros: row k + 1 at digits d is row k at g^-1 d,
+    rotated by 1, so each row is one `_rotate` and one gather.  Once the
+    slabs j >= 1 fill the a_0 = 0 half, the a_0 = 1 representatives are
+    its `_translate` by 1, as f(x)/x = a_0 + h(x)/x.  The q = 2, n = 5
+    space (32^5 tuples) takes about 0.5 s on a 2-core box.
     """
     N, n = ctx.size, ctx.n
     total = N**n
@@ -308,59 +323,78 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     as_int = np.dtype(f"<u{4 * _words(ctx)}")
     out = np.empty(total, dtype=as_int)
     out[0] = 1
-    for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
+    half = N ** (n - 1)
+    blocks = itertools.takewhile(lambda block: block[0][0] < half, _representative_blocks(ctx))
+    for T, _, rows in _image_rows(ctx, blocks):
         out[T[0] : T[-1] + 1] = rows.view(as_int)[:, 0]
-    cube = out.reshape((N,) * n)
-    for j in range(n):
-        slab = cube[(0,) * j]
-        reps = slab[1, ...]
+    # P[d] is the index of g^-1 d among the tuples of n - 1 digits, P[:N^m] of m
+    P = np.ravel(coeffs_to_tuple(ctx, np.ix_(*[_scale_row(ctx, -1)] * (n - 1))))
+    for j in reversed(range(n)):
+        slab = out[: N ** (n - j)].reshape(N, -1)
+        if j == 0:
+            slab[1] = _translate(ctx, slab[0], 1)
         for k in range(1, ctx.order):
-            row, src = _scale_row(ctx, -k), _rotate(reps, k, ctx.order)
-            for ax in range(reps.ndim):
-                src = np.take(src, row, axis=ax)
-            slab[k + 1] = src
+            slab[k + 1] = _rotate(slab[k], 1, ctx.order)[P[: slab.shape[1]]]
     return out
 
 
 def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None) -> np.ndarray:
-    """Tuple indices of every g (any linearity) with Im(g(x)/x) = Im(f(x)/x).
+    """`equal_image_tuple_lists` of the one target f."""
+    return equal_image_tuple_lists(ctx, [f], masks)[0]
 
-    With `masks` (a cached all_ratio_masks array of this field) this is a
-    single vector compare.  Otherwise it walks the orbit representatives,
-    guarded at 2^26 tuples: g^k r matches when the image row of r equals
-    that of g^(-k) Im(f).  ValueError when f lives in another context.
+
+def equal_image_tuple_lists(ctx: FieldCtx, fs, masks: np.ndarray | None = None) -> list:
+    """For each f in fs, the ascending tuple indices of every g (any
+    linearity) with Im(g(x)/x) = Im(f(x)/x).
+
+    With `masks` (a cached all_ratio_masks array of this field) each f is a
+    single vector compare.  Otherwise one walk of the orbit representatives
+    serves every f, guarded at 2^26 tuples: g^k r matches f when the image
+    row of r equals that of g^(-k) Im(f).  ValueError when some f lives in
+    another context.
     """
-    if f.ctx is not ctx:
+    if not fs:
+        return []
+    if any(f.ctx is not ctx for f in fs):
         raise ValueError("polynomials live in different field contexts")
     total = ctx.size**ctx.n
-    target = image_of_ratio(f)
+    targets = [image_of_ratio(f) for f in fs]
     if masks is not None:
-        want = int.from_bytes(_pack_rows(target.mask[None]).tobytes(), "little")
+        want = [int.from_bytes(_pack_rows(S.mask[None]).tobytes(), "little") for S in targets]
         # f is its own partner, so masks of another field or modulus show
         # themselves at f's own tuple
-        if masks.shape != (total,) or int(masks[coeffs_to_tuple(ctx, f.coeffs)]) != want:
+        own = [coeffs_to_tuple(ctx, f.coeffs) for f in fs]
+        if masks.shape != (total,) or masks[own].tolist() != want:
             raise ValueError(
                 f"masks of shape {masks.shape} and dtype {masks.dtype} are not "
                 f"the ratio masks of the {total} tuples of this field"
             )
-        return np.flatnonzero(masks == masks.dtype.type(want))
+        # one pass of _REP_BLOCK masks at a time, so no bool array is as long as masks
+        found = [[] for _ in want]
+        for lo in range(0, total, _REP_BLOCK):
+            block = masks[lo : lo + _REP_BLOCK]
+            for hits, w in zip(found, want):
+                hits.append(np.flatnonzero(block == masks.dtype.type(w)) + lo)
+        return [np.concatenate(hits) for hits in found]
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
-    wants = _scaled_image_rows(target)
+    # row i of wants is the image row of g^-k Im(fs[i // order]), k = i % order
+    wants = np.concatenate([_scaled_image_rows(S) for S in targets])
+    keys = np.sort(wants[:, 0])
     # the zero tuple is the one tuple whose image is {0}
-    hits = [np.zeros(int(target.size == 1 and target.mask[0]), dtype=np.int64)]
+    owner = [np.flatnonzero([S.size == 1 and S.mask[0] for S in targets])]
+    hits = [np.zeros(owner[0].size, dtype=np.int64)]
     for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
-        keep = np.isin(rows[:, 0], wants[:, 0])
-        if not keep.any():
-            continue
-        rows = rows[keep]
-        digits = _tuple_digits(ctx, T[keep])
-        for k in range(ctx.order):
-            sel = (rows == wants[k]).all(axis=1)
-            if sel.any():
-                row = _scale_row(ctx, k)
-                hits.append(coeffs_to_tuple(ctx, [row[d[sel]] for d in digits]))
-    return np.sort(np.concatenate(hits))
+        at = np.minimum(np.searchsorted(keys, rows[:, 0]), keys.size - 1)
+        keep = np.flatnonzero(keys[at] == rows[:, 0])
+        r, i = np.nonzero((rows[keep, None] == wants).all(axis=2))
+        owner.append(i // ctx.order)
+        # g^k r, with g^k the element k + 1
+        digits = _tuple_digits(ctx, T[keep[r]])
+        hits.append(coeffs_to_tuple(ctx, [ctx.vmul(i % ctx.order + 1, d) for d in digits]))
+    owner, hits = np.concatenate(owner), np.concatenate(hits)
+    hits = hits[np.lexsort((hits, owner))]
+    return np.split(hits, np.cumsum(np.bincount(owner, minlength=len(fs)))[:-1])
 
 
 def _scaled_image_rows(S: ImageSet) -> np.ndarray:
@@ -425,9 +459,8 @@ def survey_image_sizes(
         strict = strict_linear_mask(ctx, digits).ravel()
         T = T[strict]
         sizes = np.bitwise_count(rows[strict]).sum(axis=1, dtype=np.int64)
-        for s in np.unique(sizes):
+        for s in np.flatnonzero(np.bincount(sizes)).tolist():
             sel = sizes == s
-            s = int(s)
             counts[s] = counts.get(s, 0) + weight * int(sel.sum())
             cand = int(T[sel].min())
             if s not in reps or cand < reps[s]:

@@ -361,7 +361,7 @@ def _hits(S: ImageSet, T: ImageSet, point, code) -> np.ndarray:
     j, k = _point_triple(point)
     dst = _cross_ratio_matrix(ctx, t_idx[point], t_idx[j], t_idx[k])
     found = [_NO_HITS]
-    for e in np.unique(ea).tolist():
+    for e in np.flatnonzero(np.bincount(ea)).tolist():
         sel = ea == e
         u = ctx.vfrob(s_idx, e)
         M = _carry(ctx, _cross_ratio_matrix(ctx, u[0], u[y[sel]], u[z[sel]]),
@@ -408,7 +408,7 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
                               + np.arange(count.sum())])
     code, point = np.concatenate(codes), np.concatenate(matched)
     row, point = np.divmod(point, size)
-    for r in np.unique(row).tolist():
+    for r in np.flatnonzero(np.bincount(row)).tolist():
         found[same[r]] = _hits(S, Ts[same[r]], point[row == r], code[row == r])
     return found
 
@@ -420,7 +420,7 @@ def _witnesses(S: ImageSet, T: ImageSet, hits) -> list[SemilinearMap]:
     ctx = S.ctx
     e, M = hits[:, 0], hits[:, 4:]
     M = ctx.vmul(M, ctx.vinv(M[np.arange(len(M)), (M != 0).argmax(axis=1)])[:, None])
-    for s in np.unique(e).tolist():
+    for s in np.flatnonzero(np.bincount(e)).tolist():
         if not _carried(ctx, ctx.vfrob(S.indices(), s), T, tuple(M[e == s].T))[0].all():
             raise InconsistentStructure("set-equivalence witness failed its self-check")
     return [SemilinearMap(ctx, *m, s) for s, m in zip(e.tolist(), M.tolist())]

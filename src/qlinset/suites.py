@@ -118,11 +118,11 @@ def suite_thm_n4(seed: int = 0, per_n: int = 20) -> dict:
         ctx = build_field(2, 1, n)
         outcomes = {"scalar_conjugate": 0, "adjoint_scalar_conjugate": 0, "inconsistent": 0}
         pairs = 0
-        for _ in range(per_n):
-            f = _rand_strict_poly(ctx, rng)
-            for g in cr.exhaustive_same_image(f):
-                out = cr.classify_n_le_4(f, g)
-                outcomes[out.kind] += 1
+        # classifying draws nothing, so drawing every f first keeps the order
+        fs = [_rand_strict_poly(ctx, rng) for _ in range(per_n)]
+        for f, partners in zip(fs, cr.exhaustive_same_images(fs)):
+            for g in partners:
+                outcomes[cr.classify_n_le_4(f, g).kind] += 1
                 pairs += 1
         ok = outcomes["inconsistent"] == 0
         if n == 2:

@@ -4,6 +4,8 @@ and the library calls that the benchmark under perfbench/ makes."""
 import importlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -352,3 +354,21 @@ def test_modulus_override_changes_encoding(tmp_path):
     rep = load(out)
     assert rep["field"] == "2^1^5/1,0,1,0,0,1"
     assert rep["size"] == 17  # intrinsic quantities unchanged
+
+
+def test_verdict_paths_never_import_numpy_ma():
+    # np.unique without counts and np.isin import numpy.ma, 10-18 ms of a
+    # fresh interpreter; three suites in one, each checked after it ran
+    code = (
+        "import sys\n"
+        "from qlinset import suites\n"
+        "for run in (lambda: suites.suite_new_linset(samples=1),\n"
+        "            lambda: suites.suite_thm_n4(per_n=2), suites.suite_survey_n4):\n"
+        "    run()\n"
+        "    print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 3

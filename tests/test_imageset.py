@@ -136,8 +136,9 @@ def _masks_of_every_tuple(ctx):
 @pytest.mark.parametrize(
     "spec",
     [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
-     (2, 2, 2), (2, 2, 3)],
-    ids=["F4", "F8", "F16", "F9", "F27", "F25", "F49", "F16-tower", "F64"],
+     (2, 2, 2), (2, 2, 3), (2, 1, 1), (3, 1, 1), (2, 5, 1), (7, 1, 1)],
+    ids=["F4", "F8", "F16", "F9", "F27", "F25", "F49", "F16-tower", "F64",
+         "F2-n1", "F3-n1", "F32-n1", "F7-n1"],
 )
 def test_orbit_walk_masks_match_every_tuple(spec):
     ctx = build_field(*spec)
@@ -145,6 +146,27 @@ def test_orbit_walk_masks_match_every_tuple(spec):
     expected = _masks_of_every_tuple(ctx)
     assert masks.dtype == expected.dtype
     assert np.array_equal(masks, expected)
+
+
+@pytest.mark.parametrize(
+    "spec, words", [((2, 1, 5), 1), ((3, 1, 3), 1), ((2, 2, 3), 2), ((7, 1, 2), 2)],
+    ids=["F32", "F27", "F64", "F49"],
+)
+def test_translate_moves_every_member_by_c(spec, words):
+    # seeded sets S, the empty and the full set, against c + S element by
+    # element, for every c
+    ctx = build_field(*spec)
+    assert ims._words(ctx) == words
+    members = np.random.default_rng(44).random((64, ctx.size)) < 0.3
+    members[:2] = [[False], [True]]
+    as_int = f"<u{4 * words}"
+    rows = ims._pack_rows(members).view(as_int)[:, 0]
+    for c in range(ctx.size):
+        moved = np.zeros_like(members)
+        for e in range(ctx.size):
+            moved[:, ctx.add(c, e)] = members[:, e]
+        expected = ims._pack_rows(moved).view(as_int)[:, 0]
+        assert np.array_equal(ims._translate(ctx, rows, c), expected), c
 
 
 def test_orbit_walk_masks_on_random_tuples_q2_n5(f32, q2_masks):
@@ -175,6 +197,31 @@ def test_equal_image_tuples_by_orbit_every_f_q2_n3(small_fields):
         got = ims.equal_image_tuples(ctx, f)
         assert got.dtype == np.int64
         assert np.array_equal(got, _tuples_with_mask(masks, f)), t
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 2)],
+    ids=["F4", "F8", "F16", "F27", "F16-tower"],
+)
+def test_one_walk_for_many_targets_matches_the_masks(spec):
+    # 20 seeded strict f and the zero map, whose image {0} only the zero
+    # tuple shares, in one walk
+    ctx = build_field(*spec)
+    masks = ims.all_ratio_masks(ctx)
+    r = random.Random(45)
+    fs = []
+    while len(fs) < 20:
+        f = rand_poly(ctx, r)
+        if f.is_strictly_linear():
+            fs.append(f)
+    fs.append(zero_poly(ctx))
+    got = ims.equal_image_tuple_lists(ctx, fs)
+    assert len(got) == len(fs)
+    for f, tuples in zip(fs, got, strict=True):
+        assert tuples.dtype == np.int64
+        assert np.array_equal(tuples, ims.equal_image_tuples(ctx, f, masks=masks))
+    assert got[-1].tolist() == [0]
+    assert ims.equal_image_tuple_lists(ctx, []) == []
 
 
 @pytest.mark.parametrize("spec", [(3, 1, 3), (3, 2, 2)], ids=["F27", "F81-wide"])

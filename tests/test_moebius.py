@@ -432,7 +432,7 @@ def test_find_set_equivalence_degenerate(f32):
         find_set_equivalence(S, S)
 
 
-def test_witness_is_canonical_scaled(f32):
+def test_witness_leads_with_one(f32):
     S = ims.image_of_ratio(trace_poly(f32))
     w = find_set_equivalence(S, S)
     lead = next(v for v in (w.a, w.b, w.c, w.d) if v)
