@@ -33,8 +33,8 @@ rows of at most _REP_BLOCK words, for `all_ratio_masks`, the one walk of
 `survey_image_sizes`.  `all_ratio_masks` evaluates only the representatives
 with a_0 = 0 (33,825 at q = 2, n = 5); the a_0 = 1 ones are their half of
 the tuple space translated by 1, and each other orbit member is the one
-before it rotated by 1.
-Scaling by g^k and Frobenius read the field's own `vmul` and `vfrob`.
+before it rotated by 1.  Scaling by g^k and Frobenius read the field's own
+`vmul` and `vfrob`.
 """
 
 from __future__ import annotations
