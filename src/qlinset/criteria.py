@@ -446,18 +446,21 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
     return ClassifyOutcome("monomial_pair", phi=phi, i=i, j=j, alpha=alpha, beta=beta)
 
 
-def exhaustive_same_image(f: QPoly, masks: np.ndarray | None = None) -> list[QPoly]:
+def exhaustive_same_image(f: QPoly) -> list[QPoly]:
     """All strictly F_q-linear g with Im(g(x)/x) = Im(f(x)/x), by enumeration
     of every coefficient tuple; `equal_image_tuple_lists` raises
-    TooLargeForExhaustive above 2^26 tuples."""
-    return exhaustive_same_images([f], masks)[0]
+    TooLargeForExhaustive above 2^26 tuples.  Every such g has b_0 = a_0,
+    the sum of the elements of the image: summed over x != 0, f(x)/x gives
+    -a_0, and each y of the image is taken by q^d - 1 = -1 (mod p) nonzero
+    x.  So the walk evaluates only the representatives with a_0 = 0."""
+    return exhaustive_same_images([f])[0]
 
 
-def exhaustive_same_images(fs, masks: np.ndarray | None = None) -> list[list[QPoly]]:
+def exhaustive_same_images(fs) -> list[list[QPoly]]:
     """`exhaustive_same_image` of every f in fs, all of one field, in one walk."""
     if not all(f.is_strictly_linear() for f in fs):
         raise NotStrictlyLinear("f must be strictly F_q-linear")
     ctx = fs[0].ctx if fs else None
-    found = equal_image_tuple_lists(ctx, fs, masks=masks)
+    found = equal_image_tuple_lists(ctx, fs)
     found = [hits[strict_linear_mask(ctx, _tuple_digits(ctx, hits))] for hits in found]
     return [[poly_from_tuple(ctx, int(t)) for t in hits] for hits in found]

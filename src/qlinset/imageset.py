@@ -12,14 +12,20 @@ The tuple-space enumerators key every image, on every field, by one image
 row: W = ceil(q^n / 32) little-endian uint32 words, where bit e of the row
 (bit e % 32 of word e // 32) is element index e, and element index e >= 1
 is g^(e-1).  Sizes are popcounts of rows, and equal images are equal rows.
-The enumerators walk the coefficient-tuple space N^n one scalar orbit at a
-time.  Scaling every coefficient by c = g^k gives Im(c f) = c Im(f), so
-the image of g^k f is the image of f with elements 1..q^n-1 rotated by k
-and element 0 kept.  Each nonzero orbit has exactly q^n - 1 members and one
-representative, the tuple whose first nonzero coefficient is 1 = g^0; it is
-also the orbit's lex-least member.  Only representatives are evaluated
-((32^5 - 1)/31 of them at q = 2, n = 5); every other image is a rotation,
-and the zero tuple's image is {0}.
+
+Two symmetries cut the coefficient-tuple space N^n down.  Scaling every
+coefficient by c = g^k gives Im(c f) = c Im(f), so the image of g^k f is
+the image of f with elements 1..q^n-1 rotated by k and element 0 kept.
+Each nonzero orbit has exactly q^n - 1 members and one representative, the
+tuple whose first nonzero coefficient is 1 = g^0; it is also the orbit's
+lex-least member.  And f(x)/x = a_0 + h(x)/x with h = f - a_0 x, so
+Im(f) = a_0 + Im(h).  By the a_0 identity, a_0 is the sum of the elements
+of Im(f): summed over x != 0, f(x)/x gives -a_0, as only the x term of f
+contributes, and each y of the image is taken by the q^d - 1 = -1 (mod p)
+nonzero x of the kernel of f - y x.  So every g with the image of f has
+b_0 = a_0.  The exhaustive paths evaluate only the representatives with
+a_0 = 0 ((32^4 - 1)/31 = 33,825 at q = 2, n = 5); every other image is a
+rotation of one of theirs translated by a_0, or {a_0} for (a_0, 0, ..., 0).
 
 One kernel, `_chunk_ratio_masks`, computes image rows on every field: f(x)/x
 at x = g^k is the field sum of the gathers a_i g^(k e_i), one `vadd` chain
@@ -30,17 +36,15 @@ flat tuple arrays, such as the sampled survey's draws, pass their digits to
 the same kernel.  One loop, `_image_rows`, turns blocks of either kind into
 rows of at most _REP_BLOCK words, for `all_ratio_masks`, the one walk of
 `equal_image_tuple_lists` for any number of targets, and
-`survey_image_sizes`.  `all_ratio_masks` evaluates only the representatives
-with a_0 = 0 (33,825 at q = 2, n = 5); the a_0 = 1 ones are their half of
-the tuple space translated by 1, and each other orbit member is the one
-before it rotated by 1.  Scaling by g^k and Frobenius read the field's own
-`vmul` and `vfrob`.
+`survey_image_sizes`.  `all_ratio_masks` fills the a_0 = 1 representatives
+by translating their a_0 = 0 half of the tuple space by 1, and each other
+orbit member is the one before it rotated by 1.  Scaling by g^k and
+Frobenius read the field's own `vmul` and `vfrob`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -244,8 +248,9 @@ def _bit_table(ctx: FieldCtx) -> np.ndarray:
 
 
 def _representative_blocks(ctx: FieldCtx):
-    """Ascending blocks (T, grid) of orbit representatives: the nonzero
-    tuples whose first nonzero coefficient is 1 = g^0.
+    """Ascending blocks (T, grid) of the orbit representatives with
+    a_0 = 0: the tuples whose first nonzero coefficient is 1 = g^0 and sits
+    at j >= 1.
 
     With the leading 1 at position j, the representatives are the contiguous
     range [N^(n-1-j), 2 N^(n-1-j)); later leading positions give smaller
@@ -261,7 +266,7 @@ def _representative_blocks(ctx: FieldCtx):
     most = 0
     while N ** (most + 1) <= step:
         most += 1
-    for j in reversed(range(n)):
+    for j in reversed(range(1, n)):
         free = min(n - 1 - j, most)
         span = N**free
         axes = [np.arange(N).reshape((N,) + (1,) * (free - 1 - a)) for a in range(free)]
@@ -305,7 +310,7 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     Feasible only for fields of at most 64 elements and at most 2^26 tuples.
     The image row of each tuple (one or two words) is read as one `<u4` or
     `<u8` integer, bit e = element index e.  Only the representatives with
-    a_0 = 0 are evaluated, block by block of `_representative_blocks`
+    a_0 = 0, `_representative_blocks`, are evaluated, block by block
     through `_image_rows`.  The tuples whose first nonzero digit sits at j
     and is g^k fill row k + 1 of slab j, the (N, N^(n-1-j)) view of the
     tuples with j leading zeros: row k + 1 at digits d is row k at g^-1 d,
@@ -323,9 +328,7 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     as_int = np.dtype(f"<u{4 * _words(ctx)}")
     out = np.empty(total, dtype=as_int)
     out[0] = 1
-    half = N ** (n - 1)
-    blocks = itertools.takewhile(lambda block: block[0][0] < half, _representative_blocks(ctx))
-    for T, _, rows in _image_rows(ctx, blocks):
+    for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
         out[T[0] : T[-1] + 1] = rows.view(as_int)[:, 0]
     # P[d] is the index of g^-1 d among the tuples of n - 1 digits, P[:N^m] of m
     P = np.ravel(coeffs_to_tuple(ctx, np.ix_(*[_scale_row(ctx, -1)] * (n - 1))))
@@ -338,75 +341,62 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def equal_image_tuples(ctx: FieldCtx, f: QPoly, masks: np.ndarray | None = None) -> np.ndarray:
+def equal_image_tuples(ctx: FieldCtx, f: QPoly) -> np.ndarray:
     """`equal_image_tuple_lists` of the one target f."""
-    return equal_image_tuple_lists(ctx, [f], masks)[0]
+    return equal_image_tuple_lists(ctx, [f])[0]
 
 
-def equal_image_tuple_lists(ctx: FieldCtx, fs, masks: np.ndarray | None = None) -> list:
+def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:
     """For each f in fs, the ascending tuple indices of every g (any
-    linearity) with Im(g(x)/x) = Im(f(x)/x).
+    linearity) with Im(g(x)/x) = Im(f(x)/x), guarded at 2^26 tuples;
+    ValueError when some f lives in another context.
 
-    With `masks` (a cached all_ratio_masks array of this field) each f is a
-    single vector compare.  Otherwise one walk of the orbit representatives
-    serves every f, guarded at 2^26 tuples: g^k r matches f when the image
-    row of r equals that of g^(-k) Im(f).  ValueError when some f lives in
-    another context.
+    By the a_0 identity (the module docstring) such a g has b_0 = a_0, the
+    sum of the elements of Im(f), so g is a_0 x + g^k r for a representative
+    r with a_0 = 0, or a_0 x alone.  One walk of those representatives
+    serves every f: a_0 x + g^k r matches f when the image row of r equals
+    that of g^(-k) (Im(f) - a_0).
     """
     if not fs:
         return []
     if any(f.ctx is not ctx for f in fs):
         raise ValueError("polynomials live in different field contexts")
     total = ctx.size**ctx.n
-    targets = [image_of_ratio(f) for f in fs]
-    if masks is not None:
-        want = [int.from_bytes(_pack_rows(S.mask[None]).tobytes(), "little") for S in targets]
-        # f is its own partner, so masks of another field or modulus show
-        # themselves at f's own tuple
-        own = [coeffs_to_tuple(ctx, f.coeffs) for f in fs]
-        if masks.shape != (total,) or masks[own].tolist() != want:
-            raise ValueError(
-                f"masks of shape {masks.shape} and dtype {masks.dtype} are not "
-                f"the ratio masks of the {total} tuples of this field"
-            )
-        # one pass of _REP_BLOCK masks at a time, so no bool array is as long as masks
-        found = [[] for _ in want]
-        for lo in range(0, total, _REP_BLOCK):
-            block = masks[lo : lo + _REP_BLOCK]
-            for hits, w in zip(found, want):
-                hits.append(np.flatnonzero(block == masks.dtype.type(w)) + lo)
-        return [np.concatenate(hits) for hits in found]
     if total > _MASK_TUPLE_GUARD:
         raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
-    # row i of wants is the image row of g^-k Im(fs[i // order]), k = i % order
-    wants = np.concatenate([_scaled_image_rows(S) for S in targets])
+    targets = [image_of_ratio(f) for f in fs]
+    a0 = [f.coeffs[0] for f in fs]
+    # row i of wants is the image row of g^-k (Im(f) - a_0), f = fs[i // order], k = i % order
+    wants = np.concatenate([_scaled_image_rows(S, c) for S, c in zip(targets, a0)])
     keys = np.sort(wants[:, 0])
-    # the zero tuple is the one tuple whose image is {0}
-    owner = [np.flatnonzero([S.size == 1 and S.mask[0] for S in targets])]
-    hits = [np.zeros(owner[0].size, dtype=np.int64)]
+    # (a_0, 0, ..., 0), of tuple index a_0 N^(n-1), is the one tuple whose image is {a_0}
+    lead = np.array(a0, dtype=np.int64) * (total // ctx.size)
+    owner = [np.flatnonzero([S.size == 1 for S in targets])]
+    hits = [lead[owner[0]]]
     for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
         at = np.minimum(np.searchsorted(keys, rows[:, 0]), keys.size - 1)
         keep = np.flatnonzero(keys[at] == rows[:, 0])
         r, i = np.nonzero((rows[keep, None] == wants).all(axis=2))
         owner.append(i // ctx.order)
-        # g^k r, with g^k the element k + 1
+        # a_0 x + g^k r, with g^k the element k + 1
         digits = _tuple_digits(ctx, T[keep[r]])
-        hits.append(coeffs_to_tuple(ctx, [ctx.vmul(i % ctx.order + 1, d) for d in digits]))
+        scaled = coeffs_to_tuple(ctx, [ctx.vmul(i % ctx.order + 1, d) for d in digits])
+        hits.append(scaled + lead[owner[-1]])
     owner, hits = np.concatenate(owner), np.concatenate(hits)
     hits = hits[np.lexsort((hits, owner))]
     return np.split(hits, np.cumsum(np.bincount(owner, minlength=len(fs)))[:-1])
 
 
-def _scaled_image_rows(S: ImageSet) -> np.ndarray:
-    """(q^n - 1, W) rows: row k is the image row of g^(-k) S."""
+def _scaled_image_rows(S: ImageSet, c: int) -> np.ndarray:
+    """(q^n - 1, W) rows: row k is the image row of g^(-k) (S - c)."""
     ctx = S.ctx
     e = np.arange(ctx.size)
     step = max(1, _REP_BLOCK // ctx.size)
     blocks = []
     for lo in range(0, ctx.order, step):
         ks = np.arange(lo, min(lo + step, ctx.order))[:, None]
-        # x is in g^(-k) S exactly when g^k x is in S
-        blocks.append(_pack_rows(S.mask[ctx.vmul(ks + 1, e)]))
+        # x is in g^(-k) (S - c) exactly when g^k x + c is in S
+        blocks.append(_pack_rows(S.mask[ctx.vadd(ctx.vmul(ks + 1, e), c)]))
     return np.concatenate(blocks)
 
 
@@ -431,10 +421,14 @@ def survey_image_sizes(
     """Histogram of |Im(f(x)/x)| over strictly F_q-linear f.
 
     Without `samples` the survey covers every coefficient tuple (guarded at
-    2^32 tuples) by walking the scalar-orbit representatives: strictness and
-    |Im| are scale-invariant and every nonzero orbit has q^n - 1 members, so
-    each representative counts q^n - 1 times, and as the orbit's lex-least
-    member it is the candidate for the size's representative.  With
+    2^32 tuples) by walking the scalar-orbit representatives with a_0 = 0.
+    Strictness and |Im| are invariant under scaling, and under a_0
+    translation (Im(a_0 x + h) = a_0 + Im(h), and strictness reads only
+    a_1..a_{n-1}); every nonzero orbit has q^n - 1 members, so each
+    representative counts (q^n - 1) q^n times, and as the lex-least tuple
+    it stands for it is the candidate for the size's representative.  The
+    tuples it misses, the scalar maps (a_0, 0, ..., 0), are strict only at
+    n = 1, where they are the whole survey.  With
     `samples` (ValueError unless positive) it counts that many tuples drawn
     from a generator seeded by `seed`.  Both read the sizes as popcounts of
     `_image_rows`, and one lex-least representative tuple is kept per
@@ -444,7 +438,9 @@ def survey_image_sizes(
     if samples is None:
         if total > _EXHAUSTIVE_GUARD:
             raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
-        blocks, weight = _representative_blocks(ctx), ctx.order
+        if ctx.n == 1:
+            return [SurveyRow(1, ctx.order, (1,))]
+        blocks, weight = _representative_blocks(ctx), ctx.order * ctx.size
     elif samples < 1:
         raise ValueError(f"samples = {samples} is no positive sample count")
     else:

@@ -164,9 +164,9 @@ def suite_thm_main_q2(
 
     Enumerates all 32^5 candidates against Tr, x^q and a random fully-dense
     strict polynomial; checks the two predicted partner sets exactly and
-    classifies every pair with zero inconsistent outcomes.  With `masks`,
-    a cached `all_ratio_masks` array, each query is one compare; without
-    it each query walks the scalar-orbit representatives.
+    classifies every pair with zero inconsistent outcomes.  Each query
+    walks the scalar-orbit representatives with a_0 = 0.  `masks` is
+    accepted and unused.
     """
     t0 = time.perf_counter()
     ctx = build_field(2, 1, 5)
@@ -186,7 +186,7 @@ def suite_thm_main_q2(
     harness_pairs = []
     passed = True
     for label, f, expected in cases:
-        partners = cr.exhaustive_same_image(f, masks=masks)
+        partners = cr.exhaustive_same_image(f)
         outcomes: dict[str, int] = {}
         for g in partners:
             out = cr.classify_n5(f, g)

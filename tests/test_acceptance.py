@@ -18,8 +18,8 @@ def _report(num, name, result):
 
 
 @pytest.fixture(scope="module")
-def thm_main_q2_run(q2_masks):
-    result, pairs = suites.suite_thm_main_q2(seed=0, masks=q2_masks, return_pairs=True)
+def thm_main_q2_run():
+    result, pairs = suites.suite_thm_main_q2(seed=0, return_pairs=True)
     return result, pairs
 
 

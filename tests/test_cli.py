@@ -227,6 +227,21 @@ def test_benchmark_calls_still_bind(fn, positional, keywords):
     inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
+def test_thm_main_q2_makes_one_exhaustive_call_per_case(monkeypatch):
+    # a traced q2-enum round expects one criteria.exhaustive_same_image span
+    # per case of suite_thm_main_q2
+    calls = []
+    one = ql.criteria.exhaustive_same_image
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one(*args, **kwargs)
+
+    monkeypatch.setattr(ql.criteria, "exhaustive_same_image", counted)
+    assert suites.suite_thm_main_q2(seed=0)["passed"]
+    assert len(calls) == 3
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -358,12 +373,13 @@ def test_modulus_override_changes_encoding(tmp_path):
 
 def test_verdict_paths_never_import_numpy_ma():
     # np.unique without counts and np.isin import numpy.ma, 10-18 ms of a
-    # fresh interpreter; three suites in one, each checked after it ran
+    # fresh interpreter; four suites in one, each checked after it ran
     code = (
         "import sys\n"
         "from qlinset import suites\n"
         "for run in (lambda: suites.suite_new_linset(samples=1),\n"
-        "            lambda: suites.suite_thm_n4(per_n=2), suites.suite_survey_n4):\n"
+        "            lambda: suites.suite_thm_n4(per_n=2), suites.suite_survey_n4,\n"
+        "            suites.suite_thm_main_q2):\n"
         "    run()\n"
         "    print('numpy.ma' in sys.modules)\n"
     )
@@ -371,4 +387,4 @@ def test_verdict_paths_never_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 3
+    assert proc.stdout.split() == ["False"] * 4

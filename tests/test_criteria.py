@@ -313,11 +313,11 @@ def test_monomial_classify_errors(f32):
         cr.monomial_classify(monomial(f32, 1), trace_poly(f32))
 
 
-def test_monomial_exhaustive_partner_set(f32, q2_masks):
+def test_monomial_exhaustive_partner_set(f32):
     # every same-image partner of x^q over F_{2^5} is beta x^{q^s} with
     # gcd(s,5)=1 and N(beta)=1; brute force equals theory
     f = monomial(f32, 1)
-    partners = cr.exhaustive_same_image(f, masks=q2_masks)
+    partners = cr.exhaustive_same_image(f)
     expected = {
         monomial(f32, s, beta)
         for s in (1, 2, 3, 4)
@@ -499,23 +499,27 @@ def test_classifier_branches_are_pinned(branch, spec, f, g, expected):
         assert cr.pseudoalg_test(f).kind == branch[3:]
 
 
-def test_exhaustive_same_image_trace(f32, q2_masks):
+def test_exhaustive_same_image_trace(f32):
     tr = trace_poly(f32)
-    partners = cr.exhaustive_same_image(tr, masks=q2_masks)
+    partners = cr.exhaustive_same_image(tr)
     assert set(partners) == {tr.scale_conjugate(lam) for lam in f32.nonzero()}
     assert len(partners) == 31
 
 
-def test_thm_main_q2_without_masks_matches_with_masks(q2_masks):
-    # without a mask array each query walks the scalar-orbit representatives
-    runs = [
-        suites.suite_thm_main_q2(seed=0, masks=masks, return_pairs=True)
-        for masks in (q2_masks, None)
-    ]
-    for result, _ in runs:
-        result.pop("elapsed_s")
-    assert runs[0] == runs[1]
-    assert runs[0][0]["passed"]
+def test_thm_main_q2_without_masks_matches_with_masks(f32, q2_masks):
+    # the suite's three walks against a compare on the mask array, strict
+    # partners only, in tuple order
+    result, pairs = suites.suite_thm_main_q2(seed=0, return_pairs=True)
+    assert result["passed"]
+    partners = {}
+    for f, g in pairs:
+        partners.setdefault(f, []).append(g)
+    assert [len(gs) for gs in partners.values()] == [c["partners"] for c in result["per_case"]]
+    for f, gs in partners.items():
+        target = ims._pack_rows(ims.image_of_ratio(f).mask[None]).view(q2_masks.dtype)[0, 0]
+        T = np.flatnonzero(q2_masks == target)
+        T = T[ims.strict_linear_mask(f32, ims._tuple_digits(f32, T))]
+        assert gs == [ims.poly_from_tuple(f32, int(t)) for t in T]
 
 
 def test_exhaustive_same_image_guards(f32, f243):
@@ -525,19 +529,11 @@ def test_exhaustive_same_image_guards(f32, f243):
         cr.exhaustive_same_image(trace_poly(f243))
 
 
-def test_exhaustive_same_image_rejects_masks_of_another_field(q2_masks):
-    f16 = build_field(2, 1, 4)
-    tr = trace_poly(f16)
-    with pytest.raises(ValueError):
-        cr.exhaustive_same_image(tr, masks=q2_masks)
+def test_exhaustive_same_image_rejects_masks_of_another_field():
+    tr = trace_poly(build_field(2, 1, 4))
     assert len(cr.exhaustive_same_image(tr)) == 15
-    # F_256 with n = 2 has as many tuples as F_16 with n = 4, 2^16
-    with pytest.raises(ValueError):
-        cr.exhaustive_same_image(trace_poly(build_field(2, 4, 2)), masks=ims.all_ratio_masks(f16))
-    # F_32 under another modulus: same shape and dtype, other images
+    # F_32 under another modulus
     other = QPoly(build_field(2, 1, 5, [1, 0, 1, 0, 0, 1]), [0, 1, 1, 0, 0])
-    with pytest.raises(ValueError):
-        cr.exhaustive_same_image(other, masks=q2_masks)
     assert len(cr.exhaustive_same_image(other)) == 62
 
 

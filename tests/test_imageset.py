@@ -50,6 +50,26 @@ def test_image_zero_map_is_zero_singleton(f32):
     assert ims.image_of_ratio(zero_poly(f32)).indices().tolist() == [0]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [(2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 1, 3), (2, 2, 2), (2, 1, 4), (2, 1, 5), (3, 1, 5),
+     (3, 1, 1), (2, 2, 1)],
+    ids=["F4", "F9", "F25", "F27", "F16-tower", "F16", "F32", "F243", "F3-n1", "F4-n1"],
+)
+def test_a0_is_the_sum_of_the_image(spec):
+    # seeded f that are F_{q^d}-linear for every divisor d of n (their
+    # nonzero a_i, i > 0, at multiples of d), and the zero map
+    ctx = build_field(*spec)
+    r = random.Random(46)
+    fs = [zero_poly(ctx)]
+    for d in range(1, ctx.n + 1):
+        if ctx.n % d == 0:
+            fs += [QPoly(ctx, [r.randrange(ctx.size) if i % d == 0 else 0 for i in range(ctx.n)])
+                   for _ in range(6)]
+    for f in fs:
+        assert f.coeffs[0] == ctx.vfold_add(ims.image_of_ratio(f).indices()), f.coeffs
+
+
 def test_image_monomial_and_trace_sizes(f32, f243):
     assert len(ims.image_of_ratio(monomial(f243, 1))) == 121
     assert len(ims.image_of_ratio(trace_poly(f32))) == 17
@@ -204,7 +224,8 @@ def test_equal_image_tuples_by_orbit_every_f_q2_n3(small_fields):
     ids=["F4", "F8", "F16", "F27", "F16-tower"],
 )
 def test_one_walk_for_many_targets_matches_the_masks(spec):
-    # 20 seeded strict f and the zero map, whose image {0} only the zero
+    # 20 seeded strict f, a seeded non-strict f, a scalar map c x, a strict
+    # f with a_0 != 0, and the zero map, whose image {0} only the zero
     # tuple shares, in one walk
     ctx = build_field(*spec)
     masks = ims.all_ratio_masks(ctx)
@@ -214,17 +235,31 @@ def test_one_walk_for_many_targets_matches_the_masks(spec):
         f = rand_poly(ctx, r)
         if f.is_strictly_linear():
             fs.append(f)
+    f = rand_poly(ctx, r)
+    while f.is_strictly_linear():
+        f = rand_poly(ctx, r)
+    fs.append(f)
+    fs.append(QPoly(ctx, [r.randrange(1, ctx.size)] + [0] * (ctx.n - 1)))
+    f = rand_poly(ctx, r)
+    while not f.is_strictly_linear():
+        f = rand_poly(ctx, r)
+    fs.append(QPoly(ctx, [r.randrange(1, ctx.size)] + list(f.coeffs[1:])))
     fs.append(zero_poly(ctx))
     got = ims.equal_image_tuple_lists(ctx, fs)
     assert len(got) == len(fs)
     for f, tuples in zip(fs, got, strict=True):
         assert tuples.dtype == np.int64
-        assert np.array_equal(tuples, ims.equal_image_tuples(ctx, f, masks=masks))
+        assert np.array_equal(tuples, _tuples_with_mask(masks, f))
+        assert np.array_equal(tuples, ims.equal_image_tuples(ctx, f))
+    assert got[-3].tolist() == [ims.coeffs_to_tuple(ctx, fs[-3].coeffs)]
     assert got[-1].tolist() == [0]
     assert ims.equal_image_tuple_lists(ctx, []) == []
 
 
-@pytest.mark.parametrize("spec", [(3, 1, 3), (3, 2, 2)], ids=["F27", "F81-wide"])
+@pytest.mark.parametrize(
+    "spec", [(3, 1, 3), (3, 2, 2), (2, 1, 1), (3, 1, 1), (2, 2, 1)],
+    ids=["F27", "F81-wide", "F2-n1", "F3-n1", "F4-n1"],
+)
 def test_survey_by_orbit_matches_every_tuple(spec):
     ctx = build_field(*spec)
     T = np.arange(ctx.size**ctx.n, dtype=np.int64)
@@ -234,6 +269,9 @@ def test_survey_by_orbit_matches_every_tuple(spec):
         (int(s), int((sizes == s).sum()), tuple(ims._tuple_digits(ctx, int(T[sizes == s].min()))))
         for s in np.unique(sizes)
     ]
+    if ctx.n == 1:
+        # the scalar maps, the only strict tuples, each of image size 1
+        assert expected == [(1, ctx.order, (1,))]
     assert [tuple(row) for row in ims.survey_image_sizes(ctx)] == expected
 
 
@@ -517,7 +555,8 @@ def test_representative_blocks_are_open_grids(spec, rep_block, monkeypatch):
     digits = np.stack(ims._tuple_digits(ctx, every))
     first = digits[(digits != 0).argmax(axis=0), every]
     blocks = list(ims._representative_blocks(ctx))
-    assert np.array_equal(np.concatenate([T for T, _ in blocks]), every[first == 1])
+    reps = every[(first == 1) & (digits[0] == 0)]
+    assert np.array_equal(np.concatenate([T for T, _ in blocks]), reps)
     for T, grid in blocks:
         assert T.size * ims._words(ctx) <= rep_block
         shape = np.broadcast_shapes(*map(np.shape, grid))
@@ -526,13 +565,12 @@ def test_representative_blocks_are_open_grids(spec, rep_block, monkeypatch):
     assert np.array_equal(ims.all_ratio_masks(ctx), _masks_of_every_tuple(ctx))
 
 
-def test_equal_image_tuples_rejects_a_polynomial_of_another_context(f32, q2_masks):
+def test_equal_image_tuples_rejects_a_polynomial_of_another_context(f32):
     other = build_field(2, 1, 5, modulus=[1, 1, 1, 0, 1, 1])
     assert other is not f32
     f = QPoly(other, [15, 19, 18, 5, 12])
-    for masks in (None, q2_masks):
-        with pytest.raises(ValueError, match="different field contexts"):
-            ims.equal_image_tuples(f32, f, masks=masks)
+    with pytest.raises(ValueError, match="different field contexts"):
+        ims.equal_image_tuples(f32, f)
     got = ims.equal_image_tuples(other, f)
     assert got.size == 62
     assert ims.coeffs_to_tuple(other, f.coeffs) in got
