@@ -196,6 +196,15 @@ def _given_samples(keyword: str):
     return lambda a: {"seed": a.seed, **({keyword: a.samples} if a.samples else {})}
 
 
+def _no_count(read):
+    """`read` for a suite that takes no count, where --samples is an OptionError."""
+    def checked(a):
+        if a.samples:
+            raise OptionError(f"--samples: --suite {a.suite} takes no sample count")
+        return read(a)
+    return checked
+
+
 def _new_linset_args(args) -> dict:
     """The field and delta for new-linset, with the example's guards run
     here so that an unusable value is an option error."""
@@ -217,9 +226,9 @@ NEW_LINSET_OPTIONS = {"--field": "field", "--modulus": "modulus",
 # options
 SUITE_ARGS = {
     "bounds": _given_samples("samples"),
-    "survey-n4": lambda a: {},
+    "survey-n4": _no_count(lambda a: {}),
     "thm-n4": _given_samples("per_n"),
-    "thm-main-q2": lambda a: {"seed": a.seed},
+    "thm-main-q2": _no_count(lambda a: {"seed": a.seed}),
     "trace5": _given_samples("count"),
     "pseudoalg": _given_samples("count"),
     "erelations": _given_samples("pairs"),

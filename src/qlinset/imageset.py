@@ -285,11 +285,11 @@ def _scale_row(ctx: FieldCtx, k: int) -> np.ndarray:
     return ctx.vmul(ctx.from_exp(k), np.arange(ctx.size))
 
 
-def _rotate(masks, k: int, order: int):
-    """Bitmask of Im(g^k f) from that of Im(f): bits 1..order rotate by k."""
+def _rotate(masks, order: int):
+    """Bitmask of Im(g f) from that of Im(f): bits 1..order rotate by 1."""
     nonzero = ((1 << order) - 1) << 1
     hi = masks & nonzero
-    return ((hi << k) | (hi >> (order - k))) & nonzero | (masks & 1)
+    return ((hi << 1) | (hi >> (order - 1))) & nonzero | (masks & 1)
 
 
 def _translate(ctx: FieldCtx, rows: np.ndarray, c: int) -> np.ndarray:
@@ -337,13 +337,8 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
         if j == 0:
             slab[1] = _translate(ctx, slab[0], 1)
         for k in range(1, ctx.order):
-            slab[k + 1] = _rotate(slab[k], 1, ctx.order)[P[: slab.shape[1]]]
+            slab[k + 1] = _rotate(slab[k], ctx.order)[P[: slab.shape[1]]]
     return out
-
-
-def equal_image_tuples(ctx: FieldCtx, f: QPoly) -> np.ndarray:
-    """`equal_image_tuple_lists` of the one target f."""
-    return equal_image_tuple_lists(ctx, [f])[0]
 
 
 def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:

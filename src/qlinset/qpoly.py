@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,33 +41,22 @@ from .errors import (
 from .gf import FieldCtx, _packed_linear_table
 
 
+@dataclass(frozen=True)
 class QPoly:
-    __slots__ = ("ctx", "coeffs")
+    ctx: FieldCtx
+    coeffs: tuple[int, ...]
 
-    def __init__(self, ctx: FieldCtx, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+    def __post_init__(self):
+        ctx, coeffs = self.ctx, tuple(int(c) for c in self.coeffs)
         if len(coeffs) != ctx.n:
             raise ValueError(f"need exactly n = {ctx.n} coefficients, got {len(coeffs)}")
         for i, c in enumerate(coeffs):
             if not 0 <= c < ctx.size:
                 raise ValueError(f"coefficient {i} = {c} is no element index in [0, {ctx.size})")
-        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, *_):
-        raise AttributeError("QPoly is immutable")
-
-    def __reduce__(self):
-        return QPoly, (self.ctx, self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPoly)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
+        # coefficients only: ctx hashes by id, which differs from run to run
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -193,9 +183,6 @@ class QPoly:
     def kernel_dim(self) -> int:
         """n minus the rank of `as_matrix`, by elimination over the field."""
         return self.ctx.n - _rank(self.ctx, self.as_matrix())
-
-    def is_invertible(self) -> bool:
-        return self.kernel_dim() == 0
 
     def inverse(self) -> "QPoly":
         """Compositional inverse: compose(f, inverse(f)) is the identity.

@@ -300,17 +300,13 @@ def suite_pseudoalg(seed: int = 0, count: int = 100) -> dict:
 
 # ----------------------------------------------------------------- suite 6
 
-def suite_erelations(
-    seed: int = 0,
-    pairs: int = 1000,
-    q2_pairs: list | None = None,
-) -> dict:
+def suite_erelations(seed: int = 0, pairs: int = 1000) -> dict:
     """Equal-image pairs satisfy all power-sum identities and e0..e6.
 
     Constructs scalar-conjugate and adjoint-scalar-conjugate pairs at q = 3
     and checks every d in [1, q^5 - 1]; additionally re-checks e0..e6 across
-    every equal-image pair of the exhaustive q = 2 harness (supplied, or
-    recomputed here when q2_pairs is None).
+    every equal-image pair of the exhaustive q = 2 harness,
+    `suite_thm_main_q2(seed=seed, return_pairs=True)`.
     """
     if pairs < 1:
         raise ValueError(f"pairs = {pairs} is no positive sample count")
@@ -318,8 +314,7 @@ def suite_erelations(
     ctx = build_field(3, 1, 5)
     rng = random.Random(seed)
     failures = []
-    if q2_pairs is None:
-        _, q2_pairs = suite_thm_main_q2(seed=seed, return_pairs=True)
+    _, harness = suite_thm_main_q2(seed=seed, return_pairs=True)
     for k in range(pairs):
         f = _rand_poly(ctx, rng)
         lam = rng.randrange(1, ctx.size)
@@ -331,21 +326,18 @@ def suite_erelations(
             failures.append(
                 {"pair": (f.to_string(), g.to_string()), "reason": f"relations {rep.failing()}"}
             )
-    q2_checked = 0
-    if q2_pairs:
-        for f, g in q2_pairs:
-            rep = cr.check_e_relations(f, g)
-            q2_checked += 1
-            if not rep.all_hold:
-                failures.append(
-                    {"pair": (f.to_string(), g.to_string()),
-                     "reason": f"q=2 harness relations {rep.failing()}"}
-                )
+    for f, g in harness:
+        rep = cr.check_e_relations(f, g)
+        if not rep.all_hold:
+            failures.append(
+                {"pair": (f.to_string(), g.to_string()),
+                 "reason": f"q=2 harness relations {rep.failing()}"}
+            )
     return {
         "passed": not failures,
         "field": ctx.spec_string,
         "constructed_pairs": pairs,
-        "q2_harness_pairs": q2_checked,
+        "q2_harness_pairs": len(harness),
         "failures": failures[:20],
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }

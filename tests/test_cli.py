@@ -342,6 +342,21 @@ def test_verify_samples_must_be_positive(suite, value, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_verify_samples_reaches_the_suite_or_exits_2(suite, monkeypatch, capsys):
+    # --samples is a count the suite reads, or an option error before the
+    # suite runs; never a value that only the report's config records
+    seen = []
+    monkeypatch.setitem(suites.SUITES, suite, lambda **kw: seen.append(kw) or {"passed": True})
+    rc = run_cli(["verify", "--suite", suite, "--samples", "7"])
+    if rc == 2:
+        assert not seen
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("qlinset verify: --samples: "), err
+    else:
+        assert rc == 0 and 7 in seen[0].values()
+
+
 @pytest.mark.parametrize("count", [0, -3])
 @pytest.mark.parametrize("run", [
     lambda n: ql.linset.verify_new_example(build_field(3, 1, 5), samples=n),
@@ -349,7 +364,7 @@ def test_verify_samples_must_be_positive(suite, value, capsys):
     lambda n: suites.suite_trace5(count=n),
     lambda n: suites.suite_pseudoalg(count=n),
     lambda n: suites.suite_properties(count=n),
-    lambda n: suites.suite_erelations(pairs=n, q2_pairs=[]),
+    lambda n: suites.suite_erelations(pairs=n),
 ], ids=["new-linset", "thm-n4", "trace5", "pseudoalg", "adjoint", "erelations"])
 def test_suites_reject_a_count_below_one(run, count):
     # a suite that checks nothing must not report passed: true

@@ -529,7 +529,7 @@ def test_exhaustive_same_image_guards(f32, f243):
         cr.exhaustive_same_image(trace_poly(f243))
 
 
-def test_exhaustive_same_image_rejects_masks_of_another_field():
+def test_exhaustive_same_image_counts_partners_on_two_fields():
     tr = trace_poly(build_field(2, 1, 4))
     assert len(cr.exhaustive_same_image(tr)) == 15
     # F_32 under another modulus

@@ -15,6 +15,7 @@ from qlinset import gf
 from qlinset.errors import DivisionByZero, InvalidModulus, NotADivisor, NotPrime, TooLarge
 from qlinset.gf import MAX_TABLE_SIZE, FieldCtx, build_field
 from qlinset.imageset import image_of_ratio
+from qlinset.moebius import SemilinearMap
 from qlinset.qpoly import QPoly, trace_poly
 
 
@@ -509,12 +510,30 @@ def test_pickle_keeps_identity_and_sends_no_tables(f1024):
     assert pickle.loads(pickle.dumps(im)) == im
 
 
+def test_value_types_refuse_assignment(f243):
+    # QPoly, ImageSet and SemilinearMap are values: no attribute can be set,
+    # and an ImageSet's mask stays read-only through a pickle round trip
+    tr = trace_poly(f243)
+    im = image_of_ratio(tr)
+    phi = SemilinearMap(f243, 1, 0, 0, 1, 1)
+    for obj, attr in ((tr, "coeffs"), (tr, "other"), (im, "mask"), (im, "other"),
+                      (phi, "a"), (phi, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    for mask in (im.mask, pickle.loads(pickle.dumps(im)).mask):
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = True
+
+
 def test_context_identity_across_a_worker_process(f243):
     # a fresh interpreter rebuilds the context from its pickle; what it
     # sends back compares equal to the parent's own objects
     with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
         tr = pool.submit(trace_poly, f243).result(timeout=120)
         im = pool.submit(image_of_ratio, tr).result(timeout=120)
+        h = pool.submit(hash, tr).result(timeout=120)
     assert tr.ctx is f243
+    assert h == hash(tr)
     assert tr == trace_poly(f243)
     assert im == image_of_ratio(trace_poly(f243))

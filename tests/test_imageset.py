@@ -205,7 +205,7 @@ def test_equal_image_tuples_by_orbit_q2_n5(f32, q2_masks):
     r = random.Random(41)
     dense = QPoly(f32, [r.randrange(f32.size)] + [r.randrange(1, f32.size) for _ in range(4)])
     for f in (trace_poly(f32), monomial(f32, 1), dense):
-        got = ims.equal_image_tuples(f32, f)
+        got = ims.equal_image_tuple_lists(f32, [f])[0]
         assert np.array_equal(got, _tuples_with_mask(q2_masks, f))
 
 
@@ -214,7 +214,7 @@ def test_equal_image_tuples_by_orbit_every_f_q2_n3(small_fields):
     masks = _masks_of_every_tuple(ctx)
     for t in range(ctx.size**ctx.n):
         f = ims.poly_from_tuple(ctx, t)
-        got = ims.equal_image_tuples(ctx, f)
+        got = ims.equal_image_tuple_lists(ctx, [f])[0]
         assert got.dtype == np.int64
         assert np.array_equal(got, _tuples_with_mask(masks, f)), t
 
@@ -250,7 +250,7 @@ def test_one_walk_for_many_targets_matches_the_masks(spec):
     for f, tuples in zip(fs, got, strict=True):
         assert tuples.dtype == np.int64
         assert np.array_equal(tuples, _tuples_with_mask(masks, f))
-        assert np.array_equal(tuples, ims.equal_image_tuples(ctx, f))
+        assert np.array_equal(tuples, ims.equal_image_tuple_lists(ctx, [f])[0])
     assert got[-3].tolist() == [ims.coeffs_to_tuple(ctx, fs[-3].coeffs)]
     assert got[-1].tolist() == [0]
     assert ims.equal_image_tuple_lists(ctx, []) == []
@@ -494,7 +494,7 @@ def test_tuple_kernels_against_naive_oracle(spec, words):
     r = random.Random(36 + ctx.size)
     for t in r.sample(range(T.size), 3):
         expected = [u for u, im in enumerate(naive) if im == naive[t]]
-        got = ims.equal_image_tuples(ctx, ims.poly_from_tuple(ctx, t))
+        got = ims.equal_image_tuple_lists(ctx, [ims.poly_from_tuple(ctx, t)])[0]
         assert got.tolist() == expected
 
 
@@ -565,13 +565,13 @@ def test_representative_blocks_are_open_grids(spec, rep_block, monkeypatch):
     assert np.array_equal(ims.all_ratio_masks(ctx), _masks_of_every_tuple(ctx))
 
 
-def test_equal_image_tuples_rejects_a_polynomial_of_another_context(f32):
+def test_equal_image_tuple_lists_rejects_a_polynomial_of_another_context(f32):
     other = build_field(2, 1, 5, modulus=[1, 1, 1, 0, 1, 1])
     assert other is not f32
     f = QPoly(other, [15, 19, 18, 5, 12])
     with pytest.raises(ValueError, match="different field contexts"):
-        ims.equal_image_tuples(f32, f)
-    got = ims.equal_image_tuples(other, f)
+        ims.equal_image_tuple_lists(f32, [f])
+    got = ims.equal_image_tuple_lists(other, [f])[0]
     assert got.size == 62
     assert ims.coeffs_to_tuple(other, f.coeffs) in got
 

@@ -181,7 +181,7 @@ def test_inverse_and_transport_above_the_table_limit(spec):
     assert ctx.size > MAX_TABLE_SIZE
     r = random.Random(25)
     f = rand_poly(ctx, r)
-    while not f.is_invertible():
+    while f.kernel_dim():
         f = rand_poly(ctx, r)
     assert f.compose(f.inverse()) == identity_poly(ctx)
     while True:
@@ -307,7 +307,7 @@ def test_inverse(field, request):
     singular = 0
     while done < 25:
         f = rand_poly(ctx, r)
-        if not f.is_invertible():
+        if f.kernel_dim():
             singular += 1
             with pytest.raises(NotInvertible):
                 f.inverse()
