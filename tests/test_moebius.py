@@ -5,6 +5,7 @@ scan of the unordered triples of S; its star and point keys against the
 chain of field operations per probe bit."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -513,7 +514,9 @@ def test_window_keys_match_the_chain(spec):
                 keys_by_chain(ctx, mask, np.full(y.size, row[0]), row[y], row[z], probes)
                 for row, mask in zip(u, masks)
             ])
-            keys, got = map(np.concatenate, zip(*_star_keys(S, bits)))
+            blocks = list(_star_keys(S, bits))
+            keys = np.concatenate([key for _, _, key, _, _ in blocks])
+            got = np.concatenate([(e * size + yb) * size + zb for e, _, _, yb, zb in blocks])
             assert np.array_equal(np.sort(got), codes)
             assert np.array_equal(keys[np.argsort(got)], want)
             by_chain = [keys_by_chain(ctx, mask, row[a], row[j], row[k], probes)
@@ -761,7 +764,7 @@ def rand_strict(ctx, r):
 @pytest.mark.parametrize("spec", [(2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3),
                                   (3, 1, 5), (2, 2, 5), (5, 1, 2), (3, 2, 2)],
                          ids=lambda spec: ",".join(map(str, spec)))
-def test_walk_search_and_index_agree_on_seeded_pairs(spec):
+def test_walk_search_and_star_scan_agree_on_seeded_pairs(spec):
     # F_243 and F_1024 (m = 10 automorphisms) draw transported pairs of at
     # most 12 points only, where the walk stays cheap
     ctx = build_field(*spec)
@@ -896,3 +899,45 @@ def test_batching_changes_no_answer(f243):
     batch = set_equivalence_witnesses(S, mu_sets + [S, moved, other])
     assert len(mu_sets) == 121 and batch[0] == alone[2] and not any(batch[:121])
     assert batch[121:] == [alone[0], alone[1], alone[3]]
+
+
+def test_one_pair_per_block_changes_no_answer(f243, f1024, monkeypatch):
+    # star and point keys one pair per block: many blocks per automorphism,
+    # so each target's hits must be gathered over all blocks before they
+    # are sorted
+    r = random.Random(60)
+    cases = []
+    for ctx in (f243, f1024):
+        S = new_example_set(ctx)
+        moved = None
+        while moved is None:
+            moved = moebius_image(S, rand_phi(ctx, r, sigma=1))
+        cases.append((S, [S, moved, ims.image_of_ratio(trace_poly(ctx))] if ctx is f243
+                      else [moved]))
+
+    def serialized():
+        return [[[w.serialize() for w in ws] for ws in set_equivalence_witnesses(S, Ts)]
+                for S, Ts in cases]
+
+    want = serialized()
+    assert [list(map(len, lists)) for lists in want] == [[10, 10, 0], [10]]
+    monkeypatch.setattr("qlinset.moebius._ROW_BITS", 1)
+    assert _pairs_per_block(f243, 121) == _pairs_per_block(f1024, 341) == 1
+    assert serialized() == want
+
+
+def test_dense_stabilizer_scan_keeps_one_block_of_matches():
+    # x^q at F_128, whose L is all of F^*: its keys carry little, so the 7
+    # blocks of star keys (one per automorphism) meet 1.6 million key
+    # matches; the scan holds one block of them at a time (a scan that held
+    # them all at once peaked at 231 MB)
+    ctx = build_field(2, 1, 7)
+    S = ims.image_of_ratio(monomial(ctx, 1))
+    tracemalloc.start()
+    try:
+        [found] = set_equivalence_witnesses(S, [S])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2 * 127 * 7
+    assert peak < 100 * 2**20, peak
