@@ -38,8 +38,10 @@ rows of at most _REP_BLOCK words, for `all_ratio_masks`, the one walk of
 `equal_image_tuple_lists` for any number of targets, and
 `survey_image_sizes`.  `all_ratio_masks` fills the a_0 = 1 representatives
 by translating their a_0 = 0 half of the tuple space by 1, and each other
-orbit member is the one before it rotated by 1.  Scaling by g^k and
-Frobenius read the field's own `vmul` and `vfrob`.
+orbit member is the one before it rotated by 1, in column blocks of
+_FAN_BLOCK tuples: a whole 32^4-tuple row is 4 MB, and passes over whole
+rows missed cache.  Scaling by g^k and Frobenius read the field's own
+`vmul` and `vfrob`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .qpoly import QPoly, ratio_exponents
 _EXHAUSTIVE_GUARD = 2**32
 _MASK_TUPLE_GUARD = 2**26
 _REP_BLOCK = 1 << 18  # words of image rows per block of tuples
+_FAN_BLOCK = 1 << 14  # tuples per column block of the orbit fan-out
 
 
 class ImageSet:
@@ -314,10 +317,12 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     through `_image_rows`.  The tuples whose first nonzero digit sits at j
     and is g^k fill row k + 1 of slab j, the (N, N^(n-1-j)) view of the
     tuples with j leading zeros: row k + 1 at digits d is row k at g^-1 d,
-    rotated by 1, so each row is one `_rotate` and one gather.  Once the
-    slabs j >= 1 fill the a_0 = 0 half, the a_0 = 1 representatives are
-    its `_translate` by 1, as f(x)/x = a_0 + h(x)/x.  The q = 2, n = 5
-    space (32^5 tuples) takes about 0.5 s on a 2-core box.
+    rotated by 1, so each row is one gather and one `_rotate`, run over
+    column blocks of _FAN_BLOCK tuples so that each pass stays in cache.
+    Once the slabs j >= 1 fill the a_0 = 0 half, the a_0 = 1
+    representatives are its `_translate` by 1, as f(x)/x = a_0 + h(x)/x.
+    The q = 2, n = 5 space (32^5 tuples) takes 0.15-0.20 s on a 2-core
+    box, fresh interpreter.
     """
     N, n = ctx.size, ctx.n
     total = N**n
@@ -334,10 +339,14 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
     P = np.ravel(coeffs_to_tuple(ctx, np.ix_(*[_scale_row(ctx, -1)] * (n - 1))))
     for j in reversed(range(n)):
         slab = out[: N ** (n - j)].reshape(N, -1)
+        width = slab.shape[1]
         if j == 0:
             slab[1] = _translate(ctx, slab[0], 1)
         for k in range(1, ctx.order):
-            slab[k + 1] = _rotate(slab[k], ctx.order)[P[: slab.shape[1]]]
+            # rotation is bitwise, so gathering first gives the same row
+            for lo in range(0, width, _FAN_BLOCK):
+                cols = slice(lo, min(lo + _FAN_BLOCK, width))
+                slab[k + 1, cols] = _rotate(slab[k][P[cols]], ctx.order)
     return out
 
 

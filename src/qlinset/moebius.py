@@ -312,25 +312,29 @@ def _point_keys(ctx: FieldCtx, pts, bits: int):
 
 
 def _star_keys(S: ImageSet, bits: int):
-    """Blocks (e, u, key, y, z) of the keys of the ordered triples
-    (u_0, u_y, u_z), y != z both nonzero, of u = sigma^e(S), e ascending.
-
-    For each e, the pairs (0, z) are keyed in blocks by `_window_keys`, on
-    one table of logs of differences of u."""
+    """(e, u, blocks) for each automorphism e, ascending: u = sigma^e(S),
+    and the blocks (key, y, z) of `_star_blocks` of u."""
     ctx = S.ctx
     s_idx = S.indices()
-    size = s_idx.size
-    step = _pairs_per_block(ctx, size)
-    y = np.arange(1, size - 1)  # the y of pair z, with z itself skipped
     for e in range(ctx.m):
         u = ctx.vfrob(s_idx, e)
-        L = _log_differences(ctx, u, u)
-        for lo in range(1, size, step):
-            z = np.arange(lo, min(lo + step, size))
-            pair = np.repeat(np.arange(z.size), y.size)
-            j = np.tile(y, z.size)
-            j += j >= z[pair]
-            yield e, u, _window_keys(ctx, L, np.zeros_like(z), z, pair, j, bits), j, z[pair]
+        yield e, u, _star_blocks(ctx, u, bits)
+
+
+def _star_blocks(ctx: FieldCtx, u, bits: int):
+    """Blocks (key, y, z) of the keys of the ordered triples (u_0, u_y, u_z),
+    y != z both nonzero, of the points u: the pairs (0, z) are keyed in
+    blocks by `_window_keys`, on one table of logs of differences of u."""
+    size = u.size
+    step = _pairs_per_block(ctx, size)
+    y = np.arange(1, size - 1)  # the y of pair z, with z itself skipped
+    L = _log_differences(ctx, u, u)
+    for lo in range(1, size, step):
+        z = np.arange(lo, min(lo + step, size))
+        pair = np.repeat(np.arange(z.size), y.size)
+        j = np.tile(y, z.size)
+        j += j >= z[pair]
+        yield _window_keys(ctx, L, np.zeros_like(z), z, pair, j, bits), j, z[pair]
 
 
 def _carried(ctx: FieldCtx, w, T: ImageSet, M):
@@ -363,13 +367,16 @@ def _hits(T: ImageSet, e: int, u, point, y, z) -> np.ndarray:
                             *(x[ok] for x in M)))
 
 
-def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
-    """The `_hits` of S against each T in Ts, by (e, i1, i2, i3): the order
-    in which sending the three smallest points of S^sigma^e to each ordered
-    triple of T, e by e, would meet them.  Each block of star keys of S is
-    pruned on its low _PRUNE_BITS bits against the point keys of every T of
-    its size, matched on every bit, and handed to `_hits` as it comes, so
+def _scan(S: ImageSet, Ts):
+    """For each automorphism e, ascending, the `_hits` of S^sigma^e against
+    each T in Ts, by (i1, i2, i3): the order in which sending the three
+    smallest points of S^sigma^e to each ordered triple of T would meet
+    them.  So the first nonempty list of a T starts with its lex-least hit.
+    Each block of star keys of S is pruned on its low _PRUNE_BITS bits
+    against the point keys of every T of its size, matched on every bit,
+    and handed to `_hits` as it comes, at most _BLOCK matches per call, so
     only its hits outlive the block; keys have min(56, q^n - 2) bits.
+    Nothing is yielded when no T has the size of S.
 
     A witness phi = M o sigma^e matches once, at the star triple that
     `_point_triple` of a = phi(s_0) pulls back.  ValueError when some T
@@ -382,27 +389,30 @@ def _scan(S: ImageSet, Ts) -> list[np.ndarray]:
     size = len(S)
     same = [i for i, T in enumerate(Ts) if len(T) == size]
     if not same:
-        return [_NO_HITS] * len(Ts)
+        return
     bits = min(_KEY_BITS, ctx.size - 2)
     tkeys = _point_keys(ctx, np.stack([Ts[i].indices() for i in same]), bits).ravel()
     wanted = np.zeros(1 << min(bits, _PRUNE_BITS), dtype=bool)
     wanted[tkeys & (wanted.size - 1)] = True
     points = np.argsort(tkeys)  # row * size + a, by key
     tkeys = tkeys[points]
-    found = [[_NO_HITS] for _ in Ts]
-    for e, u, key, y, z in _star_keys(S, bits):
-        keep = np.flatnonzero(wanted[key & (wanted.size - 1)])
-        lo = np.searchsorted(tkeys, key[keep])
-        count = np.searchsorted(tkeys, key[keep], side="right") - lo
-        star = np.repeat(keep, count)
-        row, point = np.divmod(points[np.repeat(lo - np.cumsum(count) + count, count)
-                                      + np.arange(count.sum())], size)
-        for r in np.flatnonzero(np.bincount(row)).tolist():
-            sel = row == r
-            found[same[r]].append(_hits(Ts[same[r]], e, u, point[sel], y[star[sel]],
-                                        z[star[sel]]))
-    found = [np.concatenate(hits) for hits in found]
-    return [hits[np.lexsort(hits[:, 3::-1].T)] for hits in found]
+    for e, u, blocks in _star_keys(S, bits):
+        found = [[_NO_HITS] for _ in Ts]
+        for key, y, z in blocks:
+            keep = np.flatnonzero(wanted[key & (wanted.size - 1)])
+            lo = np.searchsorted(tkeys, key[keep])
+            count = np.searchsorted(tkeys, key[keep], side="right") - lo
+            star = np.repeat(keep, count)
+            row, point = np.divmod(points[np.repeat(lo - np.cumsum(count) + count, count)
+                                          + np.arange(count.sum())], size)
+            for r in np.flatnonzero(np.bincount(row)).tolist():
+                sel = np.flatnonzero(row == r)
+                for at in range(0, sel.size, _BLOCK):
+                    part = sel[at:at + _BLOCK]
+                    found[same[r]].append(_hits(Ts[same[r]], e, u, point[part],
+                                                y[star[part]], z[star[part]]))
+        found = [np.concatenate(hits) for hits in found]
+        yield [hits[np.lexsort(hits[:, 3::-1].T)] for hits in found]
 
 
 def _witnesses(S: ImageSet, T: ImageSet, hits) -> list[SemilinearMap]:
@@ -422,15 +432,21 @@ def find_set_equivalence(S: ImageSet, T: ImageSet) -> SemilinearMap | None:
     """The lex-least phi in PGammaL(2,q^n) with moebius_image(S, phi) = T,
     scaled and re-checked by `_witnesses`, or None.
 
-    The one-target case of `set_equivalence_witnesses`, with only the first
-    hit built and checked.  Every pair costs the star keys of S and one row
-    per point of T, equivalent or not: about 0.01-0.02 s for 121-point sets
-    at F_243, 0.08-0.11 s at a peak RSS of 41 MB for 341-point sets at
-    F_{4^5}, and 0.3-0.45 s at 87 MB for 781-point sets at F_{5^5} (2-core
-    box, fresh interpreter).
+    The one-target case of `set_equivalence_witnesses`, which stops after
+    the first automorphism e with a hit, as every hit under e ranks before
+    every hit under a later automorphism; only the first hit is built and
+    checked.  A pair that is not equivalent costs the star keys of S under
+    every automorphism and one row per point of T: about 0.01-0.02 s for
+    121-point sets at F_243, 0.08-0.11 s at a peak RSS of 41 MB for
+    341-point sets at F_{4^5}, and 0.3-0.45 s at 87 MB for 781-point sets
+    at F_{5^5} (2-core box, fresh interpreter).  An equivalent pair with a
+    witness under sigma^0 stops after the star keys of S itself: about
+    0.016 s at F_{4^5} and 0.1 s at F_{5^5}.
     """
-    hits = _scan(S, [T])[0]
-    return _witnesses(S, T, hits[:1])[0] if hits.size else None
+    for [hits] in _scan(S, [T]):
+        if hits.size:
+            return _witnesses(S, T, hits[:1])[0]
+    return None
 
 
 def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
@@ -441,13 +457,16 @@ def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
 
     One set of star keys of S serves every target, so a target's list is
     the same alone or in any batch; each target adds one row per point.
-    The scan streams its key matches block by block, so memory follows one
-    block and the witnesses, not every match: the 1778 maps fixing x^q at
-    F_128, where nearly every key matches, take 3-4 s at a peak RSS of 73 MB.
+    The scan streams its key matches block by block, at most _BLOCK of them
+    per check, so memory follows one block of keys and the witnesses, not
+    every match: the 1778 maps fixing x^q at F_128, where nearly every key
+    matches, take 3-4 s at a peak RSS of 52 MB.
     All 121 mu sets of the new example at F_243 take about 0.05-0.10 s
     against its set L, all 682 at F_{4^5} 1.7-2.0 s at a peak RSS of 46 MB,
     all 2343 at F_{5^5} 40 s at 134 MB; the stabilizer of L 0.02 s, 0.1-0.14
     s and 0.3-0.45 s there, that of x^q (1210 and 6820 maps) 0.03-0.05 s at
     F_243 and 0.26-0.45 s at F_{4^5} (2-core box, fresh interpreter).
     """
-    return [_witnesses(S, T, hits) for T, hits in zip(Ts, _scan(S, Ts))]
+    per_e = list(_scan(S, Ts))
+    return [_witnesses(S, T, np.concatenate([_NO_HITS] + [hits[i] for hits in per_e]))
+            for i, T in enumerate(Ts)]

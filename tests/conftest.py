@@ -35,5 +35,5 @@ def small_fields():
 
 @pytest.fixture(scope="session")
 def q2_masks(f32):
-    """Image bitmask of every coefficient tuple over F_{2^5}; about 1 s, shared."""
+    """Image bitmask of every coefficient tuple over F_{2^5}; about 0.2 s, shared."""
     return ims.all_ratio_masks(f32)

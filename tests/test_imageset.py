@@ -1,5 +1,6 @@
 """Image sets of f(x)/x: exact contents, bounds, power sums, surveys."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -153,19 +154,41 @@ def _masks_of_every_tuple(ctx):
     return _kernel_masks(ctx, np.arange(ctx.size**ctx.n, dtype=np.int64))
 
 
-@pytest.mark.parametrize(
+MASK_FIELDS = pytest.mark.parametrize(
     "spec",
     [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
      (2, 2, 2), (2, 2, 3), (2, 1, 1), (3, 1, 1), (2, 5, 1), (7, 1, 1)],
     ids=["F4", "F8", "F16", "F9", "F27", "F25", "F49", "F16-tower", "F64",
          "F2-n1", "F3-n1", "F32-n1", "F7-n1"],
 )
+
+
+@MASK_FIELDS
 def test_orbit_walk_masks_match_every_tuple(spec):
     ctx = build_field(*spec)
     masks = ims.all_ratio_masks(ctx)
     expected = _masks_of_every_tuple(ctx)
     assert masks.dtype == expected.dtype
     assert np.array_equal(masks, expected)
+
+
+@pytest.mark.parametrize("fan_block", [7, 1000])
+@MASK_FIELDS
+def test_fan_out_blocks_change_no_mask(spec, fan_block, monkeypatch):
+    # most rows end inside a block of 7 or 1000 tuples, and the short rows
+    # fit in one block of 1000
+    ctx = build_field(*spec)
+    want = ims.all_ratio_masks(ctx)
+    monkeypatch.setattr(ims, "_FAN_BLOCK", fan_block)
+    got = ims.all_ratio_masks(ctx)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fan_out_masks_are_pinned_q2_n5(f32, q2_masks, monkeypatch):
+    assert hashlib.sha256(q2_masks.tobytes()).hexdigest()[:16] == "bafcde34b599f8be"
+    monkeypatch.setattr(ims, "_FAN_BLOCK", 1000)
+    assert ims.all_ratio_masks(f32).tobytes() == q2_masks.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -201,7 +224,7 @@ def _tuples_with_mask(masks, f):
     return np.flatnonzero(masks == target)
 
 
-def test_equal_image_tuples_by_orbit_q2_n5(f32, q2_masks):
+def test_equal_image_tuple_lists_by_orbit_q2_n5(f32, q2_masks):
     r = random.Random(41)
     dense = QPoly(f32, [r.randrange(f32.size)] + [r.randrange(1, f32.size) for _ in range(4)])
     for f in (trace_poly(f32), monomial(f32, 1), dense):
@@ -209,7 +232,7 @@ def test_equal_image_tuples_by_orbit_q2_n5(f32, q2_masks):
         assert np.array_equal(got, _tuples_with_mask(q2_masks, f))
 
 
-def test_equal_image_tuples_by_orbit_every_f_q2_n3(small_fields):
+def test_equal_image_tuple_lists_by_orbit_every_f_q2_n3(small_fields):
     ctx = small_fields[3]
     masks = _masks_of_every_tuple(ctx)
     for t in range(ctx.size**ctx.n):

@@ -27,6 +27,7 @@ from qlinset.moebius import (
     SemilinearMap,
     _carry,
     _cross_ratio_matrix,
+    _hits,
     _log_differences,
     _pairs_per_block,
     _point_keys,
@@ -451,7 +452,7 @@ def test_witness_self_check_raises_on_a_map_that_misses_t(f32):
     # the identity, a real scan row of S against itself, re-checked against
     # another set of the same size
     S = ims.image_of_ratio(monomial(f32, 1))
-    hits = _scan(S, [S])[0][:1]
+    hits = next(_scan(S, [S]))[0][:1]
     T = ims.ImageSet.from_indices(f32, [0, *range(2, 32)])
     assert len(T) == len(S) and T != S
     assert [w.serialize() for w in _witnesses(S, S, hits)] == ["[[g^0,0],[0,g^0]];sigma=2^0"]
@@ -514,9 +515,9 @@ def test_window_keys_match_the_chain(spec):
                 keys_by_chain(ctx, mask, np.full(y.size, row[0]), row[y], row[z], probes)
                 for row, mask in zip(u, masks)
             ])
-            blocks = list(_star_keys(S, bits))
-            keys = np.concatenate([key for _, _, key, _, _ in blocks])
-            got = np.concatenate([(e * size + yb) * size + zb for e, _, _, yb, zb in blocks])
+            blocks = [(e, *block) for e, _, star in _star_keys(S, bits) for block in star]
+            keys = np.concatenate([key for _, key, _, _ in blocks])
+            got = np.concatenate([(e * size + yb) * size + zb for e, _, yb, zb in blocks])
             assert np.array_equal(np.sort(got), codes)
             assert np.array_equal(keys[np.argsort(got)], want)
             by_chain = [keys_by_chain(ctx, mask, row[a], row[j], row[k], probes)
@@ -941,3 +942,71 @@ def test_dense_stabilizer_scan_keeps_one_block_of_matches():
         tracemalloc.stop()
     assert len(found) == 2 * 127 * 7
     assert peak < 100 * 2**20, peak
+
+
+@pytest.mark.parametrize("row_bits", [None, 1], ids=["default", "one-pair"])
+def test_one_target_search_stops_after_the_first_automorphism_with_a_hit(
+        f243, row_bits, monkeypatch):
+    # star keys come e by e and hits rank by (e, i1, i2, i3), so the
+    # lex-least witness is known once the first automorphism with a hit is
+    # scanned; a pair that is not equivalent scans all five.  The set of x^q
+    # has 242 witnesses under each automorphism, and with one pair per
+    # block they come from many blocks.
+    if row_bits:
+        monkeypatch.setattr("qlinset.moebius._ROW_BITS", row_bits)
+    r = random.Random(61)
+    S = ims.image_of_ratio(rand_strict(f243, r))
+    xq = ims.image_of_ratio(monomial(f243, 1))
+    moved = {}
+    for sigma, A in ((0, S), (2, S), (1, xq)):
+        while sigma not in moved:
+            T = moebius_image(A, rand_phi(f243, r, sigma=sigma))
+            if T is not None:
+                moved[sigma] = T
+    L = new_example_set(f243)
+    mu_set = ims.image_of_ratio(family_g(f243, 1, mus_with_nontrivial_norm(f243)[0]))
+    seen = []
+
+    def spy(*args):
+        for e, u, blocks in _star_keys(*args):
+            seen.append(e)
+            yield e, u, blocks
+
+    monkeypatch.setattr("qlinset.moebius._star_keys", spy)
+    for (A, B), stop in [((S, moved[0]), 0), ((S, moved[2]), 2), ((xq, moved[1]), 0),
+                         ((L, mu_set), 4)]:
+        seen.clear()
+        got = find_set_equivalence(A, B)
+        assert seen == list(range(stop + 1))
+        want = set_equivalence_witnesses(A, [B])[0][:1]
+        assert [w.serialize() for w in want] == ([got.serialize()] if got else [])
+        assert got is None or got.sigma_exp == stop
+
+
+def test_one_match_per_check_changes_no_answer(f243, monkeypatch):
+    # _BLOCK = 1: `_hits` takes each key match alone and `_carried` tests
+    # one map per pass, so each target's hits come from many calls
+    xq = ims.image_of_ratio(monomial(build_field(2, 1, 6), 1))
+    S = new_example_set(f243)
+    r = random.Random(62)
+    moved = None
+    while moved is None:
+        moved = moebius_image(S, rand_phi(f243, r, sigma=1))
+    mu_set = ims.image_of_ratio(family_g(f243, 1, mus_with_nontrivial_norm(f243)[0]))
+    cases = [(xq, [xq]), (S, [S, moved, mu_set])]
+    matches = []
+
+    def spy(T, e, u, point, y, z):
+        matches.append(point.size)
+        return _hits(T, e, u, point, y, z)
+
+    def serialized():
+        return [[[w.serialize() for w in ws] for ws in set_equivalence_witnesses(S, Ts)]
+                for S, Ts in cases]
+
+    want = serialized()
+    assert [list(map(len, lists)) for lists in want] == [[756], [10, 10, 0]]
+    monkeypatch.setattr("qlinset.moebius._hits", spy)
+    monkeypatch.setattr("qlinset.moebius._BLOCK", 1)
+    assert serialized() == want
+    assert set(matches) == {1}
