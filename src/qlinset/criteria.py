@@ -449,10 +449,11 @@ def classify_n5(f: QPoly, g: QPoly) -> ClassifyOutcome:
 def exhaustive_same_image(f: QPoly) -> list[QPoly]:
     """All strictly F_q-linear g with Im(g(x)/x) = Im(f(x)/x), by enumeration
     of every coefficient tuple; `equal_image_tuple_lists` raises
-    TooLargeForExhaustive above 2^26 tuples.  Every such g has b_0 = a_0,
-    the sum of the elements of the image: summed over x != 0, f(x)/x gives
-    -a_0, and each y of the image is taken by q^d - 1 = -1 (mod p) nonzero
-    x.  So the walk evaluates only the representatives with a_0 = 0."""
+    TooLargeForExhaustive past 2^32 ratio evaluations.  Every such g has
+    b_0 = a_0, the sum of the elements of the image: summed over x != 0,
+    f(x)/x gives -a_0, and each y of the image is taken by q^d - 1 = -1
+    (mod p) nonzero x.  So the walk evaluates only the representatives with
+    a_0 = 0."""
     return exhaustive_same_images([f])[0]
 
 

@@ -29,19 +29,21 @@ rotation of one of theirs translated by a_0, or {a_0} for (a_0, 0, ..., 0).
 
 One kernel, `_chunk_ratio_masks`, computes image rows on every field: f(x)/x
 at x = g^k is the field sum of the gathers a_i g^(k e_i), one `vadd` chain
-per k.  The representatives come in blocks that are open digit grids (a
-leading 1, fixed digits, a range, then free digits on broadcast axes), so
-the chain is an outer sum and only its last `vadd` is as long as the block;
-flat tuple arrays, such as the sampled survey's draws, pass their digits to
-the same kernel.  One loop, `_image_rows`, turns blocks of either kind into
-rows of at most _REP_BLOCK words, for `all_ratio_masks`, the one walk of
-`equal_image_tuple_lists` for any number of targets, and
-`survey_image_sizes`.  `all_ratio_masks` fills the a_0 = 1 representatives
-by translating their a_0 = 0 half of the tuple space by 1, and each other
-orbit member is the one before it rotated by 1, in column blocks of
-_FAN_BLOCK tuples: a whole 32^4-tuple row is 4 MB, and passes over whole
-rows missed cache.  Scaling by g^k and Frobenius read the field's own
-`vmul` and `vfrob`.
+per k < R = (q^n - 1)/(q - 1).  As f is F_q-linear, f(x)/x depends only on
+the point <x> of PG(n-1, q), and those g^k are one x per point: q - 1 times
+fewer chains than nonzero x, and the same rows.  The representatives come
+in blocks that are open digit grids (a leading 1, fixed digits, a range,
+then free digits on broadcast axes), so the chain is an outer sum and only
+its last `vadd` is as long as the block; flat tuple arrays, such as the
+sampled survey's draws, pass their digits to the same kernel.  One loop,
+`_image_rows`, turns blocks of either kind into rows of at most _REP_BLOCK
+words, for `all_ratio_masks`, the one walk of `equal_image_tuple_lists` for
+any number of targets, and `survey_image_sizes`.  `all_ratio_masks` fills
+the a_0 = 1 representatives by translating their a_0 = 0 half of the tuple
+space by 1, and each other orbit member is the one before it rotated by 1,
+in column blocks of _FAN_BLOCK tuples: a whole 32^4-tuple row is 4 MB, and
+passes over whole rows missed cache.  Scaling by g^k and Frobenius read the
+field's own `vmul` and `vfrob`.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def direction_bounds(ctx: FieldCtx) -> tuple[int, int]:
 
 
 def power_sum(f: QPoly, d: int) -> int:
-    """sum over nonzero x of (f(x)/x)^d, computed exactly in the field."""
+    """sum over nonzero x of (f(x)/x)^d, computed exactly in the field from
+    the one value per point of `QPoly.ratio_values`."""
     ctx = f.ctx
     if not 1 <= d <= ctx.size - 1:
         raise ValueError(f"d = {d} outside [1, {ctx.size - 1}]")
@@ -154,14 +157,18 @@ def power_sum(f: QPoly, d: int) -> int:
 
 
 def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """sum over x of values[x]^d for every d in the array ds at once.
+    """sum over nonzero x of (f(x)/x)^d for every d in the array ds at once,
+    from the values of `QPoly.ratio_values`, one per point of PG(n-1, q).
 
-    With c_l the number of values equal to g^l, reduced mod p, the sum for d
-    is sum_l c_l g^(l d): one exponent table (l d) mod (q^n - 1) over the
-    distinct l, scaled by c_l and folded along the l axis with vadd.
+    Each value is taken by the q - 1 nonzero x of its point, so the sum over
+    x is q - 1 times the sum over the values, and q - 1 = -1 mod p.  With
+    c_l the number of values equal to g^l, weighted by q - 1 and reduced mod
+    p, the sum for d is sum_l c_l g^(l d): one exponent table
+    (l d) mod (q^n - 1) over the distinct l, scaled by c_l and folded along
+    the l axis with vadd.
     """
     logs, counts = np.unique(values[values > 0] - 1, return_counts=True)
-    counts %= ctx.p
+    counts = counts * (ctx.q - 1) % ctx.p
     logs, counts = logs[counts > 0], counts[counts > 0]
     # c_l as an element of the prime field: the element whose packed encoding is c_l
     terms = ctx.vmul(ctx._idx[counts], np.multiply.outer(ds, logs) % ctx.order + 1)
@@ -223,14 +230,16 @@ def _chunk_ratio_masks(ctx: FieldCtx, digits: list, bit_table: np.ndarray) -> np
 
     The digits are flat arrays of one length (`_tuple_digits`) or an open
     grid (`_representative_blocks`).  f(x)/x at x = g^k is the field sum of
-    the terms a_i g^(k e_i), each a gather from `_scale_row(ctx, k e_i)`;
-    on an open grid the sum is an outer sum, and only its last vadd is as
-    long as the block.
+    the terms a_i g^(k e_i), each a gather from `_scale_row(ctx, k e_i)`,
+    one vadd chain per k < R = (q^n - 1)/(q - 1): f(x)/x takes one value on
+    each point <x> of PG(n-1, q), and those g^k are one x per point.  On an
+    open grid the sum is an outer sum, and only its last vadd is as long as
+    the block.
     """
     shape = np.broadcast_shapes(*map(np.shape, digits))
     rows = np.zeros(shape + bit_table.shape[1:], dtype=bit_table.dtype)
     es = ratio_exponents(ctx)
-    for k in range(ctx.order):
+    for k in range(ctx.order // (ctx.q - 1)):
         terms = (_scale_row(ctx, k * e)[d] for e, d in zip(es, digits))
         rows |= np.take(bit_table, functools.reduce(ctx.vadd, terms), axis=0)
     return rows
@@ -281,6 +290,22 @@ def _representative_blocks(ctx: FieldCtx):
             run = np.arange(h % N, h % N + end - h).reshape((end - h,) + (1,) * free)
             yield np.arange(h * span, end * span, dtype=np.int64), fixed + [run] + axes
             h = end
+
+
+def _check_walk(ctx: FieldCtx) -> None:
+    """TooLargeForExhaustive unless a walk of `_representative_blocks` fits:
+    its (N^(n-1) - 1)/(N - 1) representatives, each evaluated at
+    R = (q^n - 1)/(q - 1) points, make at most 2^32 evaluations of f(x)/x,
+    and its `_bit_table` holds at most 2^32 bits (N^2 <= 2^32).  At n = 1
+    there are no representatives and no walk."""
+    N, n, R = ctx.size, ctx.n, ctx.order // (ctx.q - 1)
+    reps = (N ** (n - 1) - 1) // (N - 1)
+    if reps * R > _EXHAUSTIVE_GUARD:
+        raise TooLargeForExhaustive(
+            f"{reps} representatives at {R} points each: {reps * R} evaluations exceed 2^32"
+        )
+    if reps and N * N > _EXHAUSTIVE_GUARD:
+        raise TooLargeForExhaustive(f"a bit table of {N}^2 bits exceeds 2^32")
 
 
 def _scale_row(ctx: FieldCtx, k: int) -> np.ndarray:
@@ -352,7 +377,7 @@ def all_ratio_masks(ctx: FieldCtx) -> np.ndarray:
 
 def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:
     """For each f in fs, the ascending tuple indices of every g (any
-    linearity) with Im(g(x)/x) = Im(f(x)/x), guarded at 2^26 tuples;
+    linearity) with Im(g(x)/x) = Im(f(x)/x), guarded by `_check_walk`;
     ValueError when some f lives in another context.
 
     By the a_0 identity (the module docstring) such a g has b_0 = a_0, the
@@ -365,16 +390,14 @@ def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:
         return []
     if any(f.ctx is not ctx for f in fs):
         raise ValueError("polynomials live in different field contexts")
-    total = ctx.size**ctx.n
-    if total > _MASK_TUPLE_GUARD:
-        raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^26")
+    _check_walk(ctx)
     targets = [image_of_ratio(f) for f in fs]
     a0 = [f.coeffs[0] for f in fs]
     # row i of wants is the image row of g^-k (Im(f) - a_0), f = fs[i // order], k = i % order
     wants = np.concatenate([_scaled_image_rows(S, c) for S, c in zip(targets, a0)])
     keys = np.sort(wants[:, 0])
     # (a_0, 0, ..., 0), of tuple index a_0 N^(n-1), is the one tuple whose image is {a_0}
-    lead = np.array(a0, dtype=np.int64) * (total // ctx.size)
+    lead = np.array(a0, dtype=np.int64) * ctx.size ** (ctx.n - 1)
     owner = [np.flatnonzero([S.size == 1 for S in targets])]
     hits = [lead[owner[0]]]
     for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
@@ -424,8 +447,8 @@ def survey_image_sizes(
 ) -> list[SurveyRow]:
     """Histogram of |Im(f(x)/x)| over strictly F_q-linear f.
 
-    Without `samples` the survey covers every coefficient tuple (guarded at
-    2^32 tuples) by walking the scalar-orbit representatives with a_0 = 0.
+    Without `samples` the survey covers every coefficient tuple (guarded by
+    `_check_walk`) by walking the scalar-orbit representatives with a_0 = 0.
     Strictness and |Im| are invariant under scaling, and under a_0
     translation (Im(a_0 x + h) = a_0 + Im(h), and strictness reads only
     a_1..a_{n-1}); every nonzero orbit has q^n - 1 members, so each
@@ -438,17 +461,16 @@ def survey_image_sizes(
     `_image_rows`, and one lex-least representative tuple is kept per
     occurring size.
     """
-    total = ctx.size**ctx.n
     if samples is None:
-        if total > _EXHAUSTIVE_GUARD:
-            raise TooLargeForExhaustive(f"{total} coefficient tuples exceed 2^32")
+        _check_walk(ctx)
         if ctx.n == 1:
             return [SurveyRow(1, ctx.order, (1,))]
         blocks, weight = _representative_blocks(ctx), ctx.order * ctx.size
     elif samples < 1:
         raise ValueError(f"samples = {samples} is no positive sample count")
     else:
-        draw = np.random.default_rng(seed).integers(0, total, size=samples, dtype=np.int64)
+        draw = np.random.default_rng(seed).integers(0, ctx.size**ctx.n, size=samples,
+                                                    dtype=np.int64)
         step = max(1, _REP_BLOCK // _words(ctx))
         blocks = ((T, _tuple_digits(ctx, T)) for T in np.split(draw, range(step, samples, step)))
         weight = 1

@@ -373,9 +373,11 @@ def _scan(S: ImageSet, Ts):
     smallest points of S^sigma^e to each ordered triple of T would meet
     them.  So the first nonempty list of a T starts with its lex-least hit.
     Each block of star keys of S is pruned on its low _PRUNE_BITS bits
-    against the point keys of every T of its size, matched on every bit,
-    and handed to `_hits` as it comes, at most _BLOCK matches per call, so
-    only its hits outlive the block; keys have min(56, q^n - 2) bits.
+    against the point keys of every T of its size and matched on every bit.
+    Its matches are numbered in key order and handed to `_hits` in runs of
+    at most _BLOCK, each run's index arrays built only when it comes (one
+    key's matches may span runs), so only hits outlive a run; keys have
+    min(56, q^n - 2) bits.
     Nothing is yielded when no T has the size of S.
 
     A witness phi = M o sigma^e matches once, at the star triple that
@@ -402,13 +404,15 @@ def _scan(S: ImageSet, Ts):
             keep = np.flatnonzero(wanted[key & (wanted.size - 1)])
             lo = np.searchsorted(tkeys, key[keep])
             count = np.searchsorted(tkeys, key[keep], side="right") - lo
-            star = np.repeat(keep, count)
-            row, point = np.divmod(points[np.repeat(lo - np.cumsum(count) + count, count)
-                                          + np.arange(count.sum())], size)
-            for r in np.flatnonzero(np.bincount(row)).tolist():
-                sel = np.flatnonzero(row == r)
-                for at in range(0, sel.size, _BLOCK):
-                    part = sel[at:at + _BLOCK]
+            # the matches of keep[s] are numbered ends[s] - count[s] .. ends[s] - 1
+            ends = np.cumsum(count)
+            for at in range(0, int(ends[-1]) if ends.size else 0, _BLOCK):
+                match = np.arange(at, min(at + _BLOCK, ends[-1]))
+                s = np.searchsorted(ends, match, side="right")
+                row, point = np.divmod(points[lo[s] + match - ends[s] + count[s]], size)
+                star = keep[s]
+                for r in np.flatnonzero(np.bincount(row)).tolist():
+                    part = np.flatnonzero(row == r)
                     found[same[r]].append(_hits(Ts[same[r]], e, u, point[part],
                                                 y[star[part]], z[star[part]]))
         found = [np.concatenate(hits) for hits in found]
@@ -460,7 +464,8 @@ def set_equivalence_witnesses(S: ImageSet, Ts) -> list[list[SemilinearMap]]:
     The scan streams its key matches block by block, at most _BLOCK of them
     per check, so memory follows one block of keys and the witnesses, not
     every match: the 1778 maps fixing x^q at F_128, where nearly every key
-    matches, take 3-4 s at a peak RSS of 52 MB.
+    matches, take 3-4 s at a peak RSS of 52 MB, and the 4080 at F_256
+    190-200 s at 50 MB.
     All 121 mu sets of the new example at F_243 take about 0.05-0.10 s
     against its set L, all 682 at F_{4^5} 1.7-2.0 s at a peak RSS of 46 MB,
     all 2343 at F_{5^5} 40 s at 134 MB; the stabilizer of L 0.02 s, 0.1-0.14

@@ -10,12 +10,19 @@ Every whole-field table of an F_p-linear map comes from one entry point,
 g^j of the polynomial basis, one base-p digit at a time, by carry-free
 additions in the packed (additive) encoding (`gf._packed_linear_table`,
 which also builds the field's table of powers), then a reorder by element
-index and one gather through the log table.  `QPoly.table` calls `linear_table` for f, from the terms
-a_i g^(j q^i) of f(g^j) (`basis_terms`); `ratio_values` divides that table
-by x as index subtraction, `QPoly.inverse` inverts it by scatter, and
-graph transport (`moebius.transform_poly`) tabulates its two graph
-coordinates with it in one call.  The values of f at any array of points
-xs are `f.table()[xs]`.
+index and one gather through the log table, both at only the elements
+asked for.  `QPoly.table` calls `linear_table` for f at every element, from
+the terms a_i g^(j q^i) of f(g^j) (`basis_terms`); `QPoly.inverse` inverts
+that table by scatter, and graph transport (`moebius.transform_poly`)
+tabulates its two graph coordinates with it in one call.  The values of f
+at any array of points xs are `f.table()[xs]`.
+
+`ratio_values` reads f at one x per point of PG(n-1, q): f is F_q-linear,
+so f(lx)/(lx) = f(x)/x for every l in F_q^*, and f(x)/x depends only on
+the point <x>.  As F_q^* = <g^R>, R = (q^n - 1)/(q - 1), the x = g^k with
+k < R are one representative of each point, and `linear_table` reads f at
+their element indices 1..R only; division by x is index subtraction.  At
+q = 2 every nonzero x is its own point.
 
 Interpolation at the basis 1, g, ..., g^(n-1) and coordinates in it both go
 through the trace-dual basis beta of that basis, cached per field as the
@@ -96,15 +103,21 @@ class QPoly:
         return linear_table(self.ctx, self.basis_terms())
 
     def ratio_values(self) -> np.ndarray:
-        """f(x)/x over all nonzero x, ordered by discrete log of x.
+        """f(x)/x at x = g^k for k < R = (q^n - 1)/(q - 1): one x per point
+        of PG(n-1, q), ordered by discrete log of x.
 
-        Division is index arithmetic on the `table`: where f(g^k) = g^(t-1)
-        has index t > 0, f(g^k)/g^k has index (t - 1 - k) mod (q^n - 1) + 1,
-        that is r = t - k, plus q^n - 1 where r <= 0; a zero value stays zero.
+        f(lx)/(lx) = f(x)/x for l in F_q^* = <g^R>, so the value at g^(k+jR)
+        is the value at g^k: over all nonzero x, these R values repeat q - 1
+        times.  f is read by `linear_table` at the element indices 1..R
+        only.  Division is index arithmetic: where f(g^k) = g^(t-1) has
+        index t > 0, f(g^k)/g^k has index (t - 1 - k) mod (q^n - 1) + 1,
+        that is r = t - k, plus q^n - 1 where r <= 0; a zero value stays
+        zero.
         """
         ctx = self.ctx
-        t = self.table()[1:]
-        out = t - np.arange(ctx.order)
+        R = ctx.order // (ctx.q - 1)
+        t = linear_table(ctx, self.basis_terms(), slice(1, R + 1))
+        out = t - np.arange(R)
         out += ctx.order * (out <= 0)
         out *= t != 0
         return out
@@ -230,20 +243,22 @@ def ratio_exponents(ctx: FieldCtx) -> list[int]:
 
 # ------------------------------------ whole-field tables of F_p-linear maps
 
-def linear_table(ctx: FieldCtx, terms) -> np.ndarray:
-    """L(x) for every element x, indexed by element index, for the
+def linear_table(ctx: FieldCtx, terms, elements=slice(None)) -> np.ndarray:
+    """L(x) for the elements x with the element indices `elements` (a slice
+    or an index array; every element by default), in that order, for the
     F_p-linear map L with L(g^j) = sum_i terms[..., j, i], j < m = h*n.
 
     Leading axes of terms are maps tabulated side by side; the result has
-    shape terms.shape[:-2] + (q^n,), int64.  As g^j has packed encoding
-    p^j, `gf._packed_linear_table` tabulates L in packed order from the
-    terms' packed encodings; out[pck] reorders that table by element
-    index, and a gather through the log table idx gives the values as
-    indices.  Both gathers read the field's own int32 tables.
+    shape terms.shape[:-2] + (number of elements,), int64.  As g^j has
+    packed encoding p^j, `gf._packed_linear_table` tabulates L in packed
+    order from the terms' packed encodings; out[pck[elements]] reads that
+    table at the elements asked for, and a gather through the log table
+    idx gives the values as indices.  Both gathers read the field's own
+    int32 tables, and only at those elements.
     """
     pck = ctx._pck
     out = _packed_linear_table(ctx.p, ctx.m, pck.take(np.asarray(terms, dtype=np.int64)))
-    return ctx._idx.take(out.take(pck, axis=-1)).astype(np.int64)
+    return ctx._idx.take(out.take(pck[elements], axis=-1)).astype(np.int64)
 
 
 # ------------------------------------------------- linear algebra over F_q^n

@@ -86,8 +86,9 @@ def test_e5_e6_follow_from_matching_power_sums(f243):
 # -------------------------------------------------------------- power sums
 
 def _power_sum_from_values(ctx, values, d):
-    # one d at a time: the exponents l d of the nonzero values, counted mod
-    # p, each repeated element folded with vfold_add
+    # one d at a time, over values at every nonzero x: the exponents l d of
+    # the nonzero values, counted mod p, each repeated element folded with
+    # vfold_add
     nz = values[values > 0] - 1
     if nz.size == 0:
         return 0
@@ -138,7 +139,9 @@ def test_power_sums_all_d_match_per_d_helper(f32, f243):
             for h in (f, g):
                 v = h.ratio_values()
                 sums[h] = _power_sums_from_values(ctx, v, ds).tolist()
-                assert sums[h] == [_power_sum_from_values(ctx, v, int(d)) for d in ds]
+                # one value per point, so the q - 1 nonzero x of each point
+                every = np.tile(v, ctx.q - 1)
+                assert sums[h] == [_power_sum_from_values(ctx, every, int(d)) for d in ds]
             same = sums[f] == sums[g]
             assert cr.power_sums_all_equal(f, g) == same
             assert same or k >= 6
@@ -525,8 +528,9 @@ def test_thm_main_q2_without_masks_matches_with_masks(f32, q2_masks):
 def test_exhaustive_same_image_guards(f32, f243):
     with pytest.raises(NotStrictlyLinear):
         cr.exhaustive_same_image(QPoly(f32, [3, 0, 0, 0, 0]))
+    # (3,1,6): 729^5/728 representatives at 364 points each, past 2^32
     with pytest.raises(TooLargeForExhaustive):
-        cr.exhaustive_same_image(trace_poly(f243))
+        cr.exhaustive_same_image(trace_poly(build_field(3, 1, 6)))
 
 
 def test_exhaustive_same_image_counts_partners_on_two_fields():

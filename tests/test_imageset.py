@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def test_fan_out_masks_are_pinned_q2_n5(f32, q2_masks, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec, prefix", [((3, 1, 3), "bfb302c6d9ee7e35"), ((7, 1, 2), "78f2e019feecad96")],
+    ids=["F27", "F49"],
+)
+def test_masks_are_pinned_past_q2(spec, prefix):
+    # pinned from the walk over every nonzero x: reading one x per point of
+    # PG(n-1, q) must leave the bytes as they were
+    assert hashlib.sha256(ims.all_ratio_masks(build_field(*spec)).tobytes()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize(
     "spec, words", [((2, 1, 5), 1), ((3, 1, 3), 1), ((2, 2, 3), 2), ((7, 1, 2), 2)],
     ids=["F32", "F27", "F64", "F49"],
 )
@@ -298,6 +309,19 @@ def test_survey_by_orbit_matches_every_tuple(spec):
     assert [tuple(row) for row in ims.survey_image_sizes(ctx)] == expected
 
 
+@pytest.mark.parametrize(
+    "spec, rows",
+    [((3, 1, 4), [(28, 2008800, (0, 1, 0, 3)), (34, 23328000, (0, 0, 1, 1)),
+                  (37, 11988000, (0, 0, 1, 2)), (40, 5715360, (0, 0, 0, 1))]),
+     ((7, 1, 3), [(50, 6686442, (0, 1, 1)), (57, 33666822, (0, 0, 1))])],
+    ids=["F81", "F343"],
+)
+def test_survey_rows_are_pinned_past_q2(spec, rows):
+    # pinned from the walk over every nonzero x: reading one x per point of
+    # PG(n-1, q) must leave the rows as they were
+    assert [tuple(row) for row in ims.survey_image_sizes(build_field(*spec))] == rows
+
+
 def test_power_sum_identity_poly(f32, f243):
     # sum over nonzero x of 1^d = (q^n - 1) * 1 = -1
     assert ims.power_sum(identity_poly(f32), 3) == f32.neg(1)
@@ -321,6 +345,26 @@ def test_power_sum_against_slow_loop(f243):
                 v = f243.div(f.eval(x), x)
                 acc = f243.add(acc, f243.pow_int(v, d) if v else 0)
             assert acc == ims.power_sum(f, d)
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 2)],
+    ids=["q2", "q3", "q4", "q5", "q7"],
+)
+def test_power_sum_against_scalar_sum_over_every_x(spec):
+    # from one value per point of PG(n-1, q), weighted by q - 1, against the
+    # field sum over every nonzero x
+    ctx = build_field(*spec)
+    r = random.Random(34)
+    polys = [identity_poly(ctx), trace_poly(ctx), monomial(ctx, 1, r.randrange(1, ctx.size))]
+    polys += [rand_poly(ctx, r) for _ in range(3)]
+    for f in polys:
+        values = [ctx.div(f.eval(x), x) for x in ctx.nonzero()]
+        for d in (1, 2, ctx.q, ctx.q + 1, r.randrange(1, ctx.size), ctx.size - 2, ctx.size - 1):
+            acc = 0
+            for v in values:
+                acc = ctx.add(acc, ctx.pow_int(v, d) if v else 0)
+            assert acc == ims.power_sum(f, d), (f, d)
 
 
 def test_power_sum_bounds(f32):
@@ -483,9 +527,26 @@ def test_suite_bounds_matches_direct_count_over_two_sampled_blocks():
     test_suite_bounds_matches_direct_count(0, 40_000)
 
 
+def _walk_shape(q, n):
+    # the FieldCtx attributes that the walk guard reads
+    return SimpleNamespace(q=q, n=n, size=q**n, order=q**n - 1)
+
+
 def test_survey_guard():
     with pytest.raises(TooLargeForExhaustive):
-        ims.survey_image_sizes(build_field(3, 1, 5))  # 3^25 tuples > 2^32
+        # 729^5/728 representatives at 364 points each, past 2^32
+        ims.survey_image_sizes(build_field(3, 1, 6))
+    # the guard counts evaluations, not tuples: (3,1,5) and (2,1,6) walk
+    # 1.7e9 and 1.1e9 of them, and every field of at most 2^32 tuples fits
+    for q, n in ((3, 5), (2, 6)):
+        ims._check_walk(_walk_shape(q, n))
+    with pytest.raises(TooLargeForExhaustive):
+        ims._check_walk(_walk_shape(2, 7))
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 256, 257, 65536):
+        n = 1
+        while (q**n) ** n <= 2**32:
+            ims._check_walk(_walk_shape(q, n))
+            n += 1
     for samples in (0, -3):
         with pytest.raises(ValueError, match=f"samples = {samples}"):
             ims.survey_image_sizes(build_field(3, 1, 5), samples=samples)

@@ -139,9 +139,15 @@ def test_table_and_ratio_values_against_oracles(spec):
         assert tab.dtype == np.int64 and tab.shape == (ctx.size,)
         assert np.array_equal(tab, oracle), f
         assert [int(tab[x]) for x in sample] == [f.eval(x) for x in sample], f
+        # one value per point of PG(n-1, q): f(x)/x at g^k, k < R, repeats
+        # q - 1 times over all nonzero x, as F_q^* = <g^R>
         ratios = f.ratio_values()
-        assert np.array_equal(ratios, ctx.vmul(oracle[1:], ctx.vinv(X[1:]))), f
-        assert np.array_equal(ratios, _ratio_by_terms(f)), f
+        R = ctx.order // (ctx.q - 1)
+        whole = ctx.vmul(oracle[1:], ctx.vinv(X[1:]))
+        assert ratios.shape == (R,), f
+        assert np.array_equal(ratios, whole[:R]), f
+        assert np.array_equal(whole, np.tile(ratios, ctx.q - 1)), f
+        assert np.array_equal(ratios, _ratio_by_terms(f)[:R]), f
         inv = interpolate_through_inverse(ctx, oracle, X)
         if inv is None:
             with pytest.raises(NotInvertible):
