@@ -28,7 +28,6 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .imageset import (
-    _power_sums_from_values,
     _tuple_digits,
     equal_image_tuple_lists,
     images_equal,
@@ -137,21 +136,15 @@ def check_e_relations(f: QPoly, g: QPoly) -> ERelationReport:
 
 def power_sums_all_equal(f: QPoly, g: QPoly) -> bool:
     """True iff the ratio power sums of f and g agree for every d in
-    [1, q^n - 1]."""
-    ctx = f.ctx
-    if g.ctx is not ctx:
-        raise ValueError("polynomials live in different field contexts")
-    rf = f.ratio_values()
-    rg = g.ratio_values()
-    # every d at once, in blocks of about 2^20 table entries
-    step = max(1, _BLOCK // ctx.order)
-    for lo in range(1, ctx.size, step):
-        ds = np.arange(lo, min(lo + step, ctx.size), dtype=np.int64)
-        if not np.array_equal(
-            _power_sums_from_values(ctx, rf, ds), _power_sums_from_values(ctx, rg, ds)
-        ):
-            return False
-    return True
+    [1, q^n - 1], which is exactly when their ratio images are equal.
+
+    By the lemma of the `imageset` docstring the sum for d is -(sum of y^d
+    over the nonzero y of the image).  The matrix (y^d) is invertible and
+    the two indicator vectors differ by 0 or +-1, nonzero mod p, so equal
+    sums mean equal nonzero parts; the d = q^n - 1 case,
+    |Im minus {0}| = [0 not in Im] (mod p), then decides 0.
+    """
+    return images_equal(f, g)
 
 
 # ---------------------------------------------------- explicit n=5 witnesses
@@ -450,10 +443,9 @@ def exhaustive_same_image(f: QPoly) -> list[QPoly]:
     """All strictly F_q-linear g with Im(g(x)/x) = Im(f(x)/x), by enumeration
     of every coefficient tuple; `equal_image_tuple_lists` raises
     TooLargeForExhaustive past 2^32 ratio evaluations.  Every such g has
-    b_0 = a_0, the sum of the elements of the image: summed over x != 0,
-    f(x)/x gives -a_0, and each y of the image is taken by q^d - 1 = -1
-    (mod p) nonzero x.  So the walk evaluates only the representatives with
-    a_0 = 0."""
+    b_0 = a_0, the sum of the elements of the image, by the a_0 identity of
+    the `imageset` docstring, so the walk evaluates only the representatives
+    with a_0 = 0."""
     return exhaustive_same_images([f])[0]
 
 

@@ -13,17 +13,28 @@ row: W = ceil(q^n / 32) little-endian uint32 words, where bit e of the row
 (bit e % 32 of word e // 32) is element index e, and element index e >= 1
 is g^(e-1).  Sizes are popcounts of rows, and equal images are equal rows.
 
+Power sums are read off the image.  For y in Im(f), the nonzero x with
+f(x) = y x are the nonzero vectors of ker(f - y id), an F_q-subspace of
+some dimension k >= 1, so there are q^k - 1 = -1 (mod p) of them, and
+
+    sum over x != 0 of (f(x)/x)^d  =  -(sum over y in Im(f), y != 0, of y^d).
+
+At d = 1 only the x term of f survives the sum over x, which is -a_0: the
+a_0 identity, a_0 is the sum of the elements of Im(f).  At d = q^n - 1
+the left side counts the x with f(x) != 0, q^n - q^(dim ker f), so
+|Im(f) minus {0}| = [0 not in Im(f)] (mod p).  And the matrix (y^d) over
+y != 0 and 1 <= d <= q^n - 1 is an invertible Vandermonde matrix, so the
+power sums for every d determine Im(f) minus {0}, and with the
+d = q^n - 1 case Im(f) itself.
+
 Two symmetries cut the coefficient-tuple space N^n down.  Scaling every
 coefficient by c = g^k gives Im(c f) = c Im(f), so the image of g^k f is
 the image of f with elements 1..q^n-1 rotated by k and element 0 kept.
 Each nonzero orbit has exactly q^n - 1 members and one representative, the
 tuple whose first nonzero coefficient is 1 = g^0; it is also the orbit's
 lex-least member.  And f(x)/x = a_0 + h(x)/x with h = f - a_0 x, so
-Im(f) = a_0 + Im(h).  By the a_0 identity, a_0 is the sum of the elements
-of Im(f): summed over x != 0, f(x)/x gives -a_0, as only the x term of f
-contributes, and each y of the image is taken by the q^d - 1 = -1 (mod p)
-nonzero x of the kernel of f - y x.  So every g with the image of f has
-b_0 = a_0.  The exhaustive paths evaluate only the representatives with
+Im(f) = a_0 + Im(h), and by the a_0 identity every g with the image of f
+has b_0 = a_0.  The exhaustive paths evaluate only the representatives with
 a_0 = 0 ((32^4 - 1)/31 = 33,825 at q = 2, n = 5); every other image is a
 rotation of one of theirs translated by a_0, or {a_0} for (a_0, 0, ..., 0).
 
@@ -53,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooLargeForExhaustive
+from .errors import TooLarge, TooLargeForExhaustive
 from .gf import FieldCtx
 from .qpoly import QPoly, ratio_exponents
 
@@ -148,31 +159,16 @@ def direction_bounds(ctx: FieldCtx) -> tuple[int, int]:
 
 
 def power_sum(f: QPoly, d: int) -> int:
-    """sum over nonzero x of (f(x)/x)^d, computed exactly in the field from
-    the one value per point of `QPoly.ratio_values`."""
+    """sum over nonzero x of (f(x)/x)^d, read off the image: by the lemma of
+    the module docstring it is -(sum of y^d over the nonzero y of
+    Im(f(x)/x)), as each such y is taken by the q^k - 1 = -1 (mod p)
+    nonzero x of ker(f - y id)."""
     ctx = f.ctx
     if not 1 <= d <= ctx.size - 1:
         raise ValueError(f"d = {d} outside [1, {ctx.size - 1}]")
-    return int(_power_sums_from_values(ctx, f.ratio_values(), [d])[0])
-
-
-def _power_sums_from_values(ctx: FieldCtx, values: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """sum over nonzero x of (f(x)/x)^d for every d in the array ds at once,
-    from the values of `QPoly.ratio_values`, one per point of PG(n-1, q).
-
-    Each value is taken by the q - 1 nonzero x of its point, so the sum over
-    x is q - 1 times the sum over the values, and q - 1 = -1 mod p.  With
-    c_l the number of values equal to g^l, weighted by q - 1 and reduced mod
-    p, the sum for d is sum_l c_l g^(l d): one exponent table
-    (l d) mod (q^n - 1) over the distinct l, scaled by c_l and folded along
-    the l axis with vadd.
-    """
-    logs, counts = np.unique(values[values > 0] - 1, return_counts=True)
-    counts = counts * (ctx.q - 1) % ctx.p
-    logs, counts = logs[counts > 0], counts[counts > 0]
-    # c_l as an element of the prime field: the element whose packed encoding is c_l
-    terms = ctx.vmul(ctx._idx[counts], np.multiply.outer(ds, logs) % ctx.order + 1)
-    return ctx.vfold_add(terms)
+    # element index e >= 1 is g^(e-1), so slot l of mask[1:] is g^l
+    logs = np.flatnonzero(image_of_ratio(f).mask[1:])
+    return int(ctx.vneg(ctx.vfold_add(ctx.from_exp(logs * d))))
 
 
 # ------------------------------------------------------- tuple-space helpers
@@ -380,11 +376,11 @@ def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:
     linearity) with Im(g(x)/x) = Im(f(x)/x), guarded by `_check_walk`;
     ValueError when some f lives in another context.
 
-    By the a_0 identity (the module docstring) such a g has b_0 = a_0, the
-    sum of the elements of Im(f), so g is a_0 x + g^k r for a representative
-    r with a_0 = 0, or a_0 x alone.  One walk of those representatives
-    serves every f: a_0 x + g^k r matches f when the image row of r equals
-    that of g^(-k) (Im(f) - a_0).
+    By the a_0 identity (the module docstring) such a g has b_0 = a_0, so g
+    is a_0 x + g^k r for a representative r with a_0 = 0, or a_0 x alone,
+    the one g of image {a_0}.  One walk of those representatives serves
+    every f of image size > 1, and none is made without one: a_0 x + g^k r
+    matches f when the image row of r equals that of g^(-k) (Im(f) - a_0).
     """
     if not fs:
         return []
@@ -393,22 +389,25 @@ def equal_image_tuple_lists(ctx: FieldCtx, fs) -> list:
     _check_walk(ctx)
     targets = [image_of_ratio(f) for f in fs]
     a0 = [f.coeffs[0] for f in fs]
-    # row i of wants is the image row of g^-k (Im(f) - a_0), f = fs[i // order], k = i % order
-    wants = np.concatenate([_scaled_image_rows(S, c) for S, c in zip(targets, a0)])
-    keys = np.sort(wants[:, 0])
     # (a_0, 0, ..., 0), of tuple index a_0 N^(n-1), is the one tuple whose image is {a_0}
     lead = np.array(a0, dtype=np.int64) * ctx.size ** (ctx.n - 1)
-    owner = [np.flatnonzero([S.size == 1 for S in targets])]
-    hits = [lead[owner[0]]]
-    for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
-        at = np.minimum(np.searchsorted(keys, rows[:, 0]), keys.size - 1)
-        keep = np.flatnonzero(keys[at] == rows[:, 0])
-        r, i = np.nonzero((rows[keep, None] == wants).all(axis=2))
-        owner.append(i // ctx.order)
-        # a_0 x + g^k r, with g^k the element k + 1
-        digits = _tuple_digits(ctx, T[keep[r]])
-        scaled = coeffs_to_tuple(ctx, [ctx.vmul(i % ctx.order + 1, d) for d in digits])
-        hits.append(scaled + lead[owner[-1]])
+    single = np.array([S.size == 1 for S in targets])
+    owner, hits = [np.flatnonzero(single)], [lead[single]]
+    walked = np.flatnonzero(~single)
+    if walked.size:
+        # row i of wants is the image row of g^-k (Im(f) - a_0),
+        # f = fs[walked[i // order]], k = i % order
+        wants = np.concatenate([_scaled_image_rows(targets[t], a0[t]) for t in walked])
+        keys = np.sort(wants[:, 0])
+        for T, _, rows in _image_rows(ctx, _representative_blocks(ctx)):
+            at = np.minimum(np.searchsorted(keys, rows[:, 0]), keys.size - 1)
+            keep = np.flatnonzero(keys[at] == rows[:, 0])
+            r, i = np.nonzero((rows[keep, None] == wants).all(axis=2))
+            owner.append(walked[i // ctx.order])
+            # a_0 x + g^k r, with g^k the element k + 1
+            digits = _tuple_digits(ctx, T[keep[r]])
+            scaled = coeffs_to_tuple(ctx, [ctx.vmul(i % ctx.order + 1, d) for d in digits])
+            hits.append(scaled + lead[owner[-1]])
     owner, hits = np.concatenate(owner), np.concatenate(hits)
     hits = hits[np.lexsort((hits, owner))]
     return np.split(hits, np.cumsum(np.bincount(owner, minlength=len(fs)))[:-1])
@@ -457,7 +456,8 @@ def survey_image_sizes(
     tuples it misses, the scalar maps (a_0, 0, ..., 0), are strict only at
     n = 1, where they are the whole survey.  With
     `samples` (ValueError unless positive) it counts that many tuples drawn
-    from a generator seeded by `seed`.  Both read the sizes as popcounts of
+    from a generator seeded by `seed`, as int64 tuple indices: TooLarge
+    past 2^63 tuples.  Both read the sizes as popcounts of
     `_image_rows`, and one lex-least representative tuple is kept per
     occurring size.
     """
@@ -468,6 +468,8 @@ def survey_image_sizes(
         blocks, weight = _representative_blocks(ctx), ctx.order * ctx.size
     elif samples < 1:
         raise ValueError(f"samples = {samples} is no positive sample count")
+    elif ctx.size**ctx.n > 2**63:
+        raise TooLarge(f"{ctx.size**ctx.n} coefficient tuples have no int64 tuple index")
     else:
         draw = np.random.default_rng(seed).integers(0, ctx.size**ctx.n, size=samples,
                                                     dtype=np.int64)

@@ -79,7 +79,9 @@ def test_criterion_5_trace5_and_pseudoalg_round_trips():
 
 def test_criterion_6_power_sums_and_e_relations(thm_main_q2_run):
     # 10^3 constructed equal-image pairs at q=3: all power sums d in [1,242]
-    # agree and e0..e6 hold; plus e0..e6 across the exhaustive q=2 harness
+    # agree (power_sums_all_equal compares the images, which fix every power
+    # sum and are fixed by them) and e0..e6 hold; plus e0..e6 across the
+    # exhaustive q=2 harness
     _, pairs = thm_main_q2_run
     result = suites.suite_erelations(seed=0, pairs=1000)
     assert result["constructed_pairs"] == 1000

@@ -19,7 +19,6 @@ from qlinset.errors import (
     WrongDegree,
 )
 from qlinset.gf import build_field
-from qlinset.imageset import _power_sums_from_values
 from qlinset.moebius import SemilinearMap, is_admissible, transform_poly
 from qlinset.qpoly import QPoly, monomial, trace_poly
 
@@ -121,20 +120,54 @@ def test_power_sums_and_e_relations_reject_another_field_context(f243):
     assert cr.power_sums_all_equal(g, g) and cr.check_e_relations(g, g).all_hold
 
 
+def _power_sums_from_values(ctx, values, ds):
+    # every d in ds at once, from counted ratio values, one per point of
+    # PG(n-1, q): each value is taken by the q - 1 = -1 (mod p) nonzero x of
+    # its point, so with c_l the count of the values g^l, weighted by q - 1
+    # and reduced mod p, the sum for d is sum_l c_l g^(l d)
+    logs, counts = np.unique(values[values > 0] - 1, return_counts=True)
+    counts = counts * (ctx.q - 1) % ctx.p
+    logs, counts = logs[counts > 0], counts[counts > 0]
+    # c_l as an element of the prime field: the element whose packed encoding is c_l
+    terms = ctx.vmul(ctx._idx[counts], np.multiply.outer(ds, logs) % ctx.order + 1)
+    return ctx.vfold_add(terms)
+
+
+def _singular(ctx, r):
+    # x^q - l^(q-1) x, whose kernel is F_q l, conjugated by a random scalar
+    lam = r.randrange(1, ctx.size)
+    f = QPoly(ctx, [ctx.neg(ctx.pow_int(lam, ctx.q - 1)), 1] + [0] * (ctx.n - 2))
+    return f.scale_conjugate(r.randrange(1, ctx.size))
+
+
 def test_power_sums_all_d_match_per_d_helper(f32, f243):
-    # the all-d table against the per-d helper, on equal-image pairs and on
-    # random (mostly unequal) pairs
+    # the all-d table of counted ratio values, checked against the per-d
+    # helper over every nonzero x, is the oracle of power_sums_all_equal:
+    # on equal-image pairs, random pairs, equal-size pairs with unequal
+    # images (c f and f + c x), and pairs of a singular and an invertible f
     r = random.Random(64)
     for ctx in (f32, f243):
         ds = np.arange(1, ctx.size, dtype=np.int64)
-        verdicts = set()
+        pairs = []
         for k in range(12):
             f = rand_poly(ctx, r)
             if k < 6:
                 lam = r.randrange(1, ctx.size)
-                g = (f.adjoint() if k % 2 else f).scale_conjugate(lam)
+                pairs.append((f, (f.adjoint() if k % 2 else f).scale_conjugate(lam), True))
             else:
-                g = rand_poly(ctx, r)
+                pairs.append((f, rand_poly(ctx, r), None))
+        for _ in range(3):
+            f, c = rand_strict(ctx, r), r.randrange(2, ctx.size)
+            pairs.append((f, QPoly(ctx, [ctx.mul(c, a) for a in f.coeffs]), False))
+            pairs.append((f, QPoly(ctx, [ctx.add(f.coeffs[0], c)] + list(f.coeffs[1:])), False))
+            s = _singular(ctx, r)
+            pairs.append((s, rand_strict(ctx, r), False))
+            # s + c x, c outside -Im(s), is invertible with image Im(s) + c
+            outside = np.flatnonzero(~ims.image_of_ratio(s).mask)
+            c = ctx.neg(int(outside[r.randrange(outside.size)]))
+            pairs.append((s, QPoly(ctx, [ctx.add(s.coeffs[0], c)] + list(s.coeffs[1:])), False))
+        verdicts = set()
+        for f, g, expected in pairs:
             sums = {}
             for h in (f, g):
                 v = h.ratio_values()
@@ -144,9 +177,13 @@ def test_power_sums_all_d_match_per_d_helper(f32, f243):
                 assert sums[h] == [_power_sum_from_values(ctx, every, int(d)) for d in ds]
             same = sums[f] == sums[g]
             assert cr.power_sums_all_equal(f, g) == same
-            assert same or k >= 6
+            assert expected in (None, same)
+            if expected is False and len(ims.image_of_ratio(f)) == len(ims.image_of_ratio(g)):
+                verdicts.add("equal size")
+            if f.kernel_dim() != g.kernel_dim():
+                verdicts.add("one singular")
             verdicts.add(same)
-        assert verdicts == {True, False}
+        assert verdicts == {True, False, "equal size", "one singular"}
 
 
 # ------------------------------------------------------------- trace5 test

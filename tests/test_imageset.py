@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from qlinset import imageset as ims
 from qlinset import suites
-from qlinset.errors import TooLargeForExhaustive
+from qlinset.errors import TooLarge, TooLargeForExhaustive
 from qlinset.gf import build_field
 from qlinset.moebius import INF
 from qlinset.qpoly import QPoly, identity_poly, monomial, trace_poly, zero_poly
@@ -367,6 +368,40 @@ def test_power_sum_against_scalar_sum_over_every_x(spec):
             assert acc == ims.power_sum(f, d), (f, d)
 
 
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 2), (7, 1, 2), (3, 1, 1), (2, 2, 1)],
+    ids=["F16", "F27", "F64-tower", "F25", "F49", "F3-n1", "F4-n1"],
+)
+def test_power_sum_is_read_off_the_image_for_every_d(spec):
+    # the lemma of the imageset docstring: the sum over every nonzero x, each
+    # value with its multiplicity, against power_sum, which reads only the
+    # image; with the zero map and, past n = 1, x^q - x, whose kernel is F_q
+    ctx = build_field(*spec)
+    r = random.Random(47)
+    fs = [zero_poly(ctx), identity_poly(ctx)] + [rand_poly(ctx, r) for _ in range(4)]
+    if ctx.n > 1:
+        fs.append(QPoly(ctx, [ctx.neg(1), 1] + [0] * (ctx.n - 2)))
+        assert fs[-1].kernel_dim() == 1
+    xs = np.arange(1, ctx.size)
+    ds = np.arange(1, ctx.size)
+    for f in fs:
+        values = ctx.vmul(f.table()[xs], ctx.vinv(xs))
+        logs = values[values > 0] - 1
+        expected = ctx.vfold_add(np.multiply.outer(ds, logs) % ctx.order + 1)
+        assert [ims.power_sum(f, int(d)) for d in ds] == expected.tolist(), f.coeffs
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 5), (3, 1, 3), (2, 2, 3)], ids=["F32", "F27", "F64-tower"])
+def test_nonzero_image_size_mod_p_says_whether_0_is_in_the_image(spec, request):
+    # the d = q^n - 1 case of the lemma, |Im minus {0}| = [0 not in Im]
+    # (mod p), on every coefficient tuple; bit 0 of a mask is the zero element
+    ctx = build_field(*spec)
+    masks = request.getfixturevalue("q2_masks") if spec == (2, 1, 5) else ims.all_ratio_masks(ctx)
+    for lo in range(0, masks.size, 1 << 22):
+        block = masks[lo : lo + (1 << 22)]
+        assert np.array_equal(np.bitwise_count(block >> 1) % ctx.p, 1 - (block & 1))
+
+
 def test_power_sum_bounds(f32):
     with pytest.raises(ValueError):
         ims.power_sum(identity_poly(f32), 0)
@@ -550,6 +585,22 @@ def test_survey_guard():
     for samples in (0, -3):
         with pytest.raises(ValueError, match=f"samples = {samples}"):
             ims.survey_image_sizes(build_field(3, 1, 5), samples=samples)
+    # the draws are int64 tuple indices
+    for spec in ((2, 1, 13), (3, 1, 9), (2, 2, 6)):
+        ctx = build_field(*spec)
+        with pytest.raises(TooLarge, match=f"{ctx.size**ctx.n} coefficient tuples"):
+            ims.survey_image_sizes(ctx, samples=1)
+
+
+def test_sampled_survey_rows_are_pinned(f243):
+    # the 10^4 draws of suite_bounds at seed 0
+    assert [tuple(row) for row in ims.survey_image_sizes(f243, samples=10**4, seed=0)] == [
+        (82, 9, (31, 166, 45, 177, 144)), (91, 6, (20, 31, 104, 76, 99)),
+        (97, 331, (0, 56, 189, 48, 136)), (100, 1029, (0, 11, 53, 76, 155)),
+        (103, 1896, (0, 87, 227, 123, 15)), (106, 2310, (0, 6, 91, 189, 104)),
+        (109, 2260, (0, 14, 163, 61, 179)), (112, 1500, (0, 19, 140, 92, 158)),
+        (115, 647, (0, 17, 183, 139, 139)), (121, 12, (73, 230, 234, 14, 236)),
+    ]
 
 
 def _naive_image(ctx, t):
@@ -647,6 +698,23 @@ def test_representative_blocks_are_open_grids(spec, rep_block, monkeypatch):
         for g, d in zip(grid, ims._tuple_digits(ctx, T), strict=True):
             assert np.array_equal(np.broadcast_to(g, shape).ravel(), d)
     assert np.array_equal(ims.all_ratio_masks(ctx), _masks_of_every_tuple(ctx))
+
+
+def test_scalar_targets_make_no_walk():
+    # an image of size 1 comes only from the scalar map a_0 x; at F_4096 the
+    # walk's one-hot bit table alone would hold 4096^2 bits
+    ctx = build_field(2, 12, 1)
+    f = QPoly(ctx, [5])
+    # the field's vector lookup tables (64 MB here) are built on first use
+    ims.image_of_ratio(f)
+    tracemalloc.start()
+    try:
+        got = ims.equal_image_tuple_lists(ctx, [f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.tolist() for t in got] == [[5]]
+    assert peak < 5 * 2**20
 
 
 def test_equal_image_tuple_lists_rejects_a_polynomial_of_another_context(f32):
